@@ -16,11 +16,6 @@ use peepul_verify::{
     certify_replication, run_codec_mutants, run_replication_mutants, RaLinSuiteConfig,
 };
 
-fn quick_mode(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--quick")
-        || std::env::var("PEEPUL_BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
@@ -47,7 +42,7 @@ fn json_escape(s: &str) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = quick_mode(&args);
+    let quick = args.iter().any(|a| a == "--quick");
     let out_path = flag_value(&args, "--out").unwrap_or_else(|| "VERIFY_report.json".into());
 
     let config = if quick {

@@ -224,42 +224,6 @@ pub fn time_once<R>(f: impl FnOnce() -> R) -> (std::time::Duration, R) {
     (start.elapsed(), r)
 }
 
-/// Splices a shared `"obs"` section into a bench report produced by a
-/// bin's `render_json` — a flat `metric name → value` snapshot of the
-/// observability registry the workload ran against, so `BENCH_*.json`
-/// numbers and live `peepul-cli metrics` expositions come from one
-/// source of truth. Samples keep their full label-qualified exposition
-/// names (quotes JSON-escaped). A disabled spine contributes an empty
-/// section.
-pub fn with_obs_section(json: &str, obs: &peepul_obs::Obs) -> String {
-    let samples = peepul_obs::parse_exposition(&obs.registry().render()).unwrap_or_default();
-    let mut entries = String::new();
-    for (i, s) in samples.iter().enumerate() {
-        let mut key = s.name.clone();
-        if !s.labels.is_empty() {
-            let labels: Vec<String> = s
-                .labels
-                .iter()
-                .map(|(k, v)| {
-                    format!(
-                        "{k}=\\\"{}\\\"",
-                        v.replace('\\', "\\\\").replace('"', "\\\"")
-                    )
-                })
-                .collect();
-            key = format!("{key}{{{}}}", labels.join(","));
-        }
-        let comma = if i + 1 < samples.len() { "," } else { "" };
-        entries.push_str(&format!("    \"{key}\": {:.6}{comma}\n", s.value));
-    }
-    let body = json
-        .trim_end()
-        .strip_suffix('}')
-        .expect("report must be a render_json object")
-        .trim_end();
-    format!("{body},\n  \"obs\": {{\n{entries}  }}\n}}\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,23 +254,6 @@ mod tests {
         let run = orset_workload::<OrSetSpace<u64>>(2000, 3);
         assert!(run.max_pairs > 0);
         assert!(run.max_bytes > 0);
-    }
-
-    #[test]
-    fn obs_section_splices_registry_snapshot() {
-        let obs = peepul_obs::Obs::new(peepul_obs::ObsConfig::default());
-        obs.registry().counter("peepul_test_ops_total").add(3);
-        let report = "{\n  \"schema\": \"x\",\n  \"metrics\": {\n    \"m\": 1\n  }\n}\n";
-        let out = with_obs_section(report, &obs);
-        assert!(out.contains("\"obs\": {"));
-        assert!(out.contains("\"peepul_test_ops_total\": 3.000000"));
-        // Still one well-formed object: braces balance and the original
-        // metrics survive.
-        assert_eq!(out.matches('{').count(), out.matches('}').count());
-        assert!(out.contains("\"m\": 1"));
-        // A disabled spine contributes an empty section, not a parse error.
-        let empty = with_obs_section(report, &peepul_obs::Obs::disabled());
-        assert!(empty.contains("\"obs\": {"));
     }
 
     #[test]

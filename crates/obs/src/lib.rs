@@ -21,9 +21,9 @@
 //! and exposition, never per operation. The event ring is a per-slot
 //! seqlock built entirely from atomics (this crate contains no `unsafe`),
 //! so producers never block each other or the snapshot reader. The
-//! workspace-wide overhead budget — enforced by `bench_obs` in CI — is a
-//! **< 5 %** commit-throughput delta between a fully instrumented store
-//! and [`ObsConfig::disabled`].
+//! workspace-wide overhead budget — enforced by `tests/obs_overhead.rs`
+//! in CI — is a **< 5 %** commit-throughput delta between a fully
+//! instrumented store and [`ObsConfig::disabled`].
 //!
 //! # Metric naming scheme
 //!
@@ -54,7 +54,8 @@ use std::sync::Arc;
 pub struct ObsConfig {
     /// Master switch. When `false`, consumers should not attach metric
     /// handles at all ([`Obs::enabled`] reports this), so hot paths pay
-    /// literally nothing — the contract `bench_obs` measures against.
+    /// literally nothing — the contract `tests/obs_overhead.rs` measures
+    /// against.
     pub enabled: bool,
     /// Event-ring capacity in slots; `0` disables tracing entirely.
     pub ring_capacity: usize,
@@ -74,8 +75,8 @@ impl Default for ObsConfig {
 
 impl ObsConfig {
     /// The all-off configuration: no metrics attached, a zero-capacity
-    /// ring, every subsystem at [`TraceLevel::Off`]. `bench_obs` gates
-    /// the instrumented build against exactly this baseline.
+    /// ring, every subsystem at [`TraceLevel::Off`]. `tests/obs_overhead.rs`
+    /// gates the instrumented build against exactly this baseline.
     pub fn disabled() -> Self {
         ObsConfig {
             enabled: false,

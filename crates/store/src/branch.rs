@@ -1217,7 +1217,7 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
     /// Attaches (or detaches, with `None`) observability handles. With no
     /// metrics attached every hot path runs at its uninstrumented cost —
     /// the [`ObsConfig::disabled`](peepul_obs::ObsConfig::disabled)
-    /// baseline `bench_obs` gates against.
+    /// baseline `tests/obs_overhead.rs` gates against.
     pub fn set_metrics(&mut self, metrics: Option<Arc<StoreMetrics>>) {
         self.metrics = metrics;
     }

@@ -35,8 +35,8 @@ use std::sync::Arc;
 /// and the `Arc`-pinned merged states behind it — linearly with history.
 pub const DEFAULT_MEMO_CAPACITY: usize = 1024;
 
-/// Hit/miss counters of a [`MergeMemo`], exposed for the bench pipeline
-/// (`BENCH_store.json` reports the hit rate on the criss-cross workload).
+/// Hit/miss counters of a [`MergeMemo`], exposed for tests and the
+/// benchmark (`store.memo.hit_ratio` on the criss-cross workload).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct MergeCacheStats {
     /// Merges answered from the cache.

@@ -4,8 +4,8 @@
 //! Handles are resolved from the shared `peepul-obs` registry once, at
 //! [`StoreMetrics::attach`] time; the hot paths then pay one `Option`
 //! branch plus a few relaxed atomic operations per instrumented
-//! operation — the cost `bench_obs` gates below 5 %. Facts that already
-//! live elsewhere (merge-memo counters, the backend's
+//! operation — the cost `tests/obs_overhead.rs` gates below 5 %. Facts
+//! that already live elsewhere (merge-memo counters, the backend's
 //! [`StorageInfo`](crate::StorageInfo)) are *pulled* into gauges by
 //! [`BranchStore::publish_gauges`](crate::BranchStore::publish_gauges)
 //! at exposition time instead of being pushed on every operation.

@@ -6,6 +6,8 @@
 //! * two **independent** `BranchStore`s connected by a real TCP socket
 //!   exchange *only* the objects the receiver lacks (asserted via backend
 //!   object counts);
+//! * a delta-storing origin ships under half the state bytes a
+//!   full-snapshot origin does for the same cold chat-log fetch;
 //! * an 8-replica `ChannelTransport` fleet with injected partitions and
 //!   message loss converges after heal — on the in-memory backend, the
 //!   on-disk segment backend, and a mixed fleet of both;
@@ -132,6 +134,49 @@ fn tcp_pair_exchanges_only_missing_objects() {
     let push = laptop.push(&mut remote, "main").unwrap();
     assert_eq!(push.commits_sent, 0);
     assert_eq!(push.states_sent, 0);
+}
+
+#[test]
+fn delta_storing_origin_ships_under_half_the_state_bytes() {
+    use peepul::types::log::{LogOp, MergeableLog};
+
+    // The O(delta) transfer claim in bytes: a cold replica fetches the
+    // same 256-append chat log from a full-snapshot origin (interval 0,
+    // every state ships as its full canonical bytes) and from a
+    // delta-storing origin (the default interval).
+    let cold_fetch = |origin_backend: MemoryBackend| {
+        let origin: Replica<MergeableLog<String>, _> =
+            Replica::open("origin", "main", origin_backend).unwrap();
+        origin
+            .with_store(|s| -> Result<(), StoreError> {
+                let mut main = s.branch_mut("main")?;
+                for i in 0..256 {
+                    main.apply(&LogOp::Append(format!(
+                        "chat message number {i:08} from origin"
+                    )))?;
+                }
+                Ok(())
+            })
+            .unwrap();
+        let client: Replica<MergeableLog<String>, _> =
+            Replica::open("client", "main", MemoryBackend::new()).unwrap();
+        let mut remote = Remote::new("origin", ChannelTransport::connect(origin));
+        client.fetch(&mut remote, "main").unwrap()
+    };
+    let full = cold_fetch(MemoryBackend::with_snapshot_interval(0));
+    let delta = cold_fetch(MemoryBackend::new());
+
+    assert_eq!(
+        full.delta_states_received, 0,
+        "interval 0 must disable deltas"
+    );
+    assert_eq!(full.states_received, delta.states_received);
+    assert!(
+        delta.state_bytes_received * 2 < full.state_bytes_received,
+        "delta sync must at least halve the state bytes moved: {} delta vs {} full",
+        delta.state_bytes_received,
+        full.state_bytes_received
+    );
 }
 
 #[test]

@@ -5,6 +5,8 @@
 //!
 //! * many interleaved sessions writing concurrently lose nothing — every
 //!   acknowledged put is visible afterwards;
+//! * eight connections held open together are all served at once
+//!   (`peak_connections() >= 8`);
 //! * the read path takes the **shared** lock: a `get` over TCP completes
 //!   while another thread is holding the store's read lock (it would
 //!   deadline out if reads were exclusive);
@@ -69,6 +71,38 @@ fn interleaved_sessions_lose_no_acknowledged_put() {
             );
         }
     }
+}
+
+#[test]
+fn eight_connections_are_served_at_once() {
+    let server = memory_server("concurrent");
+    let addr = server.addr();
+    const CLIENTS: usize = 8;
+
+    // Each client has a request answered (so it is accepted and served,
+    // not parked in the listen backlog), then holds its connection open
+    // until all eight have: the server serves them concurrently or the
+    // barrier never releases.
+    let served = std::sync::Barrier::new(CLIENTS);
+    std::thread::scope(|scope| {
+        for c in 0..CLIENTS {
+            let served = &served;
+            scope.spawn(move || {
+                let mut client = ServiceClient::connect(addr).unwrap();
+                client.put("main", format!("k{c}"), "held").unwrap();
+                served.wait();
+                assert_eq!(
+                    client.get("main", format!("k{c}")).unwrap().as_deref(),
+                    Some("held")
+                );
+            });
+        }
+    });
+    assert!(
+        server.peak_connections() >= CLIENTS,
+        "server peaked at {} concurrent connections",
+        server.peak_connections()
+    );
 }
 
 #[test]

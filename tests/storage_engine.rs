@@ -9,12 +9,19 @@
 //! that ran GC + compaction must reopen from disk as exactly the store
 //! that was dropped: same branch table, same per-branch history depth,
 //! same tick, same answers.
+//!
+//! Two deterministic engine budgets ride along: post-GC disk
+//! amplification stays under 2×, and group commit under the explicit
+//! flush policy issues at most a fifth of per-commit's fsyncs.
 
 mod common;
 
 use common::Scratch;
 use peepul::prelude::*;
-use peepul::store::{Backend, MemoryBackend, ObjectId, SegmentBackend, SegmentOptions};
+use peepul::store::{
+    Backend, FlushPolicy, MemoryBackend, ObjectId, SegmentBackend, SegmentOptions,
+};
+use peepul::types::counter::{Counter, CounterOp};
 use peepul::types::or_set_space::{OrSetOp, OrSetOutput, OrSetQuery, OrSetSpace};
 use proptest::prelude::*;
 
@@ -288,4 +295,71 @@ proptest! {
             .collect();
         prop_assert_eq!(reopened_depths, depths, "per-branch history depth");
     }
+}
+
+/// After stranding every other commit, GC + flush must leave less than
+/// 2 bytes on disk per live byte: the sweep really reclaims the garbage.
+#[test]
+fn post_gc_disk_amplification_stays_under_two() {
+    let scratch = Scratch::new("engine-gc-amplification");
+    let schedule: Vec<Step> = (0..200u8)
+        .flat_map(|value| {
+            [
+                Step::Add { branch: 0, value },
+                Step::Strand { from: 0, value },
+            ]
+        })
+        .collect();
+    let backend = SegmentBackend::open_with(scratch.path().join("db"), tiny()).unwrap();
+    let mut db = replay(&schedule, backend, |_| {});
+    let stats = db.collect_garbage().unwrap();
+    db.flush().unwrap();
+    let disk_bytes = db.backend().disk_bytes();
+    assert!(stats.dead_objects > 0, "the schedule must strand garbage");
+    assert!(
+        disk_bytes < 2 * stats.live_bytes,
+        "post-GC amplification: {disk_bytes} disk bytes over {} live bytes",
+        stats.live_bytes
+    );
+}
+
+/// Group commit is the mechanism, not the wall clock: for the same
+/// durable commit load, `Explicit` with a flush every 128 commits issues
+/// at most a fifth of the fsyncs `PerCommit` does.
+#[test]
+fn explicit_flush_every_128_needs_a_fifth_of_per_commit_fsyncs() {
+    const COMMITS: u32 = 256;
+    let scratch = Scratch::new("engine-group-commit");
+    let fsyncs = |flush: FlushPolicy, batch: u32| {
+        let options = SegmentOptions {
+            durable: true,
+            flush,
+            ..SegmentOptions::default()
+        };
+        let dir = scratch.path().join(format!("batch-{batch}"));
+        let backend = SegmentBackend::open_with(dir, options).unwrap();
+        let mut db: BranchStore<Counter, _> = BranchStore::with_backend("main", backend).unwrap();
+        let at_start = db.backend().fsync_count();
+        for i in 0..COMMITS {
+            db.branch_mut("main")
+                .unwrap()
+                .apply(&CounterOp::Increment)
+                .unwrap();
+            if (i + 1) % batch == 0 {
+                db.flush().unwrap();
+            }
+        }
+        db.flush().unwrap();
+        db.backend().fsync_count() - at_start
+    };
+    let per_commit = fsyncs(FlushPolicy::PerCommit, 1);
+    let grouped = fsyncs(FlushPolicy::Explicit, 128);
+    assert!(
+        per_commit >= u64::from(COMMITS),
+        "PerCommit syncs every commit: {per_commit} fsyncs for {COMMITS} commits"
+    );
+    assert!(
+        grouped * 5 <= per_commit,
+        "group commit: {grouped} fsyncs grouped vs {per_commit} per-commit"
+    );
 }

@@ -210,6 +210,49 @@ fn repeated_criss_cross_merges_stay_correct() {
 }
 
 #[test]
+fn true_criss_cross_exercises_the_merge_memo() {
+    // Sequential `merge(a, b); merge(b, a)` never yields two merge bases
+    // (the second merge already sees the first), so the swapped merge
+    // goes through pinned forks. Each probe branch off `x` then merges
+    // `y2`, re-deriving the identical virtual base merge — the triple the
+    // memo exists to remember.
+    for_each_backend("criss-cross-memo", |kind, make| {
+        let mut db: Db<OrSetSpace<u32>> = open(make, "x");
+        let add = |db: &mut Db<OrSetSpace<u32>>, branch: &str, v: u32| {
+            db.branch_mut(branch)
+                .unwrap()
+                .apply(&OrSetOp::Add(v))
+                .unwrap();
+        };
+        add(&mut db, "x", 0);
+        db.branch_mut("x").unwrap().fork("y").unwrap();
+        add(&mut db, "x", 1);
+        add(&mut db, "y", 2);
+        db.branch_mut("x").unwrap().fork("x-pin").unwrap();
+        db.branch_mut("y").unwrap().fork("y2").unwrap();
+        db.branch_mut("x").unwrap().merge_from("y").unwrap();
+        db.branch_mut("y2").unwrap().merge_from("x-pin").unwrap();
+        add(&mut db, "x", 3);
+        add(&mut db, "y2", 4);
+        let (hx, hy) = (db.head("x").unwrap(), db.head("y2").unwrap());
+        assert_eq!(db.graph().merge_bases(hx, hy).len(), 2, "{kind}");
+
+        for p in 0..4 {
+            let probe = format!("probe-{p}");
+            db.branch_mut("x").unwrap().fork(&probe).unwrap();
+            db.branch_mut(&probe).unwrap().merge_from("y2").unwrap();
+            assert_eq!(
+                db.state(&probe).unwrap().elements(),
+                vec![0, 1, 2, 3, 4],
+                "{kind}"
+            );
+        }
+        let stats = db.merge_cache_stats();
+        assert!(stats.hits > 0, "{kind}: memo never hit: {stats:?}");
+    });
+}
+
+#[test]
 fn content_addressing_interns_equal_states() {
     // Replicas that converge produce equal states; on *any* backend they
     // intern to a single state object with one content address.
