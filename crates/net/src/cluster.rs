@@ -1,38 +1,24 @@
-//! A fleet of replicas under one handle — now over *real* replication.
+//! A fleet of replicas under one handle, over *real* replication.
 //!
-//! [`Cluster`] is the workspace's multi-replica execution harness. Since
-//! the `peepul-net` rebuild it runs in one of two modes:
-//!
-//! * **Replicated** (the default, [`Cluster::new`] /
-//!   [`Cluster::replicated`]): `n` independent [`Replica`]s, each with its
-//!   **own** [`BranchStore`] and backend and a disjoint replica-id range,
-//!   wired by [`ChannelTransport`] links with per-replica
-//!   [`FaultInjector`]s. Gossip is a real `pull` — refs, want/have
-//!   negotiation, verified object transfer — and replicas can be
-//!   partitioned, lose messages, and lag independently.
-//! * **Simulated** ([`Cluster::simulated`] / [`Cluster::with_backend`]):
-//!   the pre-`peepul-net` behaviour, kept for workloads that want maximal
-//!   interleaving stress at minimal cost — `n` branches of a **single
-//!   shared** store behind one mutex, one OS thread per branch,
-//!   gossip-by-local-merge. Nothing is transferred in this mode; it
-//!   exercises merge correctness under scheduler nondeterminism, not
-//!   replication.
-//!
-//! `run`/`converge`/`read` behave identically in both modes, so existing
-//! convergence suites drive either.
+//! [`Cluster`] is the workspace's multi-replica execution harness
+//! ([`Cluster::new`] / [`Cluster::replicated`]): `n` independent
+//! [`Replica`]s, each with its **own** [`BranchStore`] and backend and a
+//! disjoint replica-id range, wired by [`ChannelTransport`] links with
+//! per-replica [`FaultInjector`]s. Gossip is a real `pull` — refs,
+//! want/have negotiation, verified object transfer — and replicas can be
+//! partitioned, lose messages, and lag independently.
 
 use crate::anti_entropy::AntiEntropy;
 use crate::error::NetError;
 use crate::observer::{HistoryObserver, ReplicationMutation};
 use crate::replica::{Remote, Replica};
 use crate::transport::{ChannelTransport, FaultInjector};
-use parking_lot::Mutex;
 use peepul_core::Mrdt;
 use peepul_store::{Backend, BranchStore, MemoryBackend, StoreError};
 use std::fmt;
 use std::sync::Arc;
 
-/// The branch each replicated node applies its local operations to.
+/// The branch each node applies its local operations to.
 const LOCAL_BRANCH: &str = "main";
 
 /// Replica-id ranges are spaced this far apart so that `n` independent
@@ -40,22 +26,11 @@ const LOCAL_BRANCH: &str = "main";
 /// minting the same `(tick, replica)` timestamp pair.
 const REPLICA_ID_STRIDE: u32 = 1 << 16;
 
-fn replica_branch(i: usize) -> String {
+fn replica_name(i: usize) -> String {
     format!("replica-{i}")
 }
 
-enum Inner<M: Mrdt, B: Backend> {
-    /// Legacy simulation: n branches over one shared store.
-    Sim(Arc<Mutex<BranchStore<M, B>>>),
-    /// Real replication: n independent stores over channel links.
-    Net {
-        nodes: Vec<Replica<M, B>>,
-        /// `faults[i]` governs replica i's *outgoing* link.
-        faults: Vec<FaultInjector>,
-    },
-}
-
-/// A multi-replica cluster; see the [module docs](self) for the two modes.
+/// A multi-replica cluster; see the [module docs](self).
 ///
 /// # Example
 ///
@@ -73,13 +48,14 @@ enum Inner<M: Mrdt, B: Backend> {
 /// # }
 /// ```
 pub struct Cluster<M: Mrdt, B: Backend = MemoryBackend> {
-    inner: Inner<M, B>,
-    replicas: usize,
+    nodes: Vec<Replica<M, B>>,
+    /// `faults[i]` governs replica i's *outgoing* link.
+    faults: Vec<FaultInjector>,
 }
 
 impl<M: Mrdt + Send + Sync + 'static> Cluster<M> {
-    /// A replicated in-memory cluster: `replicas` independent stores, each
-    /// over its own fresh [`MemoryBackend`].
+    /// An in-memory cluster: `replicas` independent stores, each over its
+    /// own fresh [`MemoryBackend`].
     ///
     /// # Errors
     ///
@@ -87,41 +63,11 @@ impl<M: Mrdt + Send + Sync + 'static> Cluster<M> {
     pub fn new(replicas: usize) -> Result<Self, NetError> {
         Self::replicated((0..replicas).map(|_| MemoryBackend::new()).collect())
     }
-
-    /// The legacy shared-store simulation over a fresh [`MemoryBackend`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StoreError`] from branch creation.
-    pub fn simulated(replicas: usize) -> Result<Self, NetError> {
-        Self::with_backend(replicas, MemoryBackend::new())
-    }
 }
 
 impl<M: Mrdt + Send + Sync + 'static, B: Backend + Send + Sync + 'static> Cluster<M, B> {
-    /// The legacy shared-store simulation over an explicit backend:
-    /// `replicas` branches of **one** store, one thread per branch. This
-    /// is the pre-replication `Cluster` behaviour, preserved as a mode.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`StoreError`] from publishing or branch creation.
-    pub fn with_backend(replicas: usize, backend: B) -> Result<Self, NetError> {
-        assert!(replicas >= 1, "a cluster needs at least one replica");
-        let mut store = BranchStore::with_backend(replica_branch(0), backend)?;
-        for i in 1..replicas {
-            store
-                .branch_mut(&replica_branch(0))?
-                .fork(replica_branch(i))?;
-        }
-        Ok(Cluster {
-            inner: Inner::Sim(Arc::new(Mutex::new(store))),
-            replicas,
-        })
-    }
-
-    /// A replicated cluster with one backend **per replica** — including
-    /// mixed fleets when `B` is `Box<dyn Backend + Send + Sync>` (some replicas
+    /// A cluster with one backend **per replica** — including mixed
+    /// fleets when `B` is `Box<dyn Backend + Send + Sync>` (some replicas
     /// in memory, some on disk). Replica `i` is named `replica-i`, holds
     /// its operations on branch `"main"`, and mints replica ids from a
     /// disjoint range (`i · 2^16`).
@@ -131,53 +77,37 @@ impl<M: Mrdt + Send + Sync + 'static, B: Backend + Send + Sync + 'static> Cluste
     /// Propagates [`StoreError`] from store construction.
     pub fn replicated(backends: Vec<B>) -> Result<Self, NetError> {
         assert!(!backends.is_empty(), "a cluster needs at least one replica");
-        let replicas = backends.len();
-        let mut nodes = Vec::with_capacity(replicas);
+        let mut nodes = Vec::with_capacity(backends.len());
         for (i, backend) in backends.into_iter().enumerate() {
             let store = BranchStore::with_backend_and_base(
                 LOCAL_BRANCH,
                 backend,
                 (i as u32) * REPLICA_ID_STRIDE,
             )?;
-            nodes.push(Replica::new(replica_branch(i), store));
+            nodes.push(Replica::new(replica_name(i), store));
         }
-        let faults = (0..replicas).map(|_| FaultInjector::new()).collect();
-        Ok(Cluster {
-            inner: Inner::Net { nodes, faults },
-            replicas,
-        })
+        let faults = nodes.iter().map(|_| FaultInjector::new()).collect();
+        Ok(Cluster { nodes, faults })
     }
 
     /// Number of replicas.
     pub fn replicas(&self) -> usize {
-        self.replicas
+        self.nodes.len()
     }
 
-    /// Whether this cluster runs real replication (as opposed to the
-    /// shared-store simulation).
-    pub fn is_replicated(&self) -> bool {
-        matches!(self.inner, Inner::Net { .. })
-    }
-
-    /// Replica `i` (replicated mode only).
+    /// Replica `i`, if in range.
     pub fn node(&self, i: usize) -> Option<&Replica<M, B>> {
-        match &self.inner {
-            Inner::Net { nodes, .. } => nodes.get(i),
-            Inner::Sim(_) => None,
-        }
+        self.nodes.get(i)
     }
 
-    /// The fault plan of replica `i`'s outgoing gossip link (replicated
-    /// mode only) — partition it, heal it, make it lossy.
+    /// The fault plan of replica `i`'s outgoing gossip link — partition
+    /// it, heal it, make it lossy.
     pub fn faults(&self, i: usize) -> Option<&FaultInjector> {
-        match &self.inner {
-            Inner::Net { faults, .. } => faults.get(i),
-            Inner::Sim(_) => None,
-        }
+        self.faults.get(i)
     }
 
     /// Answers a pure query against one replica's current head — the
-    /// commit-free read path. In replicated mode the read goes through
+    /// commit-free read path. The read goes through
     /// [`Replica::read_observed`], so an attached [`HistoryObserver`]
     /// witnesses every probe.
     ///
@@ -185,63 +115,27 @@ impl<M: Mrdt + Send + Sync + 'static, B: Backend + Send + Sync + 'static> Cluste
     ///
     /// [`StoreError::UnknownBranch`] if `replica >= self.replicas()`.
     pub fn read(&self, replica: usize, q: &M::Query) -> Result<M::Output, NetError> {
-        match &self.inner {
-            Inner::Sim(store) => Ok(store.lock().read(&replica_branch(replica), q)?),
-            Inner::Net { nodes, .. } => match nodes.get(replica) {
-                Some(node) => Ok(node.read_observed(LOCAL_BRANCH, q)?),
-                None => Err(StoreError::UnknownBranch(replica_branch(replica)).into()),
-            },
+        match self.nodes.get(replica) {
+            Some(node) => Ok(node.read_observed(LOCAL_BRANCH, q)?),
+            None => Err(StoreError::UnknownBranch(replica_name(replica)).into()),
         }
     }
 
     /// Attaches one [`HistoryObserver`] to **every** node, so a whole-fleet
     /// execution records a single global witness history — the input of
     /// `peepul-verify`'s replication-aware linearizability checker `Φ_ra`.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Protocol`] in the legacy simulated mode: all "replicas"
-    /// there share one store and gossip by local merge, so there is no
-    /// per-replica ingest path to witness and RA-lin checking is
-    /// meaningless. Use a replicated cluster ([`Cluster::new`] /
-    /// [`Cluster::replicated`]) for certification runs.
-    pub fn set_observer(&self, observer: Arc<dyn HistoryObserver<M>>) -> Result<(), NetError> {
-        match &self.inner {
-            Inner::Sim(_) => Err(NetError::Protocol(
-                "RA-lin witness recording requires a replicated cluster: the legacy \
-                 simulated mode shares one store and has no per-replica ingest path"
-                    .into(),
-            )),
-            Inner::Net { nodes, .. } => {
-                for node in nodes {
-                    node.set_observer(Arc::clone(&observer));
-                }
-                Ok(())
-            }
+    pub fn set_observer(&self, observer: Arc<dyn HistoryObserver<M>>) {
+        for node in &self.nodes {
+            node.set_observer(Arc::clone(&observer));
         }
     }
 
     /// **Mutation-testing surface** — enacts a deliberate replication
     /// fault (see [`ReplicationMutation`]) on every node, for the `Φ_ra`
     /// mutant kill-gate.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Protocol`] in simulated mode, as for
-    /// [`Cluster::set_observer`].
-    pub fn set_mutation(&self, mutation: ReplicationMutation) -> Result<(), NetError> {
-        match &self.inner {
-            Inner::Sim(_) => Err(NetError::Protocol(
-                "replication mutations require a replicated cluster: the legacy \
-                 simulated mode has no replication paths to mutate"
-                    .into(),
-            )),
-            Inner::Net { nodes, .. } => {
-                for node in nodes {
-                    node.set_replication_mutation(mutation);
-                }
-                Ok(())
-            }
+    pub fn set_mutation(&self, mutation: ReplicationMutation) {
+        for node in &self.nodes {
+            node.set_replication_mutation(mutation);
         }
     }
 
@@ -251,9 +145,8 @@ impl<M: Mrdt + Send + Sync + 'static, B: Backend + Send + Sync + 'static> Cluste
     /// `op_of(replica, round)` generates the operation each replica
     /// applies at each round; every `gossip_every` rounds a replica
     /// gossips with its ring neighbour — a real `pull` over the replica's
-    /// (possibly faulty) link in replicated mode, a local merge in
-    /// simulation mode. A gossip lost to fault injection is a missed
-    /// opportunity, not an error; anti-entropy repairs it later.
+    /// (possibly faulty) link. A gossip lost to fault injection is a
+    /// missed opportunity, not an error; anti-entropy repairs it later.
     ///
     /// # Errors
     ///
@@ -269,77 +162,43 @@ impl<M: Mrdt + Send + Sync + 'static, B: Backend + Send + Sync + 'static> Cluste
         F: Fn(usize, usize) -> M::Op + Send + Sync,
     {
         let op_of = &op_of;
-        match &self.inner {
-            Inner::Sim(store) => {
-                let results: Vec<Result<(), StoreError>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..self.replicas)
-                        .map(|i| {
-                            let store = Arc::clone(store);
-                            scope.spawn(move || {
-                                let me = replica_branch(i);
-                                let peer = replica_branch((i + 1) % self.replicas);
-                                for round in 0..ops_per_replica {
-                                    let op = op_of(i, round);
-                                    store.lock().branch_mut(&me)?.apply(&op)?;
-                                    if gossip_every > 0 && round % gossip_every == gossip_every - 1
-                                    {
-                                        store.lock().branch_mut(&me)?.merge_from(&peer)?;
+        let n = self.nodes.len();
+        let results: Vec<Result<(), NetError>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..n)
+                .map(|i| {
+                    let me = self.nodes[i].clone();
+                    let peer = self.nodes[(i + 1) % n].clone();
+                    let link = self.faults[i].clone();
+                    let peer_link = self.faults[(i + 1) % n].clone();
+                    scope.spawn(move || {
+                        let mut remote = Remote::new(
+                            peer.name(),
+                            ChannelTransport::with_faults(peer.clone(), link),
+                        );
+                        for round in 0..ops_per_replica {
+                            let op = op_of(i, round);
+                            me.apply(LOCAL_BRANCH, &op)?;
+                            if gossip_every > 0
+                                && round % gossip_every == gossip_every - 1
+                                && !peer_link.is_partitioned()
+                            {
+                                match me.pull(&mut remote, LOCAL_BRANCH) {
+                                    Ok(_) | Err(NetError::Dropped) | Err(NetError::Partitioned) => {
                                     }
+                                    Err(e) => return Err(e),
                                 }
-                                Ok(())
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("replica thread panicked"))
-                        .collect()
-                });
-                results
-                    .into_iter()
-                    .collect::<Result<(), StoreError>>()
-                    .map_err(NetError::from)
-            }
-            Inner::Net { nodes, faults } => {
-                let results: Vec<Result<(), NetError>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..self.replicas)
-                        .map(|i| {
-                            let me = nodes[i].clone();
-                            let peer = nodes[(i + 1) % self.replicas].clone();
-                            let link = faults[i].clone();
-                            let peer_link = faults[(i + 1) % self.replicas].clone();
-                            scope.spawn(move || {
-                                let mut remote = Remote::new(
-                                    peer.name(),
-                                    ChannelTransport::with_faults(peer.clone(), link),
-                                );
-                                for round in 0..ops_per_replica {
-                                    let op = op_of(i, round);
-                                    me.apply(LOCAL_BRANCH, &op)?;
-                                    if gossip_every > 0
-                                        && round % gossip_every == gossip_every - 1
-                                        && !peer_link.is_partitioned()
-                                    {
-                                        match me.pull(&mut remote, LOCAL_BRANCH) {
-                                            Ok(_)
-                                            | Err(NetError::Dropped)
-                                            | Err(NetError::Partitioned) => {}
-                                            Err(e) => return Err(e),
-                                        }
-                                    }
-                                }
-                                Ok(())
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("replica thread panicked"))
-                        .collect()
-                });
-                results.into_iter().collect()
-            }
-        }
+                            }
+                        }
+                        Ok(())
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("replica thread panicked"))
+                .collect()
+        });
+        results.into_iter().collect()
     }
 
     /// Runs the same workload as [`Cluster::run`] in **deterministic
@@ -364,126 +223,68 @@ impl<M: Mrdt + Send + Sync + 'static, B: Backend + Send + Sync + 'static> Cluste
     where
         F: Fn(usize, usize) -> M::Op,
     {
-        match &self.inner {
-            Inner::Sim(store) => {
-                for round in 0..ops_per_replica {
-                    for i in 0..self.replicas {
-                        let me = replica_branch(i);
-                        store.lock().branch_mut(&me)?.apply(&op_of(i, round))?;
-                    }
-                    if gossip_every > 0 && round % gossip_every == gossip_every - 1 {
-                        for i in 0..self.replicas {
-                            let me = replica_branch(i);
-                            let peer = replica_branch((i + 1) % self.replicas);
-                            store.lock().branch_mut(&me)?.merge_from(&peer)?;
-                        }
-                    }
-                }
-                Ok(())
+        let n = self.nodes.len();
+        let mut remotes: Vec<_> = (0..n)
+            .map(|i| {
+                let peer = self.nodes[(i + 1) % n].clone();
+                let name = peer.name().to_string();
+                Remote::new(
+                    name,
+                    ChannelTransport::with_faults(peer, self.faults[i].clone()),
+                )
+            })
+            .collect();
+        for round in 0..ops_per_replica {
+            for (i, node) in self.nodes.iter().enumerate() {
+                node.apply(LOCAL_BRANCH, &op_of(i, round))?;
             }
-            Inner::Net { nodes, faults } => {
-                let mut remotes: Vec<_> = (0..self.replicas)
-                    .map(|i| {
-                        let peer = nodes[(i + 1) % self.replicas].clone();
-                        let name = peer.name().to_string();
-                        Remote::new(name, ChannelTransport::with_faults(peer, faults[i].clone()))
-                    })
-                    .collect();
-                for round in 0..ops_per_replica {
-                    for (i, node) in nodes.iter().enumerate() {
-                        node.apply(LOCAL_BRANCH, &op_of(i, round))?;
+            if gossip_every > 0 && round % gossip_every == gossip_every - 1 {
+                for (i, node) in self.nodes.iter().enumerate() {
+                    if self.faults[(i + 1) % n].is_partitioned() {
+                        continue;
                     }
-                    if gossip_every > 0 && round % gossip_every == gossip_every - 1 {
-                        for (i, node) in nodes.iter().enumerate() {
-                            if faults[(i + 1) % self.replicas].is_partitioned() {
-                                continue;
-                            }
-                            match node.pull(&mut remotes[i], LOCAL_BRANCH) {
-                                Ok(_) | Err(NetError::Dropped) | Err(NetError::Partitioned) => {}
-                                Err(e) => return Err(e),
-                            }
-                        }
+                    match node.pull(&mut remotes[i], LOCAL_BRANCH) {
+                        Ok(_) | Err(NetError::Dropped) | Err(NetError::Partitioned) => {}
+                        Err(e) => return Err(e),
                     }
                 }
-                Ok(())
             }
         }
+        Ok(())
     }
 
     /// Brings every replica to the same state and returns the per-replica
     /// final states.
     ///
-    /// In replicated mode this runs the [`AntiEntropy`] scheduler over the
-    /// cluster's own links — **honouring their fault plans**, so a cluster
-    /// whose partitions were never healed fails here rather than
-    /// pretending to converge. In simulation mode it performs the classic
-    /// two-pass ring merge.
+    /// This runs the [`AntiEntropy`] scheduler over the cluster's own
+    /// links — **honouring their fault plans**, so a cluster whose
+    /// partitions were never healed fails here rather than pretending to
+    /// converge.
     ///
     /// # Errors
     ///
     /// [`NetError::Protocol`] when anti-entropy quiesced without reaching
     /// convergence (links still partitioned); store errors from merging.
     pub fn converge(&self) -> Result<Vec<Arc<M>>, NetError> {
-        match &self.inner {
-            Inner::Sim(store) => {
-                let mut store = store.lock();
-                // Two rounds of ring merges in both directions reach a
-                // fixpoint: first everyone's updates flow into replica 0,
-                // then back out.
-                for i in 1..self.replicas {
-                    let (a, b) = (replica_branch(0), replica_branch(i));
-                    store.branch_mut(&a)?.merge_from(&b)?;
-                }
-                for i in 1..self.replicas {
-                    let (a, b) = (replica_branch(i), replica_branch(0));
-                    store.branch_mut(&a)?.merge_from(&b)?;
-                }
-                Ok((0..self.replicas)
-                    .map(|i| store.state(&replica_branch(i)))
-                    .collect::<Result<_, _>>()?)
-            }
-            Inner::Net { nodes, faults } => {
-                let report = AntiEntropy::new().run_with_faults(nodes, LOCAL_BRANCH, faults)?;
-                if !report.converged {
-                    return Err(NetError::Protocol(format!(
-                        "anti-entropy quiesced without convergence after {} rounds \
-                         ({} pulls lost) — are links still partitioned?",
-                        report.rounds, report.pulls_failed
-                    )));
-                }
-                Ok(nodes
-                    .iter()
-                    .map(|n| n.state(LOCAL_BRANCH))
-                    .collect::<Result<_, _>>()?)
-            }
+        let report = AntiEntropy::new().run_with_faults(&self.nodes, LOCAL_BRANCH, &self.faults)?;
+        if !report.converged {
+            return Err(NetError::Protocol(format!(
+                "anti-entropy quiesced without convergence after {} rounds \
+                 ({} pulls lost) — are links still partitioned?",
+                report.rounds, report.pulls_failed
+            )));
         }
-    }
-
-    /// Runs `f` with the shared store (simulation mode only).
-    ///
-    /// # Panics
-    ///
-    /// Panics in replicated mode — there is no shared store; address a
-    /// single replica's store through [`Cluster::node`] and
-    /// [`Replica::with_store`] instead.
-    pub fn with_store<R>(&self, f: impl FnOnce(&mut BranchStore<M, B>) -> R) -> R {
-        match &self.inner {
-            Inner::Sim(store) => f(&mut store.lock()),
-            Inner::Net { .. } => panic!(
-                "Cluster::with_store is simulation-mode only; replicated clusters \
-                 have one store per replica (use node(i).with_store(...))"
-            ),
-        }
+        Ok(self
+            .nodes
+            .iter()
+            .map(|n| n.state(LOCAL_BRANCH))
+            .collect::<Result<_, _>>()?)
     }
 }
 
 impl<M: Mrdt, B: Backend> fmt::Debug for Cluster<M, B> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mode = match &self.inner {
-            Inner::Sim(_) => "simulated",
-            Inner::Net { .. } => "replicated",
-        };
-        write!(f, "Cluster({} replicas, {mode})", self.replicas)
+        write!(f, "Cluster({} replicas)", self.nodes.len())
     }
 }
 
@@ -497,7 +298,6 @@ mod tests {
     #[test]
     fn replicated_counters_converge_to_total_increments() {
         let cluster: Cluster<Counter> = Cluster::new(4).unwrap();
-        assert!(cluster.is_replicated());
         cluster.run(50, 7, |_, _| CounterOp::Increment).unwrap();
         let states = cluster.converge().unwrap();
         assert_eq!(states.len(), 4);
@@ -508,17 +308,6 @@ mod tests {
         // backend holds the full converged history it pulled.
         for i in 0..4 {
             assert!(cluster.node(i).unwrap().object_count() > 1);
-        }
-    }
-
-    #[test]
-    fn simulated_counters_converge_to_total_increments() {
-        let cluster: Cluster<Counter> = Cluster::simulated(4).unwrap();
-        assert!(!cluster.is_replicated());
-        cluster.run(50, 7, |_, _| CounterOp::Increment).unwrap();
-        let states = cluster.converge().unwrap();
-        for s in &states {
-            assert_eq!(s.count(), 200);
         }
     }
 

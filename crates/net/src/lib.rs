@@ -7,9 +7,8 @@
 //! **sync protocol** in which independent [`BranchStore`]s — each with its
 //! own backend, commit graph and Lamport clock — exchange precisely the
 //! objects the other side lacks, verify every one against its address, and
-//! converge by ordinary three-way merges. It replaces the old
-//! one-store-many-threads `Cluster` simulation with replication that can
-//! actually be partitioned, lossy and lagging.
+//! converge by ordinary three-way merges — replication that can actually
+//! be partitioned, lossy and lagging.
 //!
 //! The layers, bottom-up:
 //!
@@ -18,7 +17,7 @@
 //!   (drop / partition / seeded loss), and [`tcp`]'s length-prefixed
 //!   checksummed [`TcpTransport`] + [`TcpServer`] over std sockets;
 //! * [`message`] — the protocol: `FetchRefs`, `Want`/have negotiation
-//!   answered from the Merkle commit structure, `GetStates`,
+//!   answered from the Merkle commit structure, `GetStatesDelta`,
 //!   `HaveObjects`, `Push`;
 //! * [`replica`] — [`Replica`] (a store that serves the protocol) and
 //!   [`Remote`] (a named link), with Git-shaped `fetch` / `pull` / `push`
@@ -30,9 +29,8 @@
 //!   both bindings of it;
 //! * [`anti_entropy`] — the [`AntiEntropy`] scheduler: periodic pairwise
 //!   pulls until quiescence;
-//! * [`cluster`] — the rebuilt [`Cluster`] facade: `n` real replicas over
-//!   channel links by default, the legacy shared-store simulation kept as
-//!   a mode.
+//! * [`cluster`] — the [`Cluster`] facade: `n` real replicas over
+//!   channel links.
 //!
 //! States cross the wire in the [`Wire`](peepul_core::Wire) codec and are
 //! re-hashed on arrival; commit records travel as their canonical bytes.

@@ -11,8 +11,9 @@
 //!    commit records are Merkle nodes (they embed their parents' and
 //!    state's content addresses), this one round resolves the entire
 //!    missing subgraph.
-//! 3. [`Request::GetStates`] — the client requests exactly the state
-//!    objects it lacks, as [`Wire`] encodings.
+//! 3. [`Request::GetStatesDelta`] — the client requests exactly the state
+//!    objects it lacks, as [`Wire`] encodings or as deltas against states
+//!    it already holds.
 //!
 //! A push inverts the walk client-side (it knows the server's heads from
 //! `FetchRefs`), probes which state objects the server already has with
@@ -103,16 +104,11 @@ pub enum Request {
         /// everything reachable from these needs no transfer.
         haves: Vec<ObjectId>,
     },
-    /// Send the state objects stored under these addresses.
-    GetStates {
-        /// State content addresses the client lacks.
-        ids: Vec<ObjectId>,
-    },
-    /// Delta-aware [`Request::GetStates`]: the server may answer any
-    /// requested state as a [`StateTransfer::Delta`] against a base
-    /// state reachable from `haves` (or served earlier in the same
-    /// reply), and falls back to [`StateTransfer::Full`] otherwise.
-    /// Still one round-trip — a fetch stays at three.
+    /// Send the state objects stored under these addresses. The server
+    /// may answer any requested state as a [`StateTransfer::Delta`]
+    /// against a base state reachable from `haves` (or served earlier in
+    /// the same reply), and falls back to [`StateTransfer::Full`]
+    /// otherwise. One round-trip — a fetch stays at three.
     GetStatesDelta {
         /// State content addresses the client lacks.
         ids: Vec<ObjectId>,
@@ -152,11 +148,6 @@ pub enum Response {
     Commits {
         /// Raw commit records with their advertised addresses.
         commits: Vec<PackedObject>,
-    },
-    /// The requested state objects (`GetStates`); unknown ids are omitted.
-    States {
-        /// `Wire`-encoded states with their advertised addresses.
-        states: Vec<PackedObject>,
     },
     /// The requested state objects, possibly in delta form
     /// (`GetStatesDelta`); unknown ids are omitted. Ordered so that a
@@ -213,7 +204,7 @@ macro_rules! wire_enum {
 wire_enum!(Request {
     0 => FetchRefs,
     1 => Want(wants: Vec<ObjectId>, haves: Vec<ObjectId>),
-    2 => GetStates(ids: Vec<ObjectId>),
+    // 2 is retired (the pre-delta state request); tags are never reused.
     3 => HaveObjects(ids: Vec<ObjectId>),
     4 => Push(branch: String, head: ObjectId, commits: Vec<PackedObject>, states: Vec<PackedObject>),
     5 => GetStatesDelta(ids: Vec<ObjectId>, haves: Vec<ObjectId>),
@@ -222,7 +213,7 @@ wire_enum!(Request {
 wire_enum!(Response {
     0 => Refs(refs: Vec<(String, ObjectId)>),
     1 => Commits(commits: Vec<PackedObject>),
-    2 => States(states: Vec<PackedObject>),
+    // 2 is retired (the pre-delta state reply); tags are never reused.
     3 => Haves(haves: Vec<bool>),
     4 => Pushed(created: bool),
     5 => PushDenied,
@@ -263,9 +254,6 @@ mod tests {
                 wants: vec![oid(1)],
                 haves: vec![oid(2), oid(3)],
             },
-            Request::GetStates {
-                ids: vec![oid(4), oid(5)],
-            },
             Request::HaveObjects { ids: vec![] },
             Request::GetStatesDelta {
                 ids: vec![oid(8)],
@@ -298,7 +286,6 @@ mod tests {
                     bytes: b"commit".to_vec(),
                 }],
             },
-            Response::States { states: vec![] },
             Response::StatesDelta {
                 states: vec![
                     StateTransfer::Full {
@@ -348,5 +335,20 @@ mod tests {
     fn unknown_tags_are_rejected() {
         assert_eq!(Request::from_wire(&[99]), None);
         assert_eq!(Response::from_wire(&[99]), None);
+    }
+
+    #[test]
+    fn retired_tag_2_is_refused_not_served() {
+        // A well-formed pre-delta state request / reply: tag 2 + an id list.
+        let mut frame = vec![2u8];
+        vec![oid(4), oid(5)].encode(&mut frame);
+        assert_eq!(Request::from_wire(&frame), None);
+        assert_eq!(Response::from_wire(&frame), None);
+        let replica: crate::Replica<peepul_types::counter::Counter, _> =
+            crate::Replica::new("r", peepul_store::BranchStore::new("main"));
+        assert!(matches!(
+            Response::from_wire(&replica.handle_frame(&frame)),
+            Some(Response::Error { .. })
+        ));
     }
 }

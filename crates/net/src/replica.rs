@@ -28,7 +28,7 @@
 //!
 //! The store sits behind an `RwLock`, not a mutex: pure observations
 //! ([`Replica::read`], [`Replica::state`], the read-only protocol
-//! requests `FetchRefs`/`Want`/`GetStates`/`HaveObjects`) take the shared
+//! requests `FetchRefs`/`Want`/`GetStatesDelta`/`HaveObjects`) take the shared
 //! read lock and run concurrently with each other — the store's
 //! commit-free query path needs only `&self` — while mutations (applies,
 //! merges, ingest, `Push`) take the exclusive write lock. A server
@@ -318,7 +318,7 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
     /// [`Response::Error`] so a misbehaving client cannot poison the
     /// serving replica.
     ///
-    /// Read-only requests (`FetchRefs`, `Want`, `GetStates`,
+    /// Read-only requests (`FetchRefs`, `Want`, `GetStatesDelta`,
     /// `HaveObjects`) are served under the shared read lock and run
     /// concurrently; only `Push` takes the write lock.
     pub fn handle(&self, req: Request) -> Response {
@@ -773,19 +773,6 @@ impl<T: Transport> Remote<T> {
         }
     }
 
-    /// `GetStates`: the peer's state objects under `ids`.
-    ///
-    /// # Errors
-    ///
-    /// As [`Remote::refs`].
-    pub fn get_states(&mut self, ids: &[ObjectId]) -> Result<Vec<PackedObject>, NetError> {
-        let req = Request::GetStates { ids: ids.to_vec() };
-        match self.call(&req)? {
-            Response::States { states } => Ok(states),
-            r => Err(unexpected("States", &r)),
-        }
-    }
-
     /// `GetStatesDelta`: the peer's state objects under `ids`, each
     /// possibly as a delta against a base reachable from `haves` (or
     /// served earlier in the same reply). The caller resolves and
@@ -854,7 +841,6 @@ fn unexpected(wanted: &str, got: &Response) -> NetError {
     let kind = match got {
         Response::Refs { .. } => "Refs",
         Response::Commits { .. } => "Commits",
-        Response::States { .. } => "States",
         Response::StatesDelta { .. } => "StatesDelta",
         Response::Haves { .. } => "Haves",
         Response::Pushed { .. } => "Pushed",
@@ -956,18 +942,6 @@ fn serve_read<M: Mrdt, B: Backend>(
                 commits.push(PackedObject { id, bytes });
             }
             Ok(Response::Commits { commits })
-        }
-        Request::GetStates { ids } => {
-            // Storage format == wire format: states are served straight
-            // from the backend, zero re-encodes (delta-stored states are
-            // resolved — this legacy arm always ships full bytes).
-            let mut states = Vec::with_capacity(ids.len());
-            for id in ids {
-                if let Some(bytes) = store.state_bytes(id)? {
-                    states.push(PackedObject { id, bytes });
-                }
-            }
-            Ok(Response::States { states })
         }
         Request::GetStatesDelta { ids, haves } => {
             // A state may go out as its stored delta record — O(delta)

@@ -345,8 +345,7 @@ impl<B: Backend + ?Sized> Backend for Box<B> {
 /// The interning in-memory backend: a `HashMap` object heap plus a
 /// `BTreeMap` of refs.
 ///
-/// This is the byte-level refactor of the original typed `ObjectStore`:
-/// equal contents intern to one allocation, and [`BackendStats`] records
+/// Equal contents intern to one allocation, and [`BackendStats`] records
 /// how much the dedup saved.
 ///
 /// # Example

@@ -1848,6 +1848,32 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
     }
 }
 
+impl<M: Mrdt, B: Backend + Clone> Clone for BranchStore<M, B> {
+    /// Forks the whole world: an independent store with the same history,
+    /// branches, clock, backend contents and merge memo. States are
+    /// `Arc`-shared, so the cost is the index vectors and maps, not the
+    /// payloads. The bounded-exhaustive checker branches its depth-first
+    /// search over the serving store this way.
+    fn clone(&self) -> Self {
+        BranchStore {
+            graph: self.graph.clone(),
+            state_ids: self.state_ids.clone(),
+            commit_ids: self.commit_ids.clone(),
+            mints: self.mints.clone(),
+            commit_index: self.commit_index.clone(),
+            state_index: self.state_index.clone(),
+            branches: self.branches.clone(),
+            tick: self.tick,
+            next_replica: self.next_replica,
+            backend: self.backend.clone(),
+            memo: self.memo.clone(),
+            metrics: self.metrics.clone(),
+            boundaries: self.boundaries,
+            delta_deps: self.delta_deps.clone(),
+        }
+    }
+}
+
 impl<M: Mrdt, B: Backend> fmt::Debug for BranchStore<M, B> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

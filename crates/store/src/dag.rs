@@ -6,7 +6,7 @@
 //! needs from its store: *what is the lowest common ancestor of two
 //! versions?* ([`CommitGraph::merge_bases`]). Criss-cross histories can
 //! have several maximal common ancestors; the branch store resolves those
-//! with recursive virtual merges (see `branch`/`semantics`), the same
+//! with recursive virtual merges (see `branch`), the same
 //! strategy as Git's `merge-recursive`.
 
 use std::collections::{BTreeSet, BinaryHeap, HashSet};

@@ -3,8 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors returned by [`BranchStore`](crate::BranchStore) and
-/// [`StoreLts`](crate::StoreLts) operations.
+/// Errors returned by [`BranchStore`](crate::BranchStore) operations.
 #[derive(Clone, PartialEq, Eq)]
 pub enum StoreError {
     /// The named branch does not exist.

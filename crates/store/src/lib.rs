@@ -23,10 +23,6 @@
 //! * **merge memoization** keyed by `(lca, left, right)` content-address
 //!   triples, which recursive virtual merges on criss-cross histories
 //!   repeatedly re-derive ([`memo`]),
-//! * the paper's formal **labelled transition system** `M_Dτ` (Fig. 3),
-//!   maintaining paired concrete/abstract states per branch — the
-//!   reference semantics the `peepul-verify` harness drives
-//!   ([`StoreLts`]),
 //! * the **replication surface** the `peepul-net` sync protocol is built
 //!   on: commit-graph walks for want/have negotiation
 //!   ([`BranchStore::commits_between`]), hash-verified pack ingest
@@ -70,7 +66,6 @@ pub mod memo;
 pub mod metrics;
 pub mod object;
 pub mod segment;
-pub mod semantics;
 pub mod sha256;
 
 pub use backend::{
@@ -86,8 +81,5 @@ pub use dag::{CommitGraph, CommitId};
 pub use error::StoreError;
 pub use memo::{MergeCacheStats, MergeMemo};
 pub use metrics::StoreMetrics;
-pub use object::{
-    canonical_bytes, content_id, content_id_of_bytes, decode_canonical, ObjectId, ObjectStore,
-};
+pub use object::{canonical_bytes, content_id, content_id_of_bytes, decode_canonical, ObjectId};
 pub use segment::{CompactionFault, FlushPolicy, SegmentBackend, SegmentOptions};
-pub use semantics::{DoOutcome, MergeOutcome, Snapshot, StoreLts};

@@ -222,6 +222,34 @@ impl<M> Default for MergeMemo<M> {
     }
 }
 
+impl<M> Clone for MergeMemo<M> {
+    /// An independent cache holding the same entries (the merged states
+    /// stay `Arc`-shared), eviction order, counters and enabled flag.
+    fn clone(&self) -> Self {
+        let inner = self.inner.lock();
+        let cache = inner
+            .cache
+            .iter()
+            .map(|(key, entry)| {
+                let entry = MemoEntry {
+                    state: Arc::clone(&entry.state),
+                    id: entry.id,
+                };
+                (*key, entry)
+            })
+            .collect();
+        MergeMemo {
+            inner: Mutex::new(MemoInner {
+                cache,
+                order: inner.order.clone(),
+                capacity: inner.capacity,
+                stats: inner.stats,
+                enabled: inner.enabled,
+            }),
+        }
+    }
+}
+
 impl<M> fmt::Debug for MergeMemo<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let inner = self.inner.lock();

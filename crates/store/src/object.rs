@@ -1,4 +1,4 @@
-//! Content addressing: object identifiers and the interning object store.
+//! Content addressing: object identifiers and the canonical encoding.
 //!
 //! Like Irmin and Git, the branch store identifies immutable values by the
 //! hash of their content. Since the codec unification there is exactly
@@ -10,16 +10,13 @@
 //! (`BranchStore::open`) and lets every ingest verify an object with one
 //! hash and one decode.
 //!
-//! Identical states intern to the same [`ObjectId`] in an
-//! [`ObjectStore`], giving Git-style structural sharing of repeated
-//! states (e.g. the many identical heads produced by convergent merges).
+//! Identical states share one [`ObjectId`], so a [`Backend`](crate::Backend)
+//! interns them: Git-style structural sharing of repeated states (e.g. the
+//! many identical heads produced by convergent merges).
 
-use crate::backend::{Backend, MemoryBackend};
 use crate::sha256::Sha256;
 use peepul_core::Wire;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 const HEX: &[u8; 16] = b"0123456789abcdef";
 
@@ -127,82 +124,6 @@ pub fn decode_canonical<T: Wire>(bytes: &[u8]) -> Option<T> {
     T::from_wire(bytes)
 }
 
-/// An interning, content-addressed store of immutable *typed* values.
-///
-/// Inserting a value returns its [`ObjectId`]; inserting an equal value
-/// again returns the same id and the same shared allocation. Since the
-/// backend refactor this is a typed view over a byte-level
-/// [`MemoryBackend`]: the value's [`canonical_bytes`] go to the backend
-/// (which owns the dedup/interning accounting), while the typed `Arc<T>`
-/// handles are kept here so reads need no decoding.
-pub struct ObjectStore<T> {
-    backend: MemoryBackend,
-    typed: HashMap<ObjectId, Arc<T>>,
-}
-
-impl<T: Wire> ObjectStore<T> {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        ObjectStore {
-            backend: MemoryBackend::new(),
-            typed: HashMap::new(),
-        }
-    }
-
-    /// Interns a value, returning its content address and shared handle.
-    pub fn insert(&mut self, value: T) -> (ObjectId, Arc<T>) {
-        let id = self
-            .backend
-            .put(&canonical_bytes(&value))
-            .expect("in-memory put is infallible");
-        let arc = self.typed.entry(id).or_insert_with(|| Arc::new(value));
-        (id, arc.clone())
-    }
-
-    /// Fetches a value by content address.
-    pub fn get(&self, id: ObjectId) -> Option<Arc<T>> {
-        self.typed.get(&id).cloned()
-    }
-
-    /// Number of *distinct* objects stored.
-    pub fn len(&self) -> usize {
-        self.typed.len()
-    }
-
-    /// Whether the store holds no objects.
-    pub fn is_empty(&self) -> bool {
-        self.typed.is_empty()
-    }
-
-    /// `(total inserts, distinct objects)` — the gap is the structural
-    /// sharing the content addressing bought.
-    pub fn dedup_stats(&self) -> (u64, usize) {
-        (self.backend.stats().puts, self.typed.len())
-    }
-
-    /// The underlying byte-level backend (canonical encodings + stats).
-    pub fn backend(&self) -> &MemoryBackend {
-        &self.backend
-    }
-}
-
-impl<T: Wire> Default for ObjectStore<T> {
-    fn default() -> Self {
-        ObjectStore::new()
-    }
-}
-
-impl<T> fmt::Debug for ObjectStore<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "ObjectStore({} objects, {} inserts)",
-            self.typed.len(),
-            self.backend.stats().puts
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,26 +136,6 @@ mod tests {
             content_id(&String::from("a")),
             content_id(&String::from("b"))
         );
-    }
-
-    #[test]
-    fn object_store_interns_equal_values() {
-        let mut store: ObjectStore<Vec<u32>> = ObjectStore::new();
-        let (id1, a1) = store.insert(vec![1, 2, 3]);
-        let (id2, a2) = store.insert(vec![1, 2, 3]);
-        assert_eq!(id1, id2);
-        assert!(Arc::ptr_eq(&a1, &a2));
-        assert_eq!(store.len(), 1);
-        let (id3, _) = store.insert(vec![4]);
-        assert_ne!(id1, id3);
-        assert_eq!(store.len(), 2);
-    }
-
-    #[test]
-    fn object_store_get_roundtrip() {
-        let mut store: ObjectStore<String> = ObjectStore::new();
-        let (id, _) = store.insert("state".to_owned());
-        assert_eq!(store.get(id).as_deref(), Some(&"state".to_owned()));
     }
 
     #[test]
@@ -267,14 +168,5 @@ mod tests {
         assert_eq!(back, v);
         assert_eq!(canonical_bytes(&back), bytes);
         assert_eq!(decode_canonical::<u64>(&bytes[..3]), None);
-    }
-
-    #[test]
-    fn object_store_exposes_backend_bytes() {
-        let mut store: ObjectStore<u64> = ObjectStore::new();
-        let (id, _) = store.insert(7);
-        let bytes = store.backend().get(id).unwrap().expect("stored");
-        assert_eq!(bytes, canonical_bytes(&7u64));
-        assert_eq!(decode_canonical::<u64>(&bytes), Some(7));
     }
 }

@@ -10,9 +10,9 @@
 //! criss-cross merges, double dequeues) all need only two or three
 //! branches and a couple of operations.
 //!
-//! The search is a depth-first walk over LTS states; each node clones the
-//! runner (cheap — snapshots are `Arc`-shared) and applies one more
-//! transition with checks enabled.
+//! The search is a depth-first walk over store states; each node clones
+//! the runner — store and all (cheap: states are `Arc`-shared) — and
+//! applies one more transition with checks enabled.
 
 use crate::runner::{CertificationError, MergePolicy, Runner};
 use crate::schedule::Step;

@@ -5,16 +5,17 @@
 //! *checks* the identical predicates over store executions, two ways:
 //!
 //! * [`bounded`] — **bounded-exhaustive**: every execution of the store
-//!   LTS up to a configurable number of steps, over a small operation
+//!   up to a configurable number of steps, over a small operation
 //!   alphabet and branch budget (the decidable fragment where RDT bugs
 //!   live: a couple of branches, a handful of conflicting operations);
 //! * [`generator`] + [`runner`] — **randomized**: long seeded executions
 //!   with many branches, operations and merges.
 //!
-//! Both drive the paper's store semantics (Fig. 3, implemented as
-//! [`peepul_store::StoreLts`]) and check every obligation at every
-//! transition, so a falsified obligation produces a concrete
-//! counterexample trace. The [`suite`] module packages a certification run
+//! Both drive the store that serves traffic
+//! ([`peepul_store::BranchStore`], whose `fork`/`apply`/`merge_from` are
+//! the `CREATEBRANCH`/`DO`/`MERGE` transitions of the paper's Fig. 3) and
+//! check every obligation at every transition, so a falsified obligation
+//! produces a concrete counterexample trace. The [`suite`] module packages a certification run
 //! for each data type of `peepul-types`; the `table3` benchmark binary
 //! prints the resulting effort/cost table, this workspace's analogue of
 //! the paper's Table 3.
@@ -58,7 +59,7 @@ pub use ralin::{
     check_fleet, check_fleet_on, check_ra_lin, run_replication_mutants, FleetConfig,
     HistoryRecorder, MutantOutcome, RaLinOptions, RaLinStats, WitnessHistory,
 };
-pub use runner::{CertificationError, MergePolicy, Runner};
+pub use runner::{CertificationError, MergePolicy, Runner, Snapshot};
 pub use schedule::{Schedule, Step};
 pub use suite::{
     certify_all, certify_replication, CertificationSummary, RaLinSuiteConfig, RaLinSummary,

@@ -715,13 +715,9 @@ where
     M::Output: Send,
 {
     let recorder = Arc::new(HistoryRecorder::<M>::new());
-    cluster
-        .set_observer(recorder.clone())
-        .map_err(|e| format!("attaching observer: {e}"))?;
+    cluster.set_observer(recorder.clone());
     if config.mutation != ReplicationMutation::None {
-        cluster
-            .set_mutation(config.mutation)
-            .map_err(|e| format!("enacting mutation: {e}"))?;
+        cluster.set_mutation(config.mutation);
     }
     for i in 0..cluster.replicas() {
         let faults = cluster

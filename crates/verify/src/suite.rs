@@ -11,11 +11,10 @@
 use crate::bounded::{BoundedChecker, BoundedConfig};
 use crate::generator::{RandomConfig, ScheduleGenerator};
 use crate::ralin::{check_fleet, replay_seed, FleetConfig, RaLinOptions, RaLinStats};
-use crate::runner::{MergePolicy, Runner};
+use crate::runner::{MergePolicy, Runner, Snapshot};
 use peepul_core::obligations::Certified;
 use peepul_core::ObligationReport;
 use peepul_net::ReplicationMutation;
-use peepul_store::Snapshot;
 use peepul_types::chat::{Chat, ChatOp, ChatQuery};
 use peepul_types::counter::{Counter, CounterOp, CounterQuery};
 use peepul_types::ew_flag::{EwFlag, EwFlagOp, EwFlagQuery, EwFlagSpace};

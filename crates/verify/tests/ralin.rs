@@ -1,9 +1,8 @@
 //! Acceptance tests for `Φ_ra` over real fleets: healthy fault-injected
-//! executions on both backends certify, the legacy simulated cluster
-//! refuses witness recording, and — property-tested — *every* healthy
-//! fleet shape is accepted.
+//! executions on both backends certify and — property-tested — *every*
+//! healthy fleet shape is accepted.
 
-use peepul_net::{Cluster, HistoryObserver, NetError};
+use peepul_net::Cluster;
 use peepul_store::SegmentBackend;
 use peepul_types::counter::{Counter, CounterOp, CounterQuery};
 use peepul_types::queue::{Queue, QueueOp, QueueQuery};
@@ -104,9 +103,7 @@ fn healthy_eight_replica_segment_fleet_certifies() {
 fn threaded_fleet_with_racing_gossip_certifies() {
     let cluster: Cluster<Counter> = Cluster::new(6).expect("cluster");
     let recorder = Arc::new(HistoryRecorder::<Counter>::new());
-    cluster
-        .set_observer(recorder.clone())
-        .expect("replicated cluster takes an observer");
+    cluster.set_observer(recorder.clone());
     for i in 0..cluster.replicas() {
         cluster
             .faults(i)
@@ -129,24 +126,6 @@ fn threaded_fleet_with_racing_gossip_certifies() {
         .expect("healthy threaded fleet must certify");
     assert_eq!(stats.events, 60);
     assert_eq!(stats.replicas, 6);
-}
-
-/// The legacy simulated cluster shares one store across all "replicas" —
-/// there is no per-replica ingest path to witness, so RA-lin checking is
-/// refused with a clear error instead of recording nonsense.
-#[test]
-fn simulated_cluster_refuses_witness_recording() {
-    let cluster: Cluster<Counter> = Cluster::simulated(3).expect("cluster");
-    let recorder: Arc<dyn HistoryObserver<Counter>> = Arc::new(HistoryRecorder::new());
-    let err = cluster.set_observer(recorder).expect_err("must refuse");
-    assert!(
-        matches!(&err, NetError::Protocol(m) if m.contains("replicated cluster")),
-        "{err}"
-    );
-    let err = cluster
-        .set_mutation(peepul_net::ReplicationMutation::DropVisibilityEdge)
-        .expect_err("must refuse");
-    assert!(matches!(err, NetError::Protocol(_)), "{err}");
 }
 
 /// The packaged per-type RA-lin suites all certify at a quick shape.

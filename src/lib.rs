@@ -117,8 +117,8 @@ pub mod prelude {
     pub use peepul_obs::{Obs, ObsConfig};
     pub use peepul_store::{
         Backend, BranchId, BranchMut, BranchRef, BranchStore, CommitMeta, FlushPolicy,
-        MemoryBackend, SegmentBackend, SegmentOptions, StorageInfo, StoreError, StoreLts,
-        StoreMetrics, SweepStats, TrackOutcome, Transaction,
+        MemoryBackend, SegmentBackend, SegmentOptions, StorageInfo, StoreError, StoreMetrics,
+        SweepStats, TrackOutcome, Transaction,
     };
     pub use peepul_types::{
         Chat, Counter, EwFlag, EwFlagSpace, GMap, GSet, LwwRegister, MergeableLog, MrdtMap, OrSet,

@@ -104,7 +104,6 @@ surface![
     Specification,
     StorageInfo,
     StoreError,
-    StoreLts,
     StoreMetrics,
     SweepStats,
     TcpServer,
@@ -128,7 +127,7 @@ fn prelude_surface_matches_golden() {
     );
     assert_eq!(
         golden.len(),
-        64,
+        63,
         "prelude surface changed size — update the golden list *and* the \
          expected count deliberately"
     );

@@ -238,16 +238,16 @@ proptest! {
     }
 }
 
-/// Multi-replica convergence through the cluster's legacy shared-store
-/// simulation mode (maximal thread interleaving over one mutexed store):
-/// after full pairwise sync, every replica is observationally equal — on
-/// the in-memory backend and the on-disk segment backend alike. True
-/// replicated fleets (independent stores over transports) are exercised
-/// in `tests/replication.rs`.
+/// Multi-replica convergence under genuine thread interleaving (one OS
+/// thread per replica, racing ring gossip): after anti-entropy, every
+/// replica is observationally equal — on the in-memory backend and the
+/// on-disk segment backend alike. Fault-injected fleets are exercised in
+/// `tests/replication.rs`.
 #[test]
 fn cluster_convergence_under_concurrency() {
     for_each_backend("cluster", |kind, make| {
-        let cluster: Cluster<OrSetSpace<u32>, _> = Cluster::with_backend(4, make()).unwrap();
+        let cluster: Cluster<OrSetSpace<u32>, _> =
+            Cluster::replicated((0..4).map(|_| make()).collect()).unwrap();
         cluster
             .run(60, 9, |replica, round| {
                 let x = ((replica * 13 + round * 5) % 24) as u32;

@@ -261,7 +261,6 @@ fn eight_replica_fleet_converges_after_partition_heal() {
     for_each_backend("fleet-8", |kind, make| {
         let cluster: Cluster<Counter, DynBackend> =
             Cluster::replicated((0..8).map(|_| make()).collect()).unwrap();
-        assert!(cluster.is_replicated());
 
         // Replicas 2 and 5 are partitioned for the whole run; link 0 drops
         // its first gossip attempts; link 3 loses 20% of messages.

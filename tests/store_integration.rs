@@ -7,7 +7,7 @@ mod common;
 
 use common::{for_each_backend, BackendFactory};
 use peepul::prelude::*;
-use peepul::store::{content_id, ObjectStore};
+use peepul::store::content_id;
 use peepul::types::chat::ChatOp;
 use peepul::types::counter::CounterOp;
 use peepul::types::g_set::GSetOp;
@@ -271,33 +271,12 @@ fn content_addressing_interns_equal_states() {
         db.branch_mut("y").unwrap().merge_from("x").unwrap();
         assert_eq!(
             db.state_id("x").unwrap(),
-            db.state_id("y").unwrap(),
+            content_id(&*db.state("y").unwrap()),
             "{kind}: converged states share one content address"
         );
         // The backend's dedup counters saw the sharing.
         assert!(db.backend().stats().dedup_hits > 0, "{kind}");
     });
-
-    // The typed ObjectStore view still interns too.
-    let mut store: ObjectStore<Counter> = ObjectStore::new();
-    let mut db: BranchStore<Counter> = BranchStore::new("x");
-    db.branch_mut("x").unwrap().fork("y").unwrap();
-    db.branch_mut("x")
-        .unwrap()
-        .apply(&CounterOp::Increment)
-        .unwrap();
-    db.branch_mut("y")
-        .unwrap()
-        .apply(&CounterOp::Increment)
-        .unwrap();
-    db.branch_mut("x").unwrap().merge_from("y").unwrap();
-    db.branch_mut("y").unwrap().merge_from("x").unwrap();
-    let sx = *db.state("x").unwrap();
-    let sy = *db.state("y").unwrap();
-    let (idx, _) = store.insert(sx);
-    let (idy, _) = store.insert(sy);
-    assert_eq!(idx, idy, "converged states share one content address");
-    assert_eq!(store.len(), 1);
 }
 
 #[test]
