@@ -44,7 +44,8 @@ use parking_lot::RwLock;
 use peepul_core::{Mrdt, ReplicaId, Timestamp, Wire};
 use peepul_store::sha256::Sha256;
 use peepul_store::{
-    parse_commit_record, Backend, BranchStore, ObjectId, PackState, StoreError, TrackOutcome,
+    parse_commit_record, Backend, BranchStore, IngestReport, ObjectId, PackState, StoreError,
+    TrackOutcome,
 };
 use std::collections::HashSet;
 use std::fmt;
@@ -431,14 +432,25 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
         // Phase 5 (local lock only): verify + ingest + land the tracking
         // branch.
         let (observer, mutation) = self.hooks_snapshot();
-        let counts = self.with_store(|s| -> Result<IngestCounts, NetError> {
+        let counts = self.with_store(|s| -> Result<IngestReport, NetError> {
             let pre_tick = s.tick();
             let mut learned = if observer.is_some() {
                 fresh_pack_events(s, &commits)
             } else {
                 Vec::new()
             };
-            let counts = ingest_transfers(s, &commits, &states)?;
+            let transfers = states.iter().map(|t| match t {
+                StateTransfer::Full { state } => PackState::Full {
+                    id: state.id,
+                    bytes: &state.bytes,
+                },
+                StateTransfer::Delta { id, base, delta } => PackState::Delta {
+                    id: *id,
+                    base: *base,
+                    delta,
+                },
+            });
+            let counts = ingest_pack(s, &commits, transfers)?;
             if !s.has_commit(head) {
                 return Err(NetError::Protocol(format!(
                     "peer advertised head {} but did not send it",
@@ -850,73 +862,28 @@ fn unexpected(wanted: &str, got: &Response) -> NetError {
     NetError::Protocol(format!("expected {wanted} response, got {kind}"))
 }
 
-struct IngestCounts {
-    commits: u64,
-    states: u64,
-    delta_states: u64,
-    delta_saved_bytes: u64,
-}
-
 /// Verifies and lands a pack of commit records + state objects by
 /// delegating to the store's single ingest path
-/// ([`BranchStore::ingest_pack`]).
+/// ([`BranchStore::ingest_pack`]) — the one adapter both directions use:
+/// a fetch maps its delta-aware [`StateTransfer`]s onto [`PackState`], a
+/// push its full [`PackedObject`]s.
 ///
 /// Since the codec unification there is nothing format-specific left to
 /// do here: the bytes on the wire *are* the canonical storage bytes, so
 /// the store verifies each object with one hash (and each state with one
-/// decode), publishes the verified bytes without re-hashing, and applies
-/// the Lamport receive rule itself. A corrupt object fails the whole pack
-/// before anything is written.
-fn ingest_pack<M: Mrdt, B: Backend>(
+/// decode, resolving every delta against its base first), publishes the
+/// verified bytes without re-hashing, and applies the Lamport receive
+/// rule itself. A corrupt object fails the whole pack before anything is
+/// written.
+fn ingest_pack<'a, M: Mrdt, B: Backend>(
     store: &mut BranchStore<M, B>,
     commits: &[PackedObject],
-    states: &[PackedObject],
-) -> Result<IngestCounts, NetError> {
-    let commit_refs: Vec<(ObjectId, &[u8])> =
+    states: impl Iterator<Item = PackState<'a>>,
+) -> Result<IngestReport, NetError> {
+    let commits: Vec<(ObjectId, &[u8])> =
         commits.iter().map(|p| (p.id, p.bytes.as_slice())).collect();
-    let state_refs: Vec<(ObjectId, &[u8])> =
-        states.iter().map(|p| (p.id, p.bytes.as_slice())).collect();
-    let report = store.ingest_pack(&commit_refs, &state_refs)?;
-    Ok(IngestCounts {
-        commits: report.commits,
-        states: report.states,
-        delta_states: report.delta_states,
-        delta_saved_bytes: report.delta_saved_bytes,
-    })
-}
-
-/// [`ingest_pack`] for delta-aware transfers: maps each
-/// [`StateTransfer`] onto the store's [`PackState`] input and delegates
-/// to [`BranchStore::ingest_pack_states`], which resolves every delta
-/// against its base and re-hashes the result before anything lands.
-fn ingest_transfers<M: Mrdt, B: Backend>(
-    store: &mut BranchStore<M, B>,
-    commits: &[PackedObject],
-    states: &[StateTransfer],
-) -> Result<IngestCounts, NetError> {
-    let commit_refs: Vec<(ObjectId, &[u8])> =
-        commits.iter().map(|p| (p.id, p.bytes.as_slice())).collect();
-    let state_refs: Vec<PackState<'_>> = states
-        .iter()
-        .map(|t| match t {
-            StateTransfer::Full { state } => PackState::Full {
-                id: state.id,
-                bytes: &state.bytes,
-            },
-            StateTransfer::Delta { id, base, delta } => PackState::Delta {
-                id: *id,
-                base: *base,
-                delta,
-            },
-        })
-        .collect();
-    let report = store.ingest_pack_states(&commit_refs, &state_refs)?;
-    Ok(IngestCounts {
-        commits: report.commits,
-        states: report.states,
-        delta_states: report.delta_states,
-        delta_saved_bytes: report.delta_saved_bytes,
-    })
+    let states: Vec<PackState<'a>> = states.collect();
+    Ok(store.ingest_pack(&commits, &states)?)
 }
 
 /// The read-only server side of [`Replica::handle`] — everything a peer
@@ -1074,7 +1041,11 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
         } else {
             Vec::new()
         };
-        ingest_pack(store, &commits, &states)?;
+        let full = states.iter().map(|p| PackState::Full {
+            id: p.id,
+            bytes: &p.bytes,
+        });
+        ingest_pack(store, &commits, full)?;
         if !store.has_commit(head) {
             return Err(NetError::Protocol(format!(
                 "pushed head {} not contained in pack or store",

@@ -42,7 +42,7 @@ mod registry;
 mod ring;
 
 pub use expo::{parse_exposition, Sample};
-pub use registry::{Counter, Gauge, Histogram, Registry, Timer};
+pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use ring::{EventRing, Subsystem, TraceEvent, TraceLevel};
 
 use std::sync::Arc;

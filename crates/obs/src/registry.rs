@@ -127,14 +127,6 @@ impl Histogram {
         self.observe(start.elapsed().as_micros() as u64);
     }
 
-    /// Starts a timer that records into this histogram when dropped.
-    pub fn start_timer(&self) -> Timer {
-        Timer {
-            hist: self.clone(),
-            start: Instant::now(),
-        }
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
@@ -170,20 +162,6 @@ impl Histogram {
             }
         }
         bucket_upper(BUCKETS - 1)
-    }
-}
-
-/// Records elapsed microseconds into a [`Histogram`] on drop — the RAII
-/// form of [`Histogram::observe_since`] for multi-exit functions.
-#[derive(Debug)]
-pub struct Timer {
-    hist: Histogram,
-    start: Instant,
-}
-
-impl Drop for Timer {
-    fn drop(&mut self) {
-        self.hist.observe_since(self.start);
     }
 }
 
@@ -473,15 +451,5 @@ mod tests {
         assert!(text.contains("peepul_srv_req_micros{quantile=\"0.5\",kind=\"get\"} "));
         assert!(text.contains("peepul_srv_req_micros_count{kind=\"get\"} 1\n"));
         assert!(text.contains("# TYPE peepul_srv_req_micros summary\n"));
-    }
-
-    #[test]
-    fn timer_records_on_drop() {
-        let r = Registry::new();
-        let h = r.histogram("peepul_x_micros");
-        {
-            let _t = h.start_timer();
-        }
-        assert_eq!(h.count(), 1);
     }
 }

@@ -23,11 +23,6 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
-/// Default delta-chain bound `K`: a full snapshot state is written at
-/// least every `K` commits, so resolving any stored state costs at most
-/// `K − 1` delta applications. See [`Backend::snapshot_interval`].
-pub const DEFAULT_SNAPSHOT_INTERVAL: u32 = 16;
-
 /// Interning counters a backend keeps for the dedup the content
 /// addressing bought (Irmin/Git-style structural sharing).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -147,16 +142,6 @@ pub trait Backend: fmt::Debug {
     ///
     /// [`StoreError::Io`] on persistence failure.
     fn put_keyed(&mut self, id: ObjectId, bytes: &[u8]) -> Result<(), StoreError>;
-
-    /// How many commits may chain as deltas before the store must write a
-    /// full snapshot state — the `K` bound on delta-chain length, so cold
-    /// reads and reopen resolve at most `K − 1` links. `0` disables delta
-    /// storage entirely (every state is stored full). Persistent backends
-    /// surface their configured [`SegmentOptions`](crate::SegmentOptions)
-    /// value; the default is [`DEFAULT_SNAPSHOT_INTERVAL`].
-    fn snapshot_interval(&self) -> u32 {
-        DEFAULT_SNAPSHOT_INTERVAL
-    }
 
     /// Fetches the bytes stored under `id`, or `None` if absent.
     ///
@@ -281,10 +266,6 @@ impl<B: Backend + ?Sized> Backend for Box<B> {
         (**self).put_keyed(id, bytes)
     }
 
-    fn snapshot_interval(&self) -> u32 {
-        (**self).snapshot_interval()
-    }
-
     fn get(&self, id: ObjectId) -> Result<Option<Vec<u8>>, StoreError> {
         (**self).get(id)
     }
@@ -364,24 +345,12 @@ pub struct MemoryBackend {
     objects: HashMap<ObjectId, Arc<[u8]>>,
     refs: BTreeMap<String, ObjectId>,
     stats: BackendStats,
-    /// `None` means [`DEFAULT_SNAPSHOT_INTERVAL`]; `Some(0)` disables
-    /// delta storage (the full-state control arm of the size benches).
-    snapshot_interval: Option<u32>,
 }
 
 impl MemoryBackend {
     /// Creates an empty backend.
     pub fn new() -> Self {
         MemoryBackend::default()
-    }
-
-    /// Creates an empty backend with an explicit delta snapshot interval
-    /// (`0` stores every state full — see [`Backend::snapshot_interval`]).
-    pub fn with_snapshot_interval(snapshot_interval: u32) -> Self {
-        MemoryBackend {
-            snapshot_interval: Some(snapshot_interval),
-            ..MemoryBackend::default()
-        }
     }
 }
 
@@ -417,10 +386,6 @@ impl Backend for MemoryBackend {
             }
         }
         Ok(())
-    }
-
-    fn snapshot_interval(&self) -> u32 {
-        self.snapshot_interval.unwrap_or(DEFAULT_SNAPSHOT_INTERVAL)
     }
 
     fn get(&self, id: ObjectId) -> Result<Option<Vec<u8>>, StoreError> {

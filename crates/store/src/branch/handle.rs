@@ -36,9 +36,10 @@ use std::sync::Arc;
 
 /// A validated branch identifier.
 ///
-/// Legal names are non-empty and contain no control characters. A
-/// `BranchId` is interned behind an `Arc`, so cloning one (which every
-/// handle creation does) is a reference-count bump, not a string copy.
+/// Legal names are non-empty, contain no control characters and are at
+/// most 65 535 bytes long. A `BranchId` is interned behind an `Arc`, so
+/// cloning one (which every handle creation does) is a reference-count
+/// bump, not a string copy.
 ///
 /// `BranchId` dereferences to `str` and implements `AsRef<str>`, so any
 /// API that accepts a name accepts an id.
@@ -46,6 +47,10 @@ use std::sync::Arc;
 pub struct BranchId(Arc<str>);
 
 impl BranchId {
+    /// The longest legal name in bytes: the on-disk ref record frames a
+    /// name with a `u16` length prefix, so this is the format's limit.
+    const MAX_LEN: usize = u16::MAX as usize;
+
     /// Validates `name` and wraps it.
     ///
     /// This checks *syntax* only; `BranchStore::branch_id` additionally
@@ -53,10 +58,11 @@ impl BranchId {
     ///
     /// # Errors
     ///
-    /// [`StoreError::InvalidBranchName`] when `name` is empty or contains
-    /// control characters (including `\0`, `\n`, `\r`, `\t`).
+    /// [`StoreError::InvalidBranchName`] when `name` is empty, longer than
+    /// 65 535 bytes, or contains control characters
+    /// (including `\0`, `\n`, `\r`, `\t`).
     pub fn new(name: &str) -> Result<Self, StoreError> {
-        if name.is_empty() || name.chars().any(|c| c.is_control()) {
+        if name.is_empty() || name.len() > Self::MAX_LEN || name.chars().any(|c| c.is_control()) {
             return Err(StoreError::InvalidBranchName(name.to_owned()));
         }
         Ok(BranchId(Arc::from(name)))
@@ -401,15 +407,9 @@ impl<M: Mrdt, B: Backend> Transaction<'_, '_, M, B> {
         // unique per committed transaction.
         let mint = (store.tick, self.replica.as_u32());
         let new_head = store.commit(vec![self.base], Arc::new(self.scratch), mint)?;
-        store.set_head(&id, new_head)?;
-        store
-            .branches
-            .get_mut(&*id)
-            .expect("transaction branch exists")
-            .head = new_head;
         // However many ops were staged, the whole batch is one logical
         // commit: one durability point, at most one fsync.
-        store.durability_point()?;
+        store.advance_head(&id, new_head)?;
         if let (Some(m), Some(start)) = (store.metrics(), start) {
             let micros = start.elapsed().as_micros() as u64;
             m.commits_total.inc();

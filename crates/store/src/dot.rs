@@ -2,7 +2,10 @@
 //! branch store, invaluable when debugging merge-base questions on
 //! criss-cross histories.
 
+use crate::backend::Backend;
+use crate::branch::BranchStore;
 use crate::dag::{CommitGraph, CommitId};
+use peepul_core::Mrdt;
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
@@ -59,9 +62,25 @@ pub fn render<P>(
     out
 }
 
+impl<M: Mrdt, B: Backend> BranchStore<M, B> {
+    /// Renders the commit DAG with branch heads in Graphviz DOT format —
+    /// `git log --graph` for this store. Pipe through `dot -Tsvg` to
+    /// visualise criss-cross histories. Branch heads render in sorted name
+    /// order, so the output is deterministic across backends and runs.
+    pub fn to_dot(&self) -> String {
+        let heads: BTreeMap<String, CommitId> = self
+            .branch_names()
+            .into_iter()
+            .map(|name| (name.to_owned(), self.head(name).expect("listed branch")))
+            .collect();
+        render(self.graph(), |state| format!("{state:?}"), &heads)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use peepul_types::counter::{Counter, CounterOp};
 
     #[test]
     fn renders_nodes_edges_and_heads() {
@@ -88,5 +107,24 @@ mod tests {
         let dot = render(&g, |p| p.to_string(), &BTreeMap::new());
         assert!(dot.contains("say 'hi'"));
         assert!(!dot.contains("\"hi\""));
+    }
+
+    #[test]
+    fn branch_store_renders_to_dot() {
+        let mut s: BranchStore<Counter> = BranchStore::new("main");
+        s.branch_mut("main")
+            .unwrap()
+            .apply(&CounterOp::Increment)
+            .unwrap();
+        s.branch_mut("main").unwrap().fork("dev").unwrap();
+        s.branch_mut("dev")
+            .unwrap()
+            .apply(&CounterOp::Increment)
+            .unwrap();
+        s.branch_mut("main").unwrap().merge_from("dev").unwrap();
+        let dot = s.to_dot();
+        assert!(dot.contains("\"main\""));
+        assert!(dot.contains("\"dev\""));
+        assert!(dot.contains("Counter"));
     }
 }

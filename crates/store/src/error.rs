@@ -21,19 +21,21 @@ pub enum StoreError {
     /// An I/O failure in a persistent backend (message carries the
     /// `std::io::Error` rendering; the error itself is not `Clone`).
     Io(String),
-    /// A persistent backend record failed its integrity check — its bytes
-    /// do not hash to the id it is indexed under, or its on-disk framing
-    /// is malformed past the recoverable tail.
+    /// A stored or received object is structurally broken — on-disk
+    /// framing malformed past the recoverable tail, an undecodable record,
+    /// a missing parent or base, a delta that does not apply.
     Corrupt(String),
-    /// An object received over a transport failed content verification:
-    /// re-deriving its content address locally did not reproduce the id the
-    /// sender advertised. Raised by the replication ingest path for every
-    /// state and commit record it accepts — a corrupted, truncated or
-    /// tampered transfer can never enter a store.
+    /// An object failed content verification: re-deriving its content
+    /// address did not reproduce the id it is stored under or was
+    /// advertised as. Raised by the one check every state (a snapshot, or
+    /// each link of a resolved delta chain) and every ingested commit
+    /// record passes before it is trusted — a corrupted, truncated,
+    /// drifted or tampered object can never enter a store or leave one as
+    /// a wrong state.
     CorruptObject {
-        /// The content address the sender advertised.
+        /// The content address the object is stored under / advertised as.
         expected: crate::object::ObjectId,
-        /// The content address the received bytes actually hash to.
+        /// The content address its (resolved) bytes actually hash to.
         actual: crate::object::ObjectId,
     },
 }
@@ -61,7 +63,7 @@ impl fmt::Display for StoreError {
             StoreError::Corrupt(msg) => write!(f, "backend corruption: {msg}"),
             StoreError::CorruptObject { expected, actual } => write!(
                 f,
-                "received object corrupt: advertised as {expected} but hashes to {actual}"
+                "object {expected} does not hash to its address: its bytes hash to {actual}"
             ),
         }
     }

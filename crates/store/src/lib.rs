@@ -11,7 +11,9 @@
 //! * a commit **DAG** with Git-style merge-base computation, including
 //!   recursive virtual LCAs for criss-cross histories ([`dag`]),
 //! * a **timestamp service** that is unique and happens-before consistent
-//!   (the store property Ψ_ts) via Lamport clocks ([`clock`]),
+//!   (the store property Ψ_ts): one Lamport tick per store
+//!   ([`BranchStore::tick`], advanced by every operation and by
+//!   [`BranchStore::observe_tick`]) paired with per-branch replica ids,
 //! * **content addressing** of states by SHA-256, implemented from scratch
 //!   ([`sha256`], [`object`]),
 //! * **pluggable persistence backends** behind the [`Backend`] trait —
@@ -58,7 +60,6 @@
 
 pub mod backend;
 pub mod branch;
-pub mod clock;
 pub mod dag;
 pub mod dot;
 pub mod error;
@@ -68,15 +69,12 @@ pub mod object;
 pub mod segment;
 pub mod sha256;
 
-pub use backend::{
-    Backend, BackendStats, MemoryBackend, StorageInfo, SweepStats, DEFAULT_SNAPSHOT_INTERVAL,
-};
+pub use backend::{Backend, BackendStats, MemoryBackend, StorageInfo, SweepStats};
 pub use branch::{
     commit_record, parse_commit_record, parse_state_record, state_record_delta, state_record_full,
     BranchId, BranchMut, BranchRef, BranchStore, CommitMeta, IngestReport, PackState, StateRecord,
-    TrackOutcome, Transaction,
+    TrackOutcome, Transaction, DEFAULT_SNAPSHOT_INTERVAL,
 };
-pub use clock::LamportClock;
 pub use dag::{CommitGraph, CommitId};
 pub use error::StoreError;
 pub use memo::{MergeCacheStats, MergeMemo};

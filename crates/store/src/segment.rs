@@ -140,11 +140,6 @@ pub struct SegmentOptions {
     /// single record larger than the cap still lands (in a fresh segment
     /// of its own).
     pub max_segment_bytes: u64,
-    /// Delta-chain bound `K` surfaced through
-    /// [`Backend::snapshot_interval`]: the branch store writes a full
-    /// snapshot state at least every `K` commits and stores the rest as
-    /// deltas against their parent. `0` stores every state full.
-    pub snapshot_interval: u32,
 }
 
 impl Default for SegmentOptions {
@@ -153,7 +148,6 @@ impl Default for SegmentOptions {
             durable: true,
             flush: FlushPolicy::PerCommit,
             max_segment_bytes: 64 * 1024 * 1024,
-            snapshot_interval: crate::backend::DEFAULT_SNAPSHOT_INTERVAL,
         }
     }
 }
@@ -732,7 +726,7 @@ impl SegmentBackend {
             }
             ix.extend_from_slice(&(self.refs.len() as u32).to_le_bytes());
             for (name, id) in &self.refs {
-                ix.extend_from_slice(&(name.len() as u16).to_le_bytes());
+                ix.extend_from_slice(&ref_name_len(name)?.to_le_bytes());
                 ix.extend_from_slice(name.as_bytes());
                 ix.extend_from_slice(id.as_bytes());
             }
@@ -961,6 +955,14 @@ fn record_payload_len(bytes: &[u8]) -> u32 {
     u32::from_le_bytes([bytes[1], bytes[2], bytes[3], bytes[4]])
 }
 
+/// The `u16` length prefix a ref record (and a pack's ref table) frames
+/// `name` with. A longer name cannot be framed — a wrapped prefix would
+/// read back as a torn record and take every later record with it — so
+/// it is refused here, whatever validated (or did not validate) it above.
+fn ref_name_len(name: &str) -> Result<u16, StoreError> {
+    u16::try_from(name.len()).map_err(|_| StoreError::InvalidBranchName(name.to_owned()))
+}
+
 /// Parses and checksum-verifies one record at `bytes[0..]`. `None` on a
 /// torn (incomplete) or corrupt record.
 fn parse_record(bytes: &[u8]) -> Option<Record> {
@@ -1042,10 +1044,6 @@ impl Backend for SegmentBackend {
         Ok(())
     }
 
-    fn snapshot_interval(&self) -> u32 {
-        self.options.snapshot_interval
-    }
-
     fn get(&self, id: ObjectId) -> Result<Option<Vec<u8>>, StoreError> {
         let Some(&loc) = self.index.get(&id) else {
             return Ok(None);
@@ -1072,7 +1070,7 @@ impl Backend for SegmentBackend {
 
     fn set_ref(&mut self, name: &str, id: ObjectId) -> Result<(), StoreError> {
         let mut payload = Vec::with_capacity(2 + name.len() + 32);
-        payload.extend_from_slice(&(name.len() as u16).to_le_bytes());
+        payload.extend_from_slice(&ref_name_len(name)?.to_le_bytes());
         payload.extend_from_slice(name.as_bytes());
         payload.extend_from_slice(id.as_bytes());
         self.append(KIND_REF, &payload)?;
@@ -1229,6 +1227,42 @@ mod tests {
         // Last writer wins across the replay.
         assert_eq!(b.get_ref("main").unwrap(), Some(id_b));
         assert_eq!(b.get_ref("dev").unwrap(), Some(id_a));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Regression: a ref name of 65 536 bytes or more used to wrap the
+    /// record's `u16` length prefix; the next open read the record as a
+    /// torn tail and truncated **every later record** of the segment.
+    #[test]
+    fn oversized_ref_name_is_refused_and_loses_nothing_later() {
+        let dir = scratch("long-ref");
+        let (a, c) = {
+            let mut b = SegmentBackend::open_with(&dir, quick()).unwrap();
+            let a = b.put(b"a").unwrap();
+            b.set_ref("main", a).unwrap();
+            let long = "x".repeat(70_000);
+            assert!(matches!(
+                b.set_ref(&long, a),
+                Err(StoreError::InvalidBranchName(_))
+            ));
+            // The longest frameable name still lands.
+            b.set_ref(&long[..usize::from(u16::MAX)], a).unwrap();
+            let c = b.put(b"c").unwrap();
+            b.set_ref("main", c).unwrap();
+            b.flush().unwrap();
+            (a, c)
+        };
+        let mut b = SegmentBackend::open_with(&dir, quick()).unwrap();
+        assert!(b.contains(a).unwrap() && b.contains(c).unwrap());
+        assert_eq!(b.get_ref("main").unwrap(), Some(c));
+        assert_eq!(b.refs().unwrap().len(), 2);
+        // The pack's ref table frames names the same way (GC rotates,
+        // then folds the sealed segment into a pack).
+        b.collect_garbage(&[a, c].into_iter().collect()).unwrap();
+        drop(b);
+        let b = SegmentBackend::open_with(&dir, quick()).unwrap();
+        assert_eq!(b.get_ref("main").unwrap(), Some(c));
+        assert_eq!(b.refs().unwrap().len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -12,7 +12,9 @@ mod common;
 
 use common::Scratch;
 use peepul::prelude::*;
-use peepul::store::{Backend, MemoryBackend, ObjectId, SegmentBackend, SegmentOptions};
+use peepul::store::{
+    Backend, MemoryBackend, ObjectId, SegmentBackend, SegmentOptions, DEFAULT_SNAPSHOT_INTERVAL,
+};
 use peepul::types::or_set_space::{OrSetOp, OrSetOutput, OrSetQuery, OrSetSpace};
 use proptest::prelude::*;
 
@@ -45,9 +47,21 @@ type RefTable = Vec<(String, ObjectId)>;
 /// head addresses and query answer, the backend's final ref table, and
 /// the store's Lamport tick.
 fn replay<B: Backend>(schedule: &[Step], backend: B, cache: bool) -> (BranchHeads, RefTable, u64) {
+    replay_at_interval(schedule, backend, cache, DEFAULT_SNAPSHOT_INTERVAL)
+}
+
+/// [`replay`] with an explicit delta snapshot interval (`0` stores every
+/// state full).
+fn replay_at_interval<B: Backend>(
+    schedule: &[Step],
+    backend: B,
+    cache: bool,
+    snapshot_interval: u32,
+) -> (BranchHeads, RefTable, u64) {
     let mut db: BranchStore<OrSetSpace<u8>, B> =
         BranchStore::with_backend("b0", backend).expect("open store");
     db.set_merge_cache(cache);
+    db.set_snapshot_interval(snapshot_interval);
     let mut branches = vec!["b0".to_owned()];
     let pick = |branches: &[String], i: u8| branches[i as usize % branches.len()].clone();
     for (n, step) in schedule.iter().enumerate() {
@@ -118,7 +132,7 @@ proptest! {
     }
 
     /// Delta-record storage is unobservable: the same schedule replayed
-    /// on a full-snapshot store (`snapshot_interval = 0`, every state
+    /// on a full-snapshot store (`set_snapshot_interval(0)`, every state
     /// persisted as its full canonical bytes) and on a delta-storing
     /// store (the default interval) produces identical heads, state
     /// addresses, ref tables, query answers and Lamport tick — the delta
@@ -129,7 +143,7 @@ proptest! {
     fn delta_stored_equals_full_stored(
         schedule in proptest::collection::vec(step_strategy(), 1..40),
     ) {
-        let full = replay(&schedule, MemoryBackend::with_snapshot_interval(0), true);
+        let full = replay_at_interval(&schedule, MemoryBackend::new(), true, 0);
         let delta = replay(&schedule, MemoryBackend::new(), true);
         prop_assert_eq!(&full, &delta);
     }

@@ -195,7 +195,6 @@ fn typed_reopen_at_every_offset_inside_delta_and_snapshot_records() {
     // through every byte of both kinds.
     let opts = || SegmentOptions {
         durable: false,
-        snapshot_interval: 3,
         ..SegmentOptions::default()
     };
     type Log = peepul::types::log::MergeableLog<String>;
@@ -204,6 +203,7 @@ fn typed_reopen_at_every_offset_inside_delta_and_snapshot_records() {
     {
         let backend = SegmentBackend::open_with(&dir, opts()).unwrap();
         let mut db: BranchStore<Log, _> = BranchStore::with_backend("main", backend).unwrap();
+        db.set_snapshot_interval(3);
         let mut deltas = 0;
         for i in 0..8u32 {
             db.branch_mut("main")

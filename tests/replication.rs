@@ -25,7 +25,7 @@ use peepul::net::{
     TcpTransport, Transport,
 };
 use peepul::prelude::*;
-use peepul::store::{SegmentBackend, SegmentOptions};
+use peepul::store::{SegmentBackend, SegmentOptions, DEFAULT_SNAPSHOT_INTERVAL};
 use peepul::types::counter::CounterOp;
 use peepul::types::or_set_space::{OrSetOp, OrSetSpace};
 use proptest::prelude::*;
@@ -144,11 +144,12 @@ fn delta_storing_origin_ships_under_half_the_state_bytes() {
     // same 256-append chat log from a full-snapshot origin (interval 0,
     // every state ships as its full canonical bytes) and from a
     // delta-storing origin (the default interval).
-    let cold_fetch = |origin_backend: MemoryBackend| {
+    let cold_fetch = |snapshot_interval: u32| {
         let origin: Replica<MergeableLog<String>, _> =
-            Replica::open("origin", "main", origin_backend).unwrap();
+            Replica::open("origin", "main", MemoryBackend::new()).unwrap();
         origin
             .with_store(|s| -> Result<(), StoreError> {
+                s.set_snapshot_interval(snapshot_interval);
                 let mut main = s.branch_mut("main")?;
                 for i in 0..256 {
                     main.apply(&LogOp::Append(format!(
@@ -163,8 +164,8 @@ fn delta_storing_origin_ships_under_half_the_state_bytes() {
         let mut remote = Remote::new("origin", ChannelTransport::connect(origin));
         client.fetch(&mut remote, "main").unwrap()
     };
-    let full = cold_fetch(MemoryBackend::with_snapshot_interval(0));
-    let delta = cold_fetch(MemoryBackend::new());
+    let full = cold_fetch(0);
+    let delta = cold_fetch(DEFAULT_SNAPSHOT_INTERVAL);
 
     assert_eq!(
         full.delta_states_received, 0,

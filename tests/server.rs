@@ -225,6 +225,58 @@ fn restarted_daemon_serves_every_acknowledged_write() {
     }
 }
 
+/// Regression: a branch name of 65 536 bytes or more used to wrap the
+/// ref record's `u16` length prefix on the auto-fork of a first `put`;
+/// the node acknowledged it, and at its next restart the segment replay
+/// read that record as a torn tail and truncated every later write.
+#[test]
+fn oversized_branch_name_is_refused_and_the_node_restarts_intact() {
+    let scratch = Scratch::new("server-long-branch");
+    let dir = scratch.path().join("db");
+    let spawn = || {
+        Server::spawn(
+            ServerConfig::new("durable"),
+            "127.0.0.1:0",
+            SegmentBackend::open(&dir).unwrap(),
+        )
+        .unwrap()
+    };
+
+    {
+        let server = spawn();
+        let mut client = ServiceClient::connect(server.addr()).unwrap();
+        client.hello("acme").unwrap();
+        for i in 0..5 {
+            client
+                .put("main", format!("k{i}"), format!("v{i}"))
+                .unwrap();
+        }
+        let err = client.put("x".repeat(70_000), "k", "v").unwrap_err();
+        assert!(
+            matches!(err, peepul::net::NetError::Remote(_)),
+            "the put must be answered with ServiceResponse::Err, got: {err}"
+        );
+        // The writes a poisoned segment would have lost at restart.
+        for i in 5..10 {
+            client
+                .put("main", format!("k{i}"), format!("v{i}"))
+                .unwrap();
+        }
+    }
+
+    let server = spawn();
+    let mut client = ServiceClient::connect(server.addr()).unwrap();
+    client.hello("acme").unwrap();
+    for i in 0..10 {
+        assert_eq!(
+            client.get("main", format!("k{i}")).unwrap().as_deref(),
+            Some(format!("v{i}").as_str()),
+            "k{i} must survive the restart"
+        );
+    }
+    assert_eq!(client.branches().unwrap(), vec!["main".to_owned()]);
+}
+
 #[test]
 fn metrics_exposition_covers_every_subsystem() {
     let server = memory_server("observed");
