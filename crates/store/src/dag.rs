@@ -9,8 +9,16 @@
 //! with recursive virtual merges (see `branch`), the same
 //! strategy as Git's `merge-recursive`.
 
-use std::collections::{BTreeSet, BinaryHeap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
 use std::fmt;
+
+/// Colours of the merge-base walk: reachable from the left leaves…
+const LEFT: u8 = 1;
+/// …from the right leaves…
+const RIGHT: u8 = 2;
+/// …or from a merge base already found, hence not maximal.
+const STALE: u8 = 4;
 
 /// Identifier of a commit within one [`CommitGraph`].
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -64,7 +72,7 @@ impl<P> CommitGraph<P> {
         CommitGraph { nodes: Vec::new() }
     }
 
-    /// Number of commits (including any virtual merge-base commits).
+    /// Number of commits.
     pub fn len(&self) -> usize {
         self.nodes.len()
     }
@@ -186,41 +194,70 @@ impl<P> CommitGraph<P> {
     /// store resolve criss-cross LCAs **without materialising virtual
     /// commits in the graph**, which in turn is what makes its read-only
     /// `lca_state` possible.
+    ///
+    /// The bases come in descending `(generation, id)` order, the order the
+    /// recursive merge folds them in. The search is Git's
+    /// paint-down-to-common: it visits the commits above the bases plus the
+    /// frontier below them where the STALE colour catches up with the
+    /// walk, never the shared history further down, so its cost follows
+    /// the divergence and not the length of the history.
     pub fn merge_bases_of(&self, left: &[CommitId], right: &[CommitId]) -> Vec<CommitId> {
-        let union_ancestors = |leaves: &[CommitId]| -> BTreeSet<CommitId> {
-            let mut all = BTreeSet::new();
+        self.paint_down(left, right).0
+    }
+
+    /// The merge bases of [`CommitGraph::merge_bases_of`], and how many
+    /// commits the walk painted.
+    ///
+    /// The queue pops commits in descending `(generation, id)` order, and a
+    /// popped commit paints only its parents. `generation` is the longest
+    /// distance to a root, so every parent sorts strictly below its child:
+    /// all children of a commit are popped before the commit itself, and
+    /// its colours are final when it is popped. That is why, unlike Git
+    /// with its commit dates, no `remove_redundant` pass follows: a popped
+    /// commit painted LEFT and RIGHT but not STALE lies below no other
+    /// common ancestor.
+    fn paint_down(&self, left: &[CommitId], right: &[CommitId]) -> (Vec<CommitId>, usize) {
+        let mut colours: HashMap<CommitId, u8> = HashMap::new();
+        for (leaves, side) in [(left, LEFT), (right, RIGHT)] {
             for &leaf in leaves {
-                all.extend(self.ancestors(leaf));
+                *colours.entry(leaf).or_default() |= side;
             }
-            all
-        };
-        let common: BTreeSet<CommitId> = {
-            let a1 = union_ancestors(left);
-            let a2 = union_ancestors(right);
-            a1.intersection(&a2).copied().collect()
-        };
-        if common.is_empty() {
-            return Vec::new();
         }
-        // Keep only the maximal elements: walk candidates from the highest
-        // generation down; each new base dominates (excludes) its own
-        // ancestors.
-        let mut heap: BinaryHeap<(u64, CommitId)> =
-            common.iter().map(|&c| (self.generation(c), c)).collect();
-        let mut dominated: HashSet<CommitId> = HashSet::new();
+        let mut queue: BinaryHeap<(u64, CommitId)> =
+            colours.keys().map(|&c| (self.generation(c), c)).collect();
+        // Queued commits that are not STALE. Once none is left, nothing
+        // still queued can paint a base.
+        let mut live = queue.len();
         let mut bases = Vec::new();
-        while let Some((_, c)) = heap.pop() {
-            if dominated.contains(&c) {
-                continue;
+        while live > 0 {
+            let (_, c) = queue.pop().expect("live commits are queued");
+            let mut paint = colours[&c];
+            if paint & STALE == 0 {
+                live -= 1;
+                if paint == LEFT | RIGHT {
+                    bases.push(c);
+                    paint |= STALE;
+                }
             }
-            bases.push(c);
-            for anc in self.ancestors(c) {
-                if anc != c {
-                    dominated.insert(anc);
+            for &p in self.parents(c) {
+                match colours.entry(p) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(paint);
+                        queue.push((self.generation(p), p));
+                        if paint & STALE == 0 {
+                            live += 1;
+                        }
+                    }
+                    Entry::Occupied(mut slot) => {
+                        if *slot.get() & STALE == 0 && paint & STALE != 0 {
+                            live -= 1;
+                        }
+                        *slot.get_mut() |= paint;
+                    }
                 }
             }
         }
-        bases
+        (bases, colours.len())
     }
 
     /// Iterates over every commit id in insertion order (ids are dense).
@@ -296,13 +333,14 @@ mod tests {
 
     #[test]
     fn criss_cross_has_two_merge_bases() {
-        // The classic criss-cross:
-        //   root → a1, b1 (fork); ma = merge(a1,b1); mb = merge(b1,a1);
-        //   then a2 child of ma, b2 child of mb.
-        //   merge_bases(a2, b2) = {ma? no — {a1? } …} = {a1, b1}? Let's see:
+        // The classic criss-cross: root forks into a1 and b1; each side
+        // merges the other (ma = merge(a1, b1), mb = merge(b1, a1)) and
+        // moves on (a2 above ma, b2 above mb).
         //   ancestors(a2) = {a2, ma, a1, b1, root}
         //   ancestors(b2) = {b2, mb, a1, b1, root}
-        //   common = {a1, b1, root}; maximal = {a1, b1}.
+        //   common        = {a1, b1, root}
+        // root lies below both a1 and b1, and neither of those lies below
+        // the other, so the maximal common ancestors are {a1, b1}.
         let mut g: CommitGraph<&str> = CommitGraph::new();
         let root = g.add_root("root");
         let a1 = g.add_commit(vec![root], "a1").unwrap();
@@ -340,6 +378,40 @@ mod tests {
         assert!(g.merge_bases(r1, r2).is_empty());
     }
 
+    /// A linear history of `prefix` commits with the criss-cross of
+    /// `criss_cross_has_two_merge_bases` forked from its last commit;
+    /// returns the two tips.
+    fn criss_cross_on_prefix(prefix: usize) -> (CommitGraph<&'static str>, CommitId, CommitId) {
+        let mut g = CommitGraph::new();
+        let mut fork = g.add_root("prefix");
+        for _ in 1..prefix {
+            fork = g.add_commit(vec![fork], "prefix").unwrap();
+        }
+        let a1 = g.add_commit(vec![fork], "a1").unwrap();
+        let b1 = g.add_commit(vec![fork], "b1").unwrap();
+        let ma = g.add_commit(vec![a1, b1], "ma").unwrap();
+        let mb = g.add_commit(vec![b1, a1], "mb").unwrap();
+        let a2 = g.add_commit(vec![ma], "a2").unwrap();
+        let b2 = g.add_commit(vec![mb], "b2").unwrap();
+        (g, a2, b2)
+    }
+
+    #[test]
+    fn merge_base_walk_is_flat_in_history_length() {
+        let walk = |prefix| {
+            let (g, a2, b2) = criss_cross_on_prefix(prefix);
+            let (bases, visited) = g.paint_down(&[a2], &[b2]);
+            let names: Vec<&str> = bases.iter().map(|&c| *g.payload(c)).collect();
+            (names, visited)
+        };
+        let (short, long) = (walk(10), walk(10_000));
+        assert_eq!(short.0, ["b1", "a1"]);
+        assert_eq!(short, long, "the walk must not see the prefix's length");
+        // Six commits lie above the fork; the walk may add the fork itself,
+        // where STALE catches up, but nothing of the prefix below it.
+        assert!(short.1 <= 2 * 6, "visited {} commits", short.1);
+    }
+
     #[test]
     fn history_is_reverse_topological() {
         let (g, x, a, _) = fork();
@@ -367,6 +439,91 @@ mod prop_tests {
             ids.push(g.add_commit(parents, i + 1).expect("valid parents"));
         }
         (g, ids)
+    }
+
+    /// Two lanes, each grown from its own root; a commit extends its own
+    /// lane and, for a quarter of them, also merges a commit of the other
+    /// lane. Leaves from different lanes often share no ancestor at all.
+    fn two_lane_dag(choices: &[(u8, u8)]) -> (CommitGraph<usize>, Vec<CommitId>) {
+        let mut g = CommitGraph::new();
+        let mut lanes = [vec![g.add_root(0)], vec![g.add_root(1)]];
+        let mut ids = vec![lanes[0][0], lanes[1][0]];
+        for (i, (p1, p2)) in choices.iter().enumerate() {
+            let (own, other) = (&lanes[i % 2], &lanes[1 - i % 2]);
+            let mut parents = vec![own[*p1 as usize % own.len()]];
+            if *p2 < 64 {
+                parents.push(other[*p2 as usize % other.len()]);
+            }
+            let c = g.add_commit(parents, i + 2).expect("valid parents");
+            lanes[i % 2].push(c);
+            ids.push(c);
+        }
+        (g, ids)
+    }
+
+    /// The merge-base search as it was before the paint-down walk: the
+    /// maximal elements of the intersection of both full ancestor
+    /// closures, in descending `(generation, id)` order.
+    fn closure_oracle<P>(
+        g: &CommitGraph<P>,
+        left: &[CommitId],
+        right: &[CommitId],
+    ) -> Vec<CommitId> {
+        let union_ancestors = |leaves: &[CommitId]| -> BTreeSet<CommitId> {
+            let mut all = BTreeSet::new();
+            for &leaf in leaves {
+                all.extend(g.ancestors(leaf));
+            }
+            all
+        };
+        let common: BTreeSet<CommitId> = {
+            let a1 = union_ancestors(left);
+            let a2 = union_ancestors(right);
+            a1.intersection(&a2).copied().collect()
+        };
+        if common.is_empty() {
+            return Vec::new();
+        }
+        // Keep only the maximal elements: walk candidates from the highest
+        // generation down; each new base dominates (excludes) its own
+        // ancestors.
+        let mut heap: BinaryHeap<(u64, CommitId)> =
+            common.iter().map(|&c| (g.generation(c), c)).collect();
+        let mut dominated: HashSet<CommitId> = HashSet::new();
+        let mut bases = Vec::new();
+        while let Some((_, c)) = heap.pop() {
+            if dominated.contains(&c) {
+                continue;
+            }
+            bases.push(c);
+            for anc in g.ancestors(c) {
+                if anc != c {
+                    dominated.insert(anc);
+                }
+            }
+        }
+        bases
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The whole `Vec` is compared, so a change of order fails too:
+        /// `virtual_lca` folds the bases in this order.
+        #[test]
+        fn paint_down_matches_the_closure_oracle(
+            choices in proptest::collection::vec((any::<u8>(), any::<u8>()), 0..64),
+            two_lanes in any::<bool>(),
+            left in proptest::collection::vec(any::<u8>(), 1..4),
+            right in proptest::collection::vec(any::<u8>(), 1..4),
+        ) {
+            let (g, ids) = if two_lanes { two_lane_dag(&choices) } else { random_dag(&choices) };
+            let pick = |xs: &[u8]| -> Vec<CommitId> {
+                xs.iter().map(|&x| ids[x as usize % ids.len()]).collect()
+            };
+            let (left, right) = (pick(&left), pick(&right));
+            prop_assert_eq!(g.merge_bases_of(&left, &right), closure_oracle(&g, &left, &right));
+        }
     }
 
     proptest! {
