@@ -146,24 +146,54 @@ pub trait Mrdt: Clone + PartialEq + Wire + fmt::Debug {
     ///
     /// The default is the byte-level prefix/suffix trim
     /// ([`Delta::splice`]), which satisfies the law for any canonical
-    /// codec and is already O(delta) for append-shaped types. Relational
+    /// codec. It encodes and compares both states, and the script it
+    /// emits is small only when the edit sits at one end of the encoding
+    /// (counters, logs): in an encoding made of two length-prefixed
+    /// vectors, such as the queue's, an edit that moves one vector's
+    /// length prefix and its far end re-inserts that whole vector. Relational
     /// set/map/log-shaped types override it with a structural item differ
     /// ([`crate::wire::diff_item_lists`]) so mid-stream edits also cost
-    /// O(changed items). The certification harness checks the resolution
-    /// law as part of `Φ_codec` at every state it explores.
+    /// O(changed items) delta bytes.
+    ///
+    /// The branch store calls `diff` for merge, transaction and root
+    /// commits, whose change no single operation describes; an update
+    /// commit uses [`Mrdt::op_delta`] instead. The certification harness
+    /// checks the resolution law as part of `Φ_codec` at every state it
+    /// explores.
     #[must_use]
     fn diff(&self, parent: &Self) -> Delta {
         Delta::splice(&parent.to_wire(), &self.to_wire())
     }
 
-    /// Resolves a delta produced by [`Mrdt::diff`] against `parent`,
-    /// reconstructing the target state. `None` when the delta does not
-    /// apply to this parent (mismatched base or malformed script) or the
-    /// resolved bytes fail to decode.
+    /// The **delta an operation made**: an edit script from this state's
+    /// canonical encoding to `next`'s, where `next` is what
+    /// `self.apply(op, t)` returned — the delta-mutator idea of
+    /// delta-state CRDTs. The operation already knows what it changed, so
+    /// an override can emit the script without comparing two whole
+    /// states. It obeys the resolution law of [`Mrdt::diff`]:
+    ///
+    /// ```text
+    /// apply_delta(σ, σ.op_delta(op, σ')) = Some(σ'')   with encode(σ'') = encode(σ')
+    /// ```
+    ///
+    /// The default is `next.diff(self)`. The branch store calls this for
+    /// every update commit; the certification harness checks the law
+    /// (`Φ_codec`) at every `DO` it explores.
+    #[must_use]
+    fn op_delta(&self, _op: &Self::Op, next: &Self) -> Delta {
+        next.diff(self)
+    }
+
+    /// Resolves a delta produced by [`Mrdt::diff`] or [`Mrdt::op_delta`]
+    /// against `parent`, reconstructing the target state. `None` when the
+    /// delta does not apply to this parent (mismatched base or malformed
+    /// script) or the resolved bytes fail to decode.
     ///
     /// Implementations should leave the default in place: resolution
     /// always goes through the canonical byte encoding, so the store and
     /// the wire can resolve chains without knowing the type's structure.
+    /// It stays a trait method rather than a free function because
+    /// callers outside this workspace name it as `M::apply_delta`.
     #[must_use]
     fn apply_delta(parent: &Self, delta: &Delta) -> Option<Self> {
         Self::from_wire(&delta.apply(&parent.to_wire())?)

@@ -10,7 +10,7 @@
 use crate::sim::SimulationRelation;
 use crate::spec::Specification;
 use crate::store_props::{psi_lca, psi_ts};
-use crate::{AbstractOf, Mrdt, Timestamp};
+use crate::{AbstractOf, Delta, Mrdt, Timestamp};
 use std::error::Error;
 use std::fmt;
 
@@ -307,47 +307,85 @@ pub fn check_codec<M: Mrdt>(
             ),
         ));
     }
-    // The delta form of the codec: `apply_delta(base, σ.diff(base))` must
-    // reconstruct σ exactly — observably equal AND re-encoding to the
-    // identical canonical bytes, since storage chains and delta fetches
-    // re-hash the resolved bytes against σ's content address. Checked
-    // against σ0 (the longest edit a chain can start from) and against σ
-    // itself (the identity edit); the two compose into every chain shape
-    // the store resolves, because each link is verified by this same law.
+    // The delta form of the codec, checked against σ0 (the longest edit a
+    // chain can start from) and against σ itself (the identity edit); the
+    // two compose into every chain shape the store resolves, because each
+    // link is verified by this same law.
     for (base, base_name) in [(&M::initial(), "σ0"), (conc, "σ")] {
-        let delta = conc.diff(base);
-        let Some(resolved) = M::apply_delta(base, &delta) else {
-            return Err(ObligationError::new(
-                Obligation::Codec,
-                format!(
-                    "delta of σ = {conc:?} vs {base_name} = {base:?} does not \
-                     resolve: apply_delta(diff) returned None"
-                ),
-            ));
-        };
-        if !resolved.observably_equal(conc) {
-            return Err(ObligationError::new(
-                Obligation::Codec,
-                format!(
-                    "drifted delta: apply_delta({base_name}, diff({base_name}, σ)) = \
-                     {resolved:?} is observably distinct from σ = {conc:?}"
-                ),
-            ));
-        }
-        let resolved_bytes = resolved.to_wire();
-        if resolved_bytes != bytes {
-            return Err(ObligationError::new(
-                Obligation::Codec,
-                format!(
-                    "delta resolution of {conc:?} vs {base_name} is not \
-                     canonical: resolved bytes differ from encode(σ) \
-                     ({} vs {} bytes) — chain resolution would fail the \
-                     content-address re-hash",
-                    resolved_bytes.len(),
-                    bytes.len()
-                ),
-            ));
-        }
+        let what = || format!("diff({base_name}, σ)");
+        check_resolves(base, &conc.diff(base), conc, &bytes, what)?;
+    }
+    Ok(())
+}
+
+/// Checks the `Φ_codec` delta-resolution law for the delta an update
+/// made: `apply_delta(σ, σ.op_delta(op, σ'))` must reconstruct `σ'`,
+/// where `σ'` is what `σ.apply(op, t)` returned. This is the script the
+/// branch store persists for an update commit and replication ships for
+/// it, so the harness checks it at every `DO`.
+///
+/// # Errors
+///
+/// A `Φ_codec` violation when the script does not resolve, or resolves
+/// to a state that is observably distinct from `σ'` or encodes to other
+/// bytes.
+pub fn check_op_delta<M: Mrdt>(
+    conc: &M,
+    op: &M::Op,
+    conc_next: &M,
+    report: &mut ObligationReport,
+) -> Result<(), ObligationError> {
+    report.codec += 1;
+    let delta = conc.op_delta(op, conc_next);
+    let what = || format!("op_delta(σ, {op:?})");
+    check_resolves(conc, &delta, conc_next, &conc_next.to_wire(), what)
+}
+
+/// The delta-resolution law for one script: `apply_delta(base, delta)`
+/// must reconstruct `target` exactly — observably equal AND re-encoding
+/// to `target_bytes`, since storage chains and delta fetches re-hash the
+/// resolved bytes against the target's content address. `what` names the
+/// script in a counterexample (only rendered on failure).
+fn check_resolves<M: Mrdt>(
+    base: &M,
+    delta: &Delta,
+    target: &M,
+    target_bytes: &[u8],
+    what: impl Fn() -> String,
+) -> Result<(), ObligationError> {
+    let Some(resolved) = M::apply_delta(base, delta) else {
+        return Err(ObligationError::new(
+            Obligation::Codec,
+            format!(
+                "{} of σ' = {target:?} against {base:?} does not resolve: \
+                 apply_delta returned None",
+                what()
+            ),
+        ));
+    };
+    if !resolved.observably_equal(target) {
+        return Err(ObligationError::new(
+            Obligation::Codec,
+            format!(
+                "drifted delta: apply_delta resolves {} to {resolved:?}, \
+                 observably distinct from σ' = {target:?}",
+                what()
+            ),
+        ));
+    }
+    let resolved_bytes = resolved.to_wire();
+    if resolved_bytes != target_bytes {
+        return Err(ObligationError::new(
+            Obligation::Codec,
+            format!(
+                "resolution of {} for {target:?} is not canonical: resolved \
+                 bytes differ from encode(σ') ({} vs {} bytes) — chain \
+                 resolution would fail the content-address re-hash",
+                what(),
+                resolved_bytes.len(),
+                target_bytes.len()
+            ),
+        ));
     }
     Ok(())
 }
@@ -678,6 +716,14 @@ mod tests {
     fn check_codec_accepts_roundtripping_state() {
         let mut rep = ObligationReport::default();
         check_codec(&Ctr(17), &mut rep).unwrap();
+        assert_eq!(rep.codec, 1);
+    }
+
+    #[test]
+    fn check_op_delta_counts_as_codec() {
+        let mut rep = ObligationReport::default();
+        let (next, ()) = Ctr(3).apply(&CtrOp::Inc, ts(4, 0));
+        check_op_delta(&Ctr(3), &CtrOp::Inc, &next, &mut rep).unwrap();
         assert_eq!(rep.codec, 1);
     }
 

@@ -378,6 +378,21 @@ pub enum DeltaOp {
     Insert(Vec<u8>),
 }
 
+impl DeltaOp {
+    /// The bytes this instruction contributes against `base`, or `None`
+    /// when a copy range falls outside it (checked arithmetic throughout).
+    fn bytes<'a>(&'a self, base: &'a [u8]) -> Option<&'a [u8]> {
+        match self {
+            DeltaOp::Copy { offset, len } => {
+                let start = usize::try_from(*offset).ok()?;
+                let end = start.checked_add(usize::try_from(*len).ok()?)?;
+                base.get(start..end)
+            }
+            DeltaOp::Insert(bytes) => Some(bytes),
+        }
+    }
+}
+
 /// A byte-level edit script from one canonical encoding to another — the
 /// **delta form** of the canonical codec.
 ///
@@ -388,14 +403,16 @@ pub enum DeltaOp {
 /// [`Delta::splice`] (the generic prefix/suffix trim every type gets for
 /// free) and [`diff_item_lists`] (the structural differ for
 /// length-prefix + concatenated-items encodings, which survives
-/// mid-stream insertions and removals that defeat a plain splice).
-/// Storage chains deltas with periodic full snapshots; replication ships
-/// one when the negotiation proves the receiver holds the base. Both
-/// re-hash the resolved bytes against the advertised address, so a wrong
-/// delta is indistinguishable from corruption — rejected before anything
-/// lands. `Φ_codec` certifies the resolution law
-/// (`apply_delta(base, diff(base, σ))` re-encodes to `encode(σ)`) at
-/// every state the harness explores.
+/// mid-stream insertions and removals that defeat a plain splice), both
+/// reached through [`crate::Mrdt::diff`], and the operation-derived
+/// scripts of [`crate::Mrdt::op_delta`]. Storage chains deltas with
+/// periodic full snapshots; replication ships one when the negotiation
+/// proves the receiver holds the base. Both re-hash the resolved bytes
+/// against the advertised address, so a wrong delta is indistinguishable
+/// from corruption — rejected before anything lands. `Φ_codec` certifies
+/// the resolution law (`apply_delta(base, diff(base, σ))` re-encodes to
+/// `encode(σ)`) at every state the harness explores, and the same law for
+/// `op_delta` at every `DO`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Delta {
     /// The edit script, applied in order.
@@ -406,17 +423,18 @@ impl Delta {
     /// Resolves this delta against the base encoding, producing the target
     /// encoding. `None` when a copy range falls outside the base — a
     /// malformed or mismatched delta, never a panic.
+    ///
+    /// Every copy range is checked against the base before anything is
+    /// allocated, so a script's claimed lengths cannot force an
+    /// allocation; the output is then allocated once, at its exact size.
     pub fn apply(&self, base: &[u8]) -> Option<Vec<u8>> {
-        let mut out = Vec::new();
+        let mut total = 0usize;
         for op in &self.ops {
-            match op {
-                DeltaOp::Copy { offset, len } => {
-                    let start = usize::try_from(*offset).ok()?;
-                    let end = start.checked_add(usize::try_from(*len).ok()?)?;
-                    out.extend_from_slice(base.get(start..end)?);
-                }
-                DeltaOp::Insert(bytes) => out.extend_from_slice(bytes),
-            }
+            total = total.checked_add(op.bytes(base)?.len())?;
+        }
+        let mut out = Vec::with_capacity(total);
+        for op in &self.ops {
+            out.extend_from_slice(op.bytes(base)?);
         }
         Some(out)
     }
@@ -687,6 +705,27 @@ mod tests {
             }],
         };
         assert_eq!(overflow.apply(b"xy"), None);
+        // A claimed length far beyond the base is refused before any
+        // allocation is sized from it.
+        let huge = Delta {
+            ops: vec![
+                DeltaOp::Insert(b"ab".to_vec()),
+                DeltaOp::Copy {
+                    offset: 0,
+                    len: u64::MAX,
+                },
+            ],
+        };
+        assert_eq!(huge.apply(b"xy"), None);
+    }
+
+    #[test]
+    fn delta_apply_allocates_exactly() {
+        let old = b"hello shared world".to_vec();
+        let new = b"hello brave new shared world, twice over".to_vec();
+        let out = Delta::splice(&old, &new).apply(&old).unwrap();
+        assert_eq!(out, new);
+        assert_eq!(out.capacity(), out.len());
     }
 
     #[test]

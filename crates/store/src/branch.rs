@@ -55,7 +55,7 @@ use crate::error::StoreError;
 use crate::memo::{MergeCacheStats, MergeMemo};
 use crate::metrics::StoreMetrics;
 use crate::object::{canonical_bytes, content_id_of_bytes, ObjectId};
-use peepul_core::{Mrdt, ReplicaId, Timestamp, Wire};
+use peepul_core::{Delta, Mrdt, ReplicaId, Timestamp, Wire};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::Arc;
@@ -213,7 +213,7 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
             ));
         }
         let mut store = BranchStore::empty(backend, replica_base);
-        let root = store.commit(Vec::new(), Arc::new(M::initial()), (0, 0))?;
+        let root = store.commit(Vec::new(), Arc::new(M::initial()), (0, 0), diff_parent)?;
         store.create_branch(id, root)?;
         Ok(store)
     }
@@ -245,21 +245,26 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
     /// commit to the in-memory DAG. Backend first: a failed publish leaves
     /// the graph untouched (the orphaned object, if any, is harmless in a
     /// content-addressed store).
+    ///
+    /// `delta` is the commit's delta source, called as `delta(parent,
+    /// state)`: an update commit passes its operation's
+    /// [`Mrdt::op_delta`], every other commit [`diff_parent`].
     fn commit(
         &mut self,
         parents: Vec<CommitId>,
         state: Arc<M>,
         mint: (u64, u32),
+        delta: impl FnOnce(&M, &M) -> Delta,
     ) -> Result<CommitId, StoreError> {
         let canonical = canonical_bytes(state.as_ref());
         let state_id = content_id_of_bytes(&canonical);
-        // The (first) parent's state is the delta base; the diff is only
-        // computed if `put_state` finds the chain bound allows a delta.
+        // The (first) parent's state is the delta base; the delta is only
+        // computed if `put_state` finds the chain bound allows one.
         let base = parents.first().map(|p| self.state_ids[p.index()]);
         let parent_state = parents.first().map(|p| self.graph.payload(*p).clone());
         self.put_state(state_id, &canonical, base, || {
             let parent_state = parent_state.as_deref().expect("a base has a parent state");
-            state.diff(parent_state).to_wire()
+            delta(parent_state, &state).to_wire()
         })?;
         let parent_ids: Vec<ObjectId> =
             parents.iter().map(|p| self.commit_ids[p.index()]).collect();
@@ -475,7 +480,12 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
         self.tick += 1;
         let t = Timestamp::new(self.tick, replica);
         let (next, value) = self.graph.payload(head).apply(op, t);
-        let new_head = self.commit(vec![head], Arc::new(next), (t.tick(), t.replica().as_u32()))?;
+        let new_head = self.commit(
+            vec![head],
+            Arc::new(next),
+            (t.tick(), t.replica().as_u32()),
+            |parent, next| parent.op_delta(op, next),
+        )?;
         self.advance_head(branch, new_head)?;
         if let (Some(m), Some(start)) = (&self.metrics, start) {
             let micros = start.elapsed().as_micros() as u64;
@@ -565,7 +575,7 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
                 M::merge(&lca_state, graph.payload(c_into), graph.payload(c_from))
             })
         };
-        let new_head = self.commit(vec![c_into, c_from], merged, (0, 0))?;
+        let new_head = self.commit(vec![c_into, c_from], merged, (0, 0), diff_parent)?;
         self.advance_head(into, new_head)?;
         if let (Some(m), Some(start)) = (&self.metrics, start) {
             let micros = start.elapsed().as_micros() as u64;
@@ -757,6 +767,12 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
         out.sort_unstable();
         out
     }
+}
+
+/// The delta source of a commit no single operation describes (root,
+/// merge, transaction): diff the two whole states.
+fn diff_parent<M: Mrdt>(parent: &M, state: &M) -> Delta {
+    state.diff(parent)
 }
 
 impl<M: Mrdt, B: Backend> fmt::Debug for BranchStore<M, B> {

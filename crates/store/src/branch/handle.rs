@@ -26,7 +26,7 @@
 //! consumed by a rolled-back transaction stay consumed; uniqueness, not
 //! density, is the Ψ_ts guarantee.)
 
-use super::{Backend, BranchInfo, BranchStore};
+use super::{diff_parent, Backend, BranchInfo, BranchStore};
 use crate::dag::CommitId;
 use crate::error::StoreError;
 use crate::object::ObjectId;
@@ -406,7 +406,7 @@ impl<M: Mrdt, B: Backend> Transaction<'_, '_, M, B> {
         // `(store.tick, replica)` is exactly the final `apply`'s stamp —
         // unique per committed transaction.
         let mint = (store.tick, self.replica.as_u32());
-        let new_head = store.commit(vec![self.base], Arc::new(self.scratch), mint)?;
+        let new_head = store.commit(vec![self.base], Arc::new(self.scratch), mint, diff_parent)?;
         // However many ops were staged, the whole batch is one logical
         // commit: one durability point, at most one fsync.
         store.advance_head(&id, new_head)?;

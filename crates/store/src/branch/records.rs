@@ -280,7 +280,7 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
     /// interval (so every resolution is bounded by `interval - 1` links)
     /// and the delta record is actually smaller; as a full snapshot
     /// otherwise. `delta_wire` is only called once the chain bound has
-    /// passed, so a commit pays for its diff only when it can be used.
+    /// passed, so a commit pays for its delta only when it can be used.
     /// The address is `sha256(canonical)` either way — the delta is a
     /// storage encoding, and every read re-verifies that hash after
     /// resolution.

@@ -14,6 +14,7 @@
 //! is certified too, which is how the chat application of [`crate::chat`]
 //! gets its proofs "for free".
 
+use peepul_core::wire::encode_len;
 use peepul_core::{
     diff_item_lists, AbstractOf, Certified, Delta, Mrdt, SimulationRelation, Specification,
     Timestamp, Wire,
@@ -291,6 +292,51 @@ impl<V: Mrdt> Mrdt for MrdtMap<V> {
                 .collect::<Vec<_>>()
         };
         diff_item_lists(&items(parent), &items(self))
+    }
+
+    fn op_delta(&self, op: &MapOp<V>, next: &Self) -> Delta {
+        // `set(k, ·)` rewrites one entry: encode the parent once, noting
+        // where `k`'s entry sits (or would be inserted), then copy around
+        // it. The script is the one `diff` finds for the same pair.
+        let MapOp::Set(k, _) = op;
+        let Some(value) = next.entries.get(k) else {
+            return next.diff(self);
+        };
+        let mut base = Vec::new();
+        encode_len(self.entries.len(), &mut base);
+        let (mut start, mut end) = (None, None);
+        for (key, v) in &self.entries {
+            if start.is_none() && key >= k {
+                start = Some(base.len());
+            }
+            key.encode(&mut base);
+            v.encode(&mut base);
+            if key == k {
+                end = Some(base.len());
+            }
+        }
+        let start = start.unwrap_or(base.len());
+        let end = end.unwrap_or(start);
+        let mut entry = Vec::new();
+        k.encode(&mut entry);
+        value.encode(&mut entry);
+
+        let mut delta = Delta::default();
+        if end > start {
+            delta.push_copy(0, start as u64);
+        } else {
+            let mut prefix = Vec::new();
+            encode_len(next.entries.len(), &mut prefix);
+            delta.push_insert(prefix);
+            delta.push_copy(8, (start - 8) as u64);
+        }
+        if base[start..end] == entry[..] {
+            delta.push_copy(start as u64, (end - start) as u64);
+        } else {
+            delta.push_insert(entry);
+        }
+        delta.push_copy(end as u64, (base.len() - end) as u64);
+        delta
     }
 }
 

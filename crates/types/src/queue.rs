@@ -20,7 +20,9 @@
 //! §6.2 (`AddRem`, `Empty`, `FIFO_1`, `FIFO_2`) are provided executably in
 //! [`axioms`].
 
-use peepul_core::{AbstractOf, Certified, Mrdt, SimulationRelation, Specification, Timestamp};
+use peepul_core::{
+    AbstractOf, Certified, Delta, Mrdt, SimulationRelation, Specification, Timestamp, Wire,
+};
 use std::fmt;
 
 /// One queue entry: the enqueue timestamp (unique tag) and the value.
@@ -264,6 +266,36 @@ impl<T: Clone + PartialEq + peepul_core::Wire + fmt::Debug> Mrdt for Queue<T> {
         // The front/rear split is internal; only the dequeue order is
         // observable.
         self.to_list() == other.to_list()
+    }
+
+    fn op_delta(&self, op: &QueueOp<T>, next: &Self) -> Delta {
+        // The encoding is `front ∥ rear`, each a u64 length and its
+        // entries. Enqueue appends to `rear`; a dequeue from a non-empty
+        // `front` drops its last entry. Either way one length prefix
+        // changes and every other byte but one entry is copied. The
+        // `norm` reversal and a dequeue on an empty queue fall back.
+        let mut base = Vec::new();
+        self.front.encode(&mut base);
+        let front_end = base.len() as u64;
+        self.rear.encode(&mut base);
+        let end = base.len() as u64;
+        let mut delta = Delta::default();
+        match (op, next.rear.last(), self.front.last()) {
+            (QueueOp::Enqueue(_), Some(entry), _) => {
+                delta.push_copy(0, front_end);
+                delta.push_insert(next.rear.len().to_wire());
+                delta.push_copy(front_end + 8, end - front_end - 8);
+                delta.push_insert(entry.to_wire());
+            }
+            (QueueOp::Dequeue, _, Some(popped)) => {
+                let popped_at = front_end - popped.to_wire().len() as u64;
+                delta.push_insert(next.front.len().to_wire());
+                delta.push_copy(8, popped_at - 8);
+                delta.push_copy(front_end, end - front_end);
+            }
+            _ => return next.diff(self),
+        }
+        delta
     }
 }
 

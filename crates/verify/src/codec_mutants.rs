@@ -7,7 +7,9 @@
 //! state σ: the canonical round-trip (`decode(encode(σ)) ≅ σ`,
 //! re-encoding byte-identically), and the delta-resolution law against
 //! every probed base p (`apply_delta(p, σ.diff(p)) ≅ σ`, re-encoding to
-//! `encode(σ)` — the content-address preimage). Each mutant here breaks
+//! `encode(σ)` — the content-address preimage). At every `DO` it also
+//! checks the same law for the script the store persists for an update
+//! commit (`apply_delta(σ, σ.op_delta(op, σ')) ≅ σ'`). Each mutant here breaks
 //! exactly one of those laws while keeping merge, query and the
 //! simulation relation honest, so a kill proves the codec obligation —
 //! and only it — is doing the work. The gallery in
@@ -52,7 +54,7 @@ pub struct Inc;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ReadQ;
 
-/// Everything except `Wire`/`diff`/`apply_delta` is shared and honest:
+/// Everything except `Wire`/`diff`/`op_delta` is shared and honest:
 /// the counter semantics, its specification and simulation relation.
 macro_rules! counter_mutant {
     ($ty:ident, $spec:ident, $sim:ident) => {
@@ -100,6 +102,13 @@ macro_rules! counter_mutant {
             Delta::splice(&parent.to_wire(), &parent.to_wire())
         }
     };
+    (@delta DriftedOpDeltaCounter) => {
+        fn op_delta(&self, _op: &Inc, _next: &Self) -> Delta {
+            // BUG: the update's delta claims "no change" — it resolves to
+            // the parent's bytes — while `diff` stays honest.
+            Delta::splice(&self.to_wire(), &self.to_wire())
+        }
+    };
     (@delta $ty:ident) => {};
 }
 
@@ -143,6 +152,14 @@ counter_mutant!(DriftedEncodeCounter, DriftedEncodeSpec, DriftedEncodeSim);
 struct DriftedDeltaCounter(u64);
 honest_wire!(DriftedDeltaCounter);
 counter_mutant!(DriftedDeltaCounter, DriftedDeltaSpec, DriftedDeltaSim);
+
+/// Breaks the delta-resolution law only for update deltas: `op_delta`
+/// resolves to the *parent*, `diff` is honest, so only the `DO`-time
+/// check of `op_delta` can see it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+struct DriftedOpDeltaCounter(u64);
+honest_wire!(DriftedOpDeltaCounter);
+counter_mutant!(DriftedOpDeltaCounter, DriftedOpDeltaSpec, DriftedOpDeltaSim);
 
 /// Runs the shared bounded scenario for one type and classifies the
 /// result: `Ok(None)` for a clean run, `Ok(Some(detail))` for a
@@ -188,6 +205,10 @@ pub fn run_codec_mutants() -> Vec<CodecMutantOutcome> {
     vec![
         outcome("drifted-encode", bounded_verdict::<DriftedEncodeCounter>()),
         outcome("drifted-delta", bounded_verdict::<DriftedDeltaCounter>()),
+        outcome(
+            "drifted-op-delta",
+            bounded_verdict::<DriftedOpDeltaCounter>(),
+        ),
     ]
 }
 
@@ -199,7 +220,7 @@ mod tests {
     #[test]
     fn every_codec_mutant_dies_to_phi_codec() {
         let outcomes = run_codec_mutants();
-        assert_eq!(outcomes.len(), 2);
+        assert_eq!(outcomes.len(), 3);
         for o in &outcomes {
             assert!(
                 o.baseline_ok,

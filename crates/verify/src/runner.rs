@@ -13,16 +13,18 @@
 //! `Φ_merge` on the three states the store's own LCA path
 //! ([`BranchStore::lca_state`]: recursive virtual merges, memoized)
 //! supplies, and after every transition it checks `Φ_con` across all branch
-//! pairs plus the `Φ_codec` canonical-codec round-trip on the post-state
-//! (the single codec is the storage format, the wire format and the
-//! content address, so a codec that drifts from its data type would corrupt
-//! all three — the harness certifies it alongside the paper's obligations).
+//! pairs plus the `Φ_codec` canonical-codec round-trip on the post-state,
+//! and at each `DO` that the operation's delta (`Mrdt::op_delta`, what the
+//! store persists for the commit) resolves to the post-state (the single
+//! codec is the storage format, the wire format and the content address,
+//! so a codec that drifts from its data type would corrupt all three — the
+//! harness certifies it alongside the paper's obligations).
 //! Any violation is reported with the failing step and a counterexample
 //! description.
 
 use crate::schedule::{Schedule, Step};
 use peepul_core::obligations::{
-    check_codec, check_con, check_do, check_merge, check_queries, Certified,
+    check_codec, check_con, check_do, check_merge, check_op_delta, check_queries, Certified,
 };
 use peepul_core::store_props::psi_lca_paper;
 use peepul_core::{
@@ -343,6 +345,8 @@ where
                     &conc_next,
                     self.store.graph().payload(head),
                 )?;
+                check_op_delta::<M>(&pre.concrete, op, &conc_next, &mut self.report)
+                    .map_err(|e| self.obligation_error(step, e))?;
                 self.push_shadow(head, abs_next);
                 let post = self.snapshot_at(head);
                 self.check_state(&post)

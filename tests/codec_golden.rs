@@ -128,6 +128,31 @@ fn golden_delta<M: Mrdt>(name: &str, parent: &M, child: &M) {
     );
 }
 
+/// Pins the update deltas `state.op_delta(op, child)` of `ops`, applied
+/// one after another from `parent`, as one `Vec<Delta>` fixture through
+/// [`golden`]. For the types that override [`Mrdt::op_delta`] these are
+/// what an update commit stores and what replication ships, so they get
+/// the same tripwire as `golden_delta`, and each pinned delta must still
+/// resolve to its child's canonical bytes.
+fn golden_op_deltas<M: Mrdt>(name: &str, parent: &M, ops: &[M::Op], first_tick: u64) {
+    let mut deltas = Vec::new();
+    let mut state = parent.clone();
+    for (i, op) in ops.iter().enumerate() {
+        let child = state.apply(op, ts(first_tick + i as u64, 1)).0;
+        let delta = state.op_delta(op, &child);
+        let resolved = M::apply_delta(&state, &delta)
+            .unwrap_or_else(|| panic!("{name}: op-delta {i} does not apply to its base"));
+        assert_eq!(
+            resolved.to_wire(),
+            child.to_wire(),
+            "{name}: op-delta {i} does not resolve to the child's canonical bytes"
+        );
+        deltas.push(delta);
+        state = child;
+    }
+    golden(name, &deltas);
+}
+
 /// Applies `ops` sequentially with deterministic timestamps.
 fn build<M: Mrdt>(ops: &[M::Op]) -> M {
     let mut state = M::initial();
@@ -297,6 +322,56 @@ fn g_map_delta_golden() {
         .apply(&MapOp::Set("hits".into(), CounterOp::Increment), ts(3, 2))
         .0;
     golden_delta("g_map_delta", &parent, &child);
+}
+
+#[test]
+fn g_map_op_delta_golden() {
+    let parent = build::<MrdtMap<Counter>>(&[
+        MapOp::Set("hits".into(), CounterOp::Increment),
+        MapOp::Set("misses".into(), CounterOp::Increment),
+    ]);
+    // One overwrite, then one new key between the two existing ones.
+    golden_op_deltas(
+        "g_map_op_delta",
+        &parent,
+        &[
+            MapOp::Set("hits".into(), CounterOp::Increment),
+            MapOp::Set("lookups".into(), CounterOp::Increment),
+        ],
+        3,
+    );
+}
+
+/// A queue with entries in both lists: `front` holds 2 and 3 after the
+/// dequeue reversed the rear, `rear` holds 4.
+fn two_list_queue() -> Queue<u32> {
+    build::<Queue<u32>>(&[
+        QueueOp::Enqueue(1),
+        QueueOp::Enqueue(2),
+        QueueOp::Enqueue(3),
+        QueueOp::Dequeue,
+        QueueOp::Enqueue(4),
+    ])
+}
+
+#[test]
+fn queue_op_delta_enqueue_golden() {
+    golden_op_deltas(
+        "queue_op_delta_enqueue",
+        &two_list_queue(),
+        &[QueueOp::Enqueue(5)],
+        6,
+    );
+}
+
+#[test]
+fn queue_op_delta_dequeue_golden() {
+    golden_op_deltas(
+        "queue_op_delta_dequeue",
+        &two_list_queue(),
+        &[QueueOp::Dequeue],
+        6,
+    );
 }
 
 /// The commit record format is pinned too: it is the other half of what a

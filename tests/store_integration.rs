@@ -6,19 +6,60 @@
 mod common;
 
 use common::{for_each_backend, BackendFactory};
+use peepul::core::{Delta, DeltaOp};
 use peepul::prelude::*;
-use peepul::store::content_id;
+use peepul::store::{content_id, state_record_delta};
 use peepul::types::chat::ChatOp;
 use peepul::types::counter::CounterOp;
 use peepul::types::g_set::GSetOp;
+use peepul::types::lww_register::LwwOp;
 use peepul::types::map::MapOp;
 use peepul::types::or_set_space::{OrSetOp, OrSetOutput, OrSetQuery};
 use peepul::types::queue::{QueueOp, QueueValue};
+use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 type Db<M> = BranchStore<M, Box<dyn Backend + Send + Sync>>;
 
+/// The server's key-value type.
+type Kv = MrdtMap<LwwRegister<String>>;
+
 fn open<M: Mrdt>(make: &mut BackendFactory<'_>, root: &str) -> Db<M> {
     BranchStore::with_backend(root, make()).expect("open store")
+}
+
+/// The state record the backend holds for `branch`'s head state.
+fn head_record<M: Mrdt>(db: &Db<M>, branch: &str) -> Vec<u8> {
+    let oid = db.state_id(branch).unwrap();
+    db.backend()
+        .get(oid)
+        .unwrap()
+        .expect("head state is stored")
+}
+
+/// Every stored state record resolves, through its delta chain, to the
+/// canonical bytes of the state its commit carries.
+fn assert_every_state_resolves<M: Mrdt>(db: &Db<M>, kind: &str) {
+    for c in db.graph().ids() {
+        let bytes = db.state_bytes(db.state_oid(c)).unwrap();
+        assert_eq!(
+            bytes,
+            Some(db.graph().payload(c).to_wire()),
+            "{kind}: state of {c:?}"
+        );
+    }
+}
+
+/// Bytes a delta script inserts literally (the rest it copies).
+fn inserted_bytes(delta: &Delta) -> usize {
+    delta
+        .ops
+        .iter()
+        .map(|op| match op {
+            DeltaOp::Insert(bytes) => bytes.len(),
+            DeltaOp::Copy { .. } => 0,
+        })
+        .sum()
 }
 
 #[test]
@@ -367,4 +408,204 @@ fn backend_refs_and_objects_mirror_the_store() {
             assert!(db.backend().contains(state).unwrap(), "{kind}");
         }
     });
+}
+
+#[test]
+fn queue_update_commits_store_one_entry_not_the_queue() {
+    // 1 000 entries split across both lists: 500 in `front` (the first
+    // dequeue reversed the rear into it) and 500 in `rear`. Diffing the
+    // whole encodings re-inserts a whole list for either update; the
+    // operation's delta inserts one length prefix and at most one entry.
+    for_each_backend("queue-op-delta", |kind, make| {
+        let mut db: Db<Queue<u64>> = open(make, "main");
+        db.branch_mut("main")
+            .unwrap()
+            .transaction(|tx| {
+                for v in 0..501 {
+                    tx.apply(&QueueOp::Enqueue(v));
+                }
+                tx.apply(&QueueOp::Dequeue);
+                for v in 501..1001 {
+                    tx.apply(&QueueOp::Enqueue(v));
+                }
+            })
+            .unwrap();
+        assert_eq!(db.state("main").unwrap().len(), 1000, "{kind}");
+        for op in [QueueOp::Enqueue(1001), QueueOp::Dequeue] {
+            db.branch_mut("main").unwrap().apply(&op).unwrap();
+            // A delta record: tag, base id, and a script of at most four
+            // instructions (8 + 3 × 17 + 29 bytes) — not the 10 KB list.
+            let record = head_record(&db, "main");
+            assert_eq!(record[0], 1, "{kind}: {op:?} is stored as a delta");
+            assert!(
+                record.len() < 128,
+                "{kind}: {op:?} stored {} bytes",
+                record.len()
+            );
+        }
+        assert_every_state_resolves(&db, kind);
+    });
+}
+
+#[test]
+fn kv_put_stores_the_record_diff_would() {
+    for_each_backend("kv-op-delta", |kind, make| {
+        let mut db: Db<Kv> = open(make, "main");
+        let put = |k: String, v: &str| MapOp::Set(k, LwwOp::Write(v.to_owned()));
+        db.branch_mut("main")
+            .unwrap()
+            .transaction(|tx| {
+                for i in 0..512 {
+                    tx.apply(&put(format!("key-{i:04}"), "v0"));
+                }
+            })
+            .unwrap();
+        // An overwrite, then a new key in the middle of the order.
+        for key in ["key-0100", "key-0100x"] {
+            let parent = db.state("main").unwrap();
+            let parent_id = db.state_id("main").unwrap();
+            db.branch_mut("main")
+                .unwrap()
+                .apply(&put(key.to_owned(), "v1"))
+                .unwrap();
+            let child = db.state("main").unwrap();
+            let expected = state_record_delta(parent_id, &child.diff(&parent).to_wire());
+            assert_eq!(head_record(&db, "main"), expected, "{kind}: put {key}");
+        }
+        assert_every_state_resolves(&db, kind);
+    });
+}
+
+/// Calls of [`DiffCounted::diff`] — only `update_commits_never_diff`
+/// uses the type, so no other test moves it.
+static DIFFS: AtomicUsize = AtomicUsize::new(0);
+
+/// A counter whose `diff` counts its calls and whose `op_delta` does not
+/// call `diff`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct DiffCounted(u64);
+
+impl Wire for DiffCounted {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        Some(DiffCounted(u64::decode(input)?))
+    }
+}
+
+impl Mrdt for DiffCounted {
+    type Op = ();
+    type Value = ();
+    type Query = ();
+    type Output = u64;
+
+    fn initial() -> Self {
+        DiffCounted(0)
+    }
+
+    fn apply(&self, _op: &(), _t: Timestamp) -> (Self, ()) {
+        (DiffCounted(self.0 + 1), ())
+    }
+
+    fn query(&self, _q: &()) -> u64 {
+        self.0
+    }
+
+    fn merge(lca: &Self, a: &Self, b: &Self) -> Self {
+        DiffCounted(a.0 + b.0 - lca.0)
+    }
+
+    fn diff(&self, parent: &Self) -> Delta {
+        DIFFS.fetch_add(1, Ordering::SeqCst);
+        Delta::splice(&parent.to_wire(), &self.to_wire())
+    }
+
+    fn op_delta(&self, _op: &(), next: &Self) -> Delta {
+        Delta::splice(&self.to_wire(), &next.to_wire())
+    }
+}
+
+#[test]
+fn update_commits_never_diff() {
+    for_each_backend("never-diff", |kind, make| {
+        DIFFS.store(0, Ordering::SeqCst);
+        let mut db: Db<DiffCounted> = open(make, "main");
+        db.branch_mut("main").unwrap().fork("dev").unwrap();
+        for i in 0..100 {
+            let branch = if i % 2 == 0 { "main" } else { "dev" };
+            db.branch_mut(branch).unwrap().apply(&()).unwrap();
+        }
+        assert_eq!(DIFFS.load(Ordering::SeqCst), 0, "{kind}: applies diffed");
+        db.branch_mut("main").unwrap().merge_from("dev").unwrap();
+        assert_eq!(
+            DIFFS.load(Ordering::SeqCst),
+            1,
+            "{kind}: one merge, one diff"
+        );
+        assert_eq!(db.read("main", &()).unwrap(), 100, "{kind}");
+    });
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `Kv`'s update delta is byte-for-byte the script `diff` finds, and
+    /// resolves to the child. Keys come from a small alphabet, so new keys
+    /// land at the front, in the middle and at the end of the order, and
+    /// existing keys are overwritten (sometimes with the value they hold).
+    #[test]
+    fn kv_op_delta_is_diff(ops in proptest::collection::vec((0u8..24, 0u8..3), 1..60)) {
+        let mut state = Kv::initial();
+        for (tick, (k, v)) in ops.into_iter().enumerate() {
+            let op = MapOp::Set(format!("k{k:02}"), LwwOp::Write(format!("v{v}")));
+            let t = Timestamp::new(tick as u64 / 2 + 1, ReplicaId::new(0));
+            let next = state.apply(&op, t).0;
+            let delta = state.op_delta(&op, &next);
+            prop_assert_eq!(&delta, &next.diff(&state));
+            prop_assert_eq!(delta.apply(&state.to_wire()), Some(next.to_wire()));
+            state = next;
+        }
+    }
+
+    /// `Queue`'s update delta resolves to the child for every op shape:
+    /// enqueue onto an empty queue and onto a non-empty rear, a dequeue
+    /// from a non-empty front, one that triggers `norm`, and one on an
+    /// empty queue. Outside the two fallbacks it inserts one length
+    /// prefix and at most one entry.
+    #[test]
+    fn queue_op_delta_resolves(ops in proptest::collection::vec(0u8..5, 1..80)) {
+        let mut state: Queue<u64> = Queue::initial();
+        // Lengths of the two lists, tracked beside the queue: a dequeue
+        // with an empty front falls back (a `norm`, or an empty queue).
+        let (mut front, mut rear) = (0usize, 0usize);
+        for (tick, k) in ops.into_iter().enumerate() {
+            let op = if k < 3 { QueueOp::Enqueue(u64::from(k)) } else { QueueOp::Dequeue };
+            let t = Timestamp::new(tick as u64 + 1, ReplicaId::new(0));
+            let next = state.apply(&op, t).0;
+            let delta = state.op_delta(&op, &next);
+            prop_assert_eq!(delta.apply(&state.to_wire()), Some(next.to_wire()));
+            let fallback = match op {
+                QueueOp::Enqueue(_) => {
+                    rear += 1;
+                    false
+                }
+                QueueOp::Dequeue => {
+                    let fallback = front == 0;
+                    if fallback {
+                        (front, rear) = (rear, 0);
+                    }
+                    front = front.saturating_sub(1);
+                    fallback
+                }
+            };
+            prop_assert_eq!(front + rear, next.len());
+            if !fallback {
+                // One length prefix and at most one 20-byte entry.
+                prop_assert!(inserted_bytes(&delta) <= 8 + 20, "{:?}: {:?}", op, delta);
+            }
+            state = next;
+        }
+    }
 }
