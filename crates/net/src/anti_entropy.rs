@@ -21,31 +21,19 @@ use crate::transport::{ChannelTransport, FaultInjector};
 use peepul_core::Mrdt;
 use peepul_store::Backend;
 
-/// Pairwise-pull scheduler. See the [module docs](self).
-#[derive(Clone, Debug)]
-pub struct AntiEntropy {
-    max_rounds: usize,
-}
+/// The round bound of every run: a healthy fleet of any size converges
+/// in one round and quiesces in two; the margin is budget for lossy links.
+const MAX_ROUNDS: usize = 64;
 
-impl Default for AntiEntropy {
-    fn default() -> Self {
-        AntiEntropy::new()
-    }
-}
+/// Pairwise-pull scheduler, bounded at 64 rounds. See the
+/// [module docs](self).
+#[derive(Clone, Debug, Default)]
+pub struct AntiEntropy;
 
 impl AntiEntropy {
-    /// A scheduler bounded at 64 rounds — a healthy fleet of any size
-    /// converges in one round and quiesces in two; the margin is budget
-    /// for lossy links.
+    /// A scheduler (every run is bounded at 64 rounds).
     pub fn new() -> Self {
-        AntiEntropy { max_rounds: 64 }
-    }
-
-    /// Overrides the round bound.
-    pub fn with_max_rounds(max_rounds: usize) -> Self {
-        AntiEntropy {
-            max_rounds: max_rounds.max(1),
-        }
+        AntiEntropy
     }
 
     /// Runs rounds over fault-free in-process links until quiescence.
@@ -99,7 +87,7 @@ impl AntiEntropy {
         // states) settle: free-running ring gossip never quiesces for
         // n ≥ 3, because every replica keeps minting a fresh merge commit
         // one step ahead of the replica pulling it.
-        for _ in 0..self.max_rounds {
+        for _ in 0..MAX_ROUNDS {
             report.rounds += 1;
             let mut quiet = true;
             for (puller, servee) in (1..n).map(|i| (0, i)).chain((1..n).map(|i| (i, 0))) {

@@ -40,7 +40,6 @@ use crate::message::{PackedObject, Request, Response, StateTransfer};
 use crate::metrics::NetMetrics;
 use crate::observer::{HistoryObserver, ReplicationMutation};
 use crate::transport::Transport;
-use parking_lot::RwLock;
 use peepul_core::{Mrdt, ReplicaId, Timestamp, Wire};
 use peepul_store::sha256::Sha256;
 use peepul_store::{
@@ -49,10 +48,11 @@ use peepul_store::{
 };
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// The observer/mutation/metrics slot shared by every clone of a replica
 /// handle.
+#[derive(Clone)]
 struct Hooks<M: Mrdt> {
     observer: Option<Arc<dyn HistoryObserver<M>>>,
     mutation: ReplicationMutation,
@@ -157,6 +157,28 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
         Ok(Replica::new(name, store))
     }
 
+    // The lock accessors: the one place this handle applies the workspace
+    // poison policy (DESIGN §10).
+    fn read_store(&self) -> RwLockReadGuard<'_, BranchStore<M, B>> {
+        self.store.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write_store(&self) -> RwLockWriteGuard<'_, BranchStore<M, B>> {
+        self.store.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The hooks one operation runs under: a single read of the slot.
+    fn hooks(&self) -> Hooks<M> {
+        self.hooks
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    fn hooks_mut(&self) -> RwLockWriteGuard<'_, Hooks<M>> {
+        self.hooks.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The replica's name (used in peers' tracking-branch names and
     /// diagnostics).
     pub fn name(&self) -> &str {
@@ -167,14 +189,14 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
     /// closure must not block on another replica's lock (transports do
     /// not — see the module docs).
     pub fn with_store<R>(&self, f: impl FnOnce(&mut BranchStore<M, B>) -> R) -> R {
-        f(&mut self.store.write())
+        f(&mut self.write_store())
     }
 
     /// Runs `f` with the store under the **shared read lock**: any number
     /// of readers run concurrently, and none of the store's mutating or
     /// commit-minting paths are reachable through `&BranchStore`.
     pub fn with_store_read<R>(&self, f: impl FnOnce(&BranchStore<M, B>) -> R) -> R {
-        f(&self.store.read())
+        f(&self.read_store())
     }
 
     /// Answers a pure query against a local branch head (commit-free,
@@ -184,7 +206,7 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
     ///
     /// [`StoreError::UnknownBranch`] if the branch does not exist.
     pub fn read(&self, branch: &str, q: &M::Query) -> Result<M::Output, StoreError> {
-        self.store.read().read(branch, q)
+        self.read_store().read(branch, q)
     }
 
     /// A local branch's current state (cheap `Arc` clone).
@@ -193,7 +215,7 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
     ///
     /// [`StoreError::UnknownBranch`] if the branch does not exist.
     pub fn state(&self, branch: &str) -> Result<Arc<M>, StoreError> {
-        self.store.read().state(branch)
+        self.read_store().state(branch)
     }
 
     /// The content address of a local branch's head *state* — what the
@@ -204,7 +226,7 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
     ///
     /// [`StoreError::UnknownBranch`] if the branch does not exist.
     pub fn state_id(&self, branch: &str) -> Result<ObjectId, StoreError> {
-        self.store.read().state_id(branch)
+        self.read_store().state_id(branch)
     }
 
     /// The content address of a local branch's head *commit*.
@@ -213,12 +235,12 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
     ///
     /// [`StoreError::UnknownBranch`] if the branch does not exist.
     pub fn head_id(&self, branch: &str) -> Result<ObjectId, StoreError> {
-        self.store.read().head_id(branch)
+        self.read_store().head_id(branch)
     }
 
     /// Number of distinct objects in this replica's backend.
     pub fn object_count(&self) -> usize {
-        self.store.read().backend().object_count()
+        self.read_store().backend().object_count()
     }
 
     /// Attaches a [`HistoryObserver`] that will receive one witness event
@@ -228,12 +250,12 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
     /// Shared by every clone of this handle; replaces any previous
     /// observer.
     pub fn set_observer(&self, observer: Arc<dyn HistoryObserver<M>>) {
-        self.hooks.write().observer = Some(observer);
+        self.hooks_mut().observer = Some(observer);
     }
 
     /// Detaches the observer, if any.
     pub fn clear_observer(&self) {
-        self.hooks.write().observer = None;
+        self.hooks_mut().observer = None;
     }
 
     /// **Mutation-testing surface — never call in production code.**
@@ -242,12 +264,7 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
     /// so the `Φ_ra` kill-gate can prove each fault is caught. Shared by
     /// every clone of this handle.
     pub fn set_replication_mutation(&self, mutation: ReplicationMutation) {
-        self.hooks.write().mutation = mutation;
-    }
-
-    fn hooks_snapshot(&self) -> (Option<Arc<dyn HistoryObserver<M>>>, ReplicationMutation) {
-        let h = self.hooks.read();
-        (h.observer.clone(), h.mutation)
+        self.hooks_mut().mutation = mutation;
     }
 
     /// Attaches (or detaches, with `None`) replication metrics — same
@@ -255,11 +272,7 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
     /// Fetches, pushes and served pushes through any clone of this
     /// handle update the attached counters.
     pub fn set_net_metrics(&self, metrics: Option<Arc<NetMetrics>>) {
-        self.hooks.write().metrics = metrics;
-    }
-
-    fn net_metrics(&self) -> Option<Arc<NetMetrics>> {
-        self.hooks.read().metrics.clone()
+        self.hooks_mut().metrics = metrics;
     }
 
     /// Applies one local operation to `branch` — the witness-observed
@@ -273,8 +286,10 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
     ///
     /// As [`BranchStore::branch_mut`] + apply.
     pub fn apply(&self, branch: &str, op: &M::Op) -> Result<M::Value, StoreError> {
-        let (observer, mutation) = self.hooks_snapshot();
-        let mut store = self.store.write();
+        let Hooks {
+            observer, mutation, ..
+        } = self.hooks();
+        let mut store = self.write_store();
         let value = store.branch_mut(branch)?.apply(op)?;
         if let Some(obs) = &observer {
             let head = store.head(branch)?;
@@ -302,8 +317,8 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
     ///
     /// [`StoreError::UnknownBranch`] if the branch does not exist.
     pub fn read_observed(&self, branch: &str, q: &M::Query) -> Result<M::Output, StoreError> {
-        let (observer, _) = self.hooks_snapshot();
-        let store = self.store.read();
+        let observer = self.hooks().observer;
+        let store = self.read_store();
         let out = store.read(branch, q)?;
         if let Some(obs) = &observer {
             let visible = store.visible_mints(store.head(branch)?);
@@ -325,7 +340,7 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
     pub fn handle(&self, req: Request) -> Response {
         let served = match req {
             Request::Push { .. } => self.serve_push(req),
-            _ => serve_read(&self.store.read(), req, self.net_metrics().as_ref()),
+            _ => serve_read(&self.read_store(), req, self.hooks().metrics.as_ref()),
         };
         match served {
             Ok(r) => r,
@@ -367,7 +382,11 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
         remote: &mut Remote<T>,
         branch: &str,
     ) -> Result<FetchStats, NetError> {
-        let metrics = self.net_metrics();
+        let Hooks {
+            observer,
+            mutation,
+            metrics,
+        } = self.hooks();
         let start = metrics.as_ref().map(|_| std::time::Instant::now());
         let rt0 = remote.round_trips;
         let tracking_branch = format!("remote/{}/{branch}", remote.name());
@@ -431,7 +450,6 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
 
         // Phase 5 (local lock only): verify + ingest + land the tracking
         // branch.
-        let (observer, mutation) = self.hooks_snapshot();
         let counts = self.with_store(|s| -> Result<IngestReport, NetError> {
             let pre_tick = s.tick();
             let mut learned = if observer.is_some() {
@@ -520,7 +538,9 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
         branch: &str,
     ) -> Result<PullReport, NetError> {
         let fetch = self.fetch(remote, branch)?;
-        let (observer, mutation) = self.hooks_snapshot();
+        let Hooks {
+            observer, mutation, ..
+        } = self.hooks();
         let outcome = self.with_store(|s| -> Result<PullOutcome, StoreError> {
             let target = s.head_id(&fetch.tracking_branch)?;
             let outcome = match s.track(branch, target)? {
@@ -569,7 +589,7 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
         remote: &mut Remote<T>,
         branch: &str,
     ) -> Result<PushReport, NetError> {
-        let metrics = self.net_metrics();
+        let metrics = self.hooks().metrics;
         let start = metrics.as_ref().map(|_| std::time::Instant::now());
         let rt0 = remote.round_trips;
         let refs = remote.refs()?;
@@ -646,7 +666,7 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
 
 impl<M: Mrdt, B: Backend> fmt::Debug for Replica<M, B> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Replica({:?}, {:?})", &*self.name, &*self.store.read())
+        write!(f, "Replica({:?}, {:?})", &*self.name, &*self.read_store())
     }
 }
 
@@ -1023,11 +1043,14 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
             states,
         } = req
         else {
-            return serve_read(&self.store.read(), req, self.net_metrics().as_ref());
+            return serve_read(&self.read_store(), req, self.hooks().metrics.as_ref());
         };
-        let (observer, mutation) = self.hooks_snapshot();
-        let metrics = self.net_metrics();
-        let store = &mut *self.store.write();
+        let Hooks {
+            observer,
+            mutation,
+            metrics,
+        } = self.hooks();
+        let store = &mut *self.write_store();
         // Refuse a diverged push *before* ingesting its objects, or
         // every denied push leaks its pack into the backend.
         if push_would_diverge(store, &branch, head, &commits)? {
@@ -1182,5 +1205,23 @@ mod tests {
             "a concurrent reader must not wait for the read-lock holder"
         );
         holder.join().unwrap();
+    }
+
+    /// The poison policy (DESIGN §10): a panic under the store's write
+    /// lock does not wedge the replica; later reads and writes recover
+    /// the lock and see the last committed state.
+    #[test]
+    fn store_lock_recovers_from_a_panicking_holder() {
+        let r: Replica<Counter, _> = Replica::open("a", "main", MemoryBackend::new()).unwrap();
+        r.apply("main", &CounterOp::Increment).unwrap();
+        let holder = r.clone();
+        let panicked = std::thread::spawn(move || {
+            holder.with_store(|_| panic!("handler bug under the write lock"))
+        })
+        .join();
+        assert!(panicked.is_err(), "the holder thread must have panicked");
+        assert_eq!(r.read("main", &CounterQuery::Value).unwrap(), 1);
+        r.apply("main", &CounterOp::Increment).unwrap();
+        assert_eq!(r.read("main", &CounterQuery::Value).unwrap(), 2);
     }
 }

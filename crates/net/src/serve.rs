@@ -21,7 +21,7 @@ use crate::error::NetError;
 use crate::tcp::{read_frame_polling, write_frame, ServerRead};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -160,6 +160,52 @@ impl ConnStats {
 struct Gate {
     active: Mutex<usize>,
     freed: Condvar,
+    stats: Arc<Stats>,
+}
+
+impl Gate {
+    /// The served-connection count under its lock, recovered if a
+    /// panicking holder poisoned it (DESIGN §10).
+    fn active(&self) -> MutexGuard<'_, usize> {
+        self.active.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks while `cap` connections are served, until one frees its
+    /// slot or `shutdown` is set.
+    fn wait_for_slot(&self, cap: usize, shutdown: &AtomicBool) {
+        let mut active = self.active();
+        while *active >= cap && !shutdown.load(Ordering::SeqCst) {
+            active = self
+                .freed
+                .wait_timeout(active, POLL_INTERVAL)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
+        }
+    }
+
+    /// Takes a connection slot; the returned guard frees it on drop.
+    fn take_slot(self: &Arc<Self>) -> Slot {
+        let mut active = self.active();
+        *active += 1;
+        self.stats.active.store(*active, Ordering::SeqCst);
+        self.stats.peak.fetch_max(*active, Ordering::SeqCst);
+        Slot(Arc::clone(self))
+    }
+}
+
+/// One served connection's slot. Dropping it — when the serving thread
+/// returns *or unwinds out of a panicking handler* — frees the slot and
+/// wakes the acceptor, so a handler panic cannot leak capacity.
+struct Slot(Arc<Gate>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        let mut active = self.0.active();
+        *active -= 1;
+        self.0.stats.active.store(*active, Ordering::SeqCst);
+        drop(active);
+        self.0.freed.notify_all();
+    }
 }
 
 /// A threaded frame server: the accept loop, per-connection serving
@@ -211,6 +257,7 @@ impl FrameServer {
         let gate = Arc::new(Gate {
             active: Mutex::new(0),
             freed: Condvar::new(),
+            stats: Arc::clone(&stats),
         });
         let cap = options.max_connections.max(1);
 
@@ -225,19 +272,7 @@ impl FrameServer {
                 // Accept-time backpressure: while the cap is reached, wait
                 // for a serving thread to finish. New clients sit in the
                 // OS listen backlog — connected but unserved.
-                {
-                    let mut guard = gate
-                        .active
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    while *guard >= cap && !flag.load(Ordering::SeqCst) {
-                        let (g, _) = gate
-                            .freed
-                            .wait_timeout(guard, POLL_INTERVAL)
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        guard = g;
-                    }
-                }
+                gate.wait_for_slot(cap, &flag);
                 if flag.load(Ordering::SeqCst) {
                     break;
                 }
@@ -248,33 +283,15 @@ impl FrameServer {
                     break; // the shutdown wake-up connection
                 }
                 serving.retain(|h| !h.is_finished());
-
-                {
-                    let mut guard = gate
-                        .active
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    *guard += 1;
-                    let now = *guard;
-                    acc_stats.active.store(now, Ordering::SeqCst);
-                    acc_stats.peak.fetch_max(now, Ordering::SeqCst);
-                }
+                let slot = gate.take_slot();
                 acc_stats.accepted.fetch_add(1, Ordering::SeqCst);
 
                 let service = Arc::clone(&service);
                 let conn_flag = Arc::clone(&flag);
-                let conn_gate = Arc::clone(&gate);
                 let conn_stats = Arc::clone(&acc_stats);
                 serving.push(std::thread::spawn(move || {
+                    let _slot = slot;
                     serve_connection(stream, &*service, &conn_flag, &conn_stats);
-                    let mut guard = conn_gate
-                        .active
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    *guard -= 1;
-                    conn_stats.active.store(*guard, Ordering::SeqCst);
-                    drop(guard);
-                    conn_gate.freed.notify_all();
                 }));
             }
             for h in serving {
@@ -463,6 +480,35 @@ mod tests {
         waiter.join().unwrap();
         assert_eq!(answered.load(Ordering::SeqCst), 1);
         assert_eq!(server.peak_connections(), 1, "cap held");
+    }
+
+    #[test]
+    fn a_panicking_handler_frees_its_connection_slot() {
+        let server = FrameServer::bind(
+            Arc::new(FnService(|frame: &[u8]| {
+                assert_ne!(frame, b"boom", "handler bug");
+                frame.to_vec()
+            })),
+            "127.0.0.1:0",
+            ServeOptions { max_connections: 1 },
+        )
+        .unwrap();
+        let addr = server.addr();
+        let mut first = TcpTransport::connect(addr).unwrap();
+        assert!(first.request(b"boom").is_err(), "the handler panicked");
+
+        // With the slot leaked, this client would sit in the backlog
+        // forever; bound the wait so the test fails instead of hanging.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let client = std::thread::spawn(move || {
+            let mut second = TcpTransport::connect(addr).unwrap();
+            let _ = tx.send(second.request(b"after"));
+        });
+        let reply = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the slot freed by the panic must admit the next client");
+        assert_eq!(reply.unwrap(), b"after".to_vec());
+        client.join().unwrap();
     }
 
     #[test]

@@ -21,11 +21,10 @@
 
 use crate::error::NetError;
 use crate::replica::Replica;
-use parking_lot::Mutex;
 use peepul_core::Mrdt;
 use peepul_store::Backend;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A bidirectional request/response link to one peer replica.
 ///
@@ -116,38 +115,44 @@ impl FaultInjector {
         FaultInjector::default()
     }
 
+    /// The fault plan under its lock, recovered if a panicking holder
+    /// poisoned it (DESIGN §10).
+    fn state(&self) -> MutexGuard<'_, FaultState> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Severs the link: every request fails with [`NetError::Partitioned`]
     /// until [`FaultInjector::heal`].
     pub fn partition(&self) {
-        self.inner.lock().partitioned = true;
+        self.state().partitioned = true;
     }
 
     /// Restores a partitioned link.
     pub fn heal(&self) {
-        self.inner.lock().partitioned = false;
+        self.state().partitioned = false;
     }
 
     /// Whether the link is currently severed.
     pub fn is_partitioned(&self) -> bool {
-        self.inner.lock().partitioned
+        self.state().partitioned
     }
 
     /// Drops the next `n` **requests** (they never reach the peer).
     pub fn drop_requests(&self, n: u32) {
-        self.inner.lock().drop_requests += n;
+        self.state().drop_requests += n;
     }
 
     /// Drops the next `n` **responses**: the request reaches the peer and
     /// takes effect there, but the caller sees [`NetError::Dropped`] — the
     /// classic did-my-write-land ambiguity.
     pub fn drop_responses(&self, n: u32) {
-        self.inner.lock().drop_responses += n;
+        self.state().drop_responses += n;
     }
 
     /// Loses `per_mille`/1000 of messages, decided by a xorshift64* stream
     /// seeded with `seed` (deterministic per injector).
     pub fn set_loss(&self, per_mille: u16, seed: u64) {
-        let mut s = self.inner.lock();
+        let mut s = self.state();
         s.loss_per_mille = per_mille.min(1000);
         // splitmix64: spreads adjacent seeds across the state space (and
         // never yields the all-zero state xorshift would get stuck in).
@@ -159,12 +164,12 @@ impl FaultInjector {
 
     /// Message counters so far.
     pub fn counters(&self) -> FaultCounters {
-        self.inner.lock().counters
+        self.state().counters
     }
 
     /// Decides the fate of an outgoing request.
     fn before_request(&self) -> Result<(), NetError> {
-        let mut s = self.inner.lock();
+        let mut s = self.state();
         s.counters.requests += 1;
         if s.partitioned {
             s.counters.dropped += 1;
@@ -185,7 +190,7 @@ impl FaultInjector {
     /// Decides the fate of an incoming response (the request has already
     /// been served by then).
     fn before_response(&self) -> Result<(), NetError> {
-        let mut s = self.inner.lock();
+        let mut s = self.state();
         if s.drop_responses > 0 {
             s.drop_responses -= 1;
             s.counters.dropped += 1;
@@ -201,7 +206,7 @@ impl FaultInjector {
 
 impl fmt::Debug for FaultInjector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = self.inner.lock();
+        let s = self.state();
         write!(
             f,
             "FaultInjector(partitioned: {}, loss: {}‰, {:?})",

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 /// A monotonically increasing `u64` metric.
@@ -208,9 +208,19 @@ impl Registry {
         Registry::default()
     }
 
+    // The table under its lock, recovered if a panicking holder (say, a
+    // kind-mismatch panic mid-registration) poisoned it (DESIGN §10).
+    fn entries(&self) -> RwLockReadGuard<'_, BTreeMap<String, Entry>> {
+        self.entries.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn entries_mut(&self) -> RwLockWriteGuard<'_, BTreeMap<String, Entry>> {
+        self.entries.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Number of registered metrics.
     pub fn len(&self) -> usize {
-        self.entries.read().expect("registry lock poisoned").len()
+        self.entries().len()
     }
 
     /// Whether no metrics are registered.
@@ -230,15 +240,10 @@ impl Registry {
                 None => panic!("metric {name:?} already registered as a {}", e.kind()),
             }
         };
-        if let Some(e) = self
-            .entries
-            .read()
-            .expect("registry lock poisoned")
-            .get(name)
-        {
+        if let Some(e) = self.entries().get(name) {
             return check(e);
         }
-        let mut entries = self.entries.write().expect("registry lock poisoned");
+        let mut entries = self.entries_mut();
         if let Some(e) = entries.get(name) {
             return check(e);
         }
@@ -302,7 +307,7 @@ impl Registry {
     /// replaces the previous callback (the newest closure owns the
     /// freshest captures); registering over a slot-based kind panics.
     pub fn gauge_fn(&self, name: &str, f: impl Fn() -> f64 + Send + Sync + 'static) {
-        let mut entries = self.entries.write().expect("registry lock poisoned");
+        let mut entries = self.entries_mut();
         if let Some(e) = entries.get(name) {
             if !matches!(e, Entry::GaugeFn(_)) {
                 panic!("metric {name:?} already registered as a {}", e.kind());
@@ -319,7 +324,7 @@ impl Registry {
     /// (label variants of one family share it). The output round-trips
     /// through [`parse_exposition`](crate::parse_exposition).
     pub fn render(&self) -> String {
-        let entries = self.entries.read().expect("registry lock poisoned");
+        let entries = self.entries();
         let mut out = String::new();
         let mut last_base = String::new();
         for (name, entry) in entries.iter() {
@@ -414,6 +419,18 @@ mod tests {
         let r = Registry::new();
         r.counter("peepul_x_total");
         r.gauge("peepul_x_total");
+    }
+
+    #[test]
+    fn kind_mismatch_panic_leaves_the_registry_usable() {
+        let r = Registry::new();
+        r.counter("x").inc();
+        let mismatch =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| r.gauge_fn("x", || 1.0)));
+        assert!(mismatch.is_err(), "registering over a counter panics");
+        assert!(r.render().contains("x 1\n"));
+        r.counter("y").inc();
+        assert_eq!(r.len(), 2);
     }
 
     #[test]

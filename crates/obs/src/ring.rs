@@ -14,7 +14,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::RwLock;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// The subsystem an event or metric originates from; each has an
@@ -129,20 +129,29 @@ impl Slot {
 /// word's 16-bit field. Kinds are few (one per instrumented code path),
 /// so lookup is a linear scan under a read lock.
 #[derive(Default)]
-struct KindTable(RwLock<Vec<&'static str>>);
+struct KindTable(Table<Vec<&'static str>>);
+
+/// An interner's lock: its guards recover the table if a panicking holder
+/// poisoned it (DESIGN §10).
+#[derive(Default)]
+struct Table<T>(RwLock<T>);
+
+impl<T> Table<T> {
+    fn read(&self) -> RwLockReadGuard<'_, T> {
+        self.0.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, T> {
+        self.0.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 impl KindTable {
     fn intern(&self, kind: &'static str) -> u16 {
-        if let Some(i) = self
-            .0
-            .read()
-            .expect("kind table poisoned")
-            .iter()
-            .position(|k| *k == kind)
-        {
+        if let Some(i) = self.0.read().iter().position(|k| *k == kind) {
             return i as u16;
         }
-        let mut table = self.0.write().expect("kind table poisoned");
+        let mut table = self.0.write();
         if let Some(i) = table.iter().position(|k| *k == kind) {
             return i as u16;
         }
@@ -156,7 +165,6 @@ impl KindTable {
     fn resolve(&self, id: u16) -> String {
         self.0
             .read()
-            .expect("kind table poisoned")
             .get(id as usize)
             .copied()
             .unwrap_or("?")
@@ -168,7 +176,7 @@ impl KindTable {
 /// path is a `HashMap` hit under a read lock; only a never-seen label
 /// takes the write lock.
 #[derive(Default)]
-struct LabelTable(RwLock<LabelInner>);
+struct LabelTable(Table<LabelInner>);
 
 #[derive(Default)]
 struct LabelInner {
@@ -178,16 +186,10 @@ struct LabelInner {
 
 impl LabelTable {
     fn intern(&self, label: &str) -> u32 {
-        if let Some(&i) = self
-            .0
-            .read()
-            .expect("label table poisoned")
-            .index
-            .get(label)
-        {
+        if let Some(&i) = self.0.read().index.get(label) {
             return i;
         }
-        let mut inner = self.0.write().expect("label table poisoned");
+        let mut inner = self.0.write();
         if let Some(&i) = inner.index.get(label) {
             return i;
         }
@@ -203,7 +205,6 @@ impl LabelTable {
     fn resolve(&self, id: u32) -> String {
         self.0
             .read()
-            .expect("label table poisoned")
             .names
             .get(id as usize)
             .cloned()

@@ -25,10 +25,9 @@
 //! content addresses).
 
 use crate::object::ObjectId;
-use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Default bound on cached triples. Workloads that never repeat a triple
 /// (e.g. a long two-branch gossip chain) would otherwise grow the cache —
@@ -105,10 +104,16 @@ impl<M> MergeMemo<M> {
         }
     }
 
+    /// The cache under its lock, recovered if a panicking holder poisoned
+    /// it (DESIGN §10).
+    fn inner(&self) -> MutexGuard<'_, MemoInner<M>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Enables or disables the cache; disabling clears it (and the
     /// subsequent merges count as misses).
     pub fn set_enabled(&self, enabled: bool) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner();
         inner.enabled = enabled;
         if !enabled {
             inner.cache.clear();
@@ -118,7 +123,7 @@ impl<M> MergeMemo<M> {
 
     /// Whether the cache is consulted at all.
     pub fn is_enabled(&self) -> bool {
-        self.inner.lock().enabled
+        self.inner().enabled
     }
 
     /// The merged state for `(lca, left, right)`, computing and caching it
@@ -132,7 +137,7 @@ impl<M> MergeMemo<M> {
     /// which allocation survives is unobservable.
     pub fn merged(&self, key: MemoKey, merge: impl FnOnce() -> M) -> Arc<M> {
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner();
             if inner.enabled {
                 if let Some(hit) = inner.cache.get(&key) {
                     let hit = Arc::clone(&hit.state);
@@ -156,7 +161,7 @@ impl<M> MergeMemo<M> {
         M: peepul_core::Wire,
     {
         {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner();
             if inner.enabled {
                 if let Some(hit) = inner.cache.get(&key) {
                     let state = Arc::clone(&hit.state);
@@ -167,7 +172,7 @@ impl<M> MergeMemo<M> {
                     // the entry without one.
                     let id = cached_id.unwrap_or_else(|| {
                         let id = crate::object::content_id(state.as_ref());
-                        if let Some(entry) = self.inner.lock().cache.get_mut(&key) {
+                        if let Some(entry) = self.inner().cache.get_mut(&key) {
                             entry.id = Some(id);
                         }
                         id
@@ -184,7 +189,7 @@ impl<M> MergeMemo<M> {
     }
 
     fn insert(&self, key: MemoKey, state: &Arc<M>, id: Option<ObjectId>) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner();
         if inner.enabled && inner.capacity > 0 {
             while inner.cache.len() >= inner.capacity {
                 let oldest = inner.order.pop_front().expect("order tracks cache");
@@ -202,17 +207,17 @@ impl<M> MergeMemo<M> {
 
     /// Hit/miss counters since construction.
     pub fn stats(&self) -> MergeCacheStats {
-        self.inner.lock().stats
+        self.inner().stats
     }
 
     /// Number of distinct cached triples.
     pub fn len(&self) -> usize {
-        self.inner.lock().cache.len()
+        self.inner().cache.len()
     }
 
     /// Whether nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().cache.is_empty()
+        self.inner().cache.is_empty()
     }
 }
 
@@ -226,7 +231,7 @@ impl<M> Clone for MergeMemo<M> {
     /// An independent cache holding the same entries (the merged states
     /// stay `Arc`-shared), eviction order, counters and enabled flag.
     fn clone(&self) -> Self {
-        let inner = self.inner.lock();
+        let inner = self.inner();
         let cache = inner
             .cache
             .iter()
@@ -252,7 +257,7 @@ impl<M> Clone for MergeMemo<M> {
 
 impl<M> fmt::Debug for MergeMemo<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.lock();
+        let inner = self.inner();
         write!(
             f,
             "MergeMemo({} entries, {} hits, {} misses)",

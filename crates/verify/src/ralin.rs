@@ -65,7 +65,7 @@ use peepul_net::{
 use peepul_store::{Backend, MemoryBackend};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// One recorded operation event of a fleet execution.
 #[derive(Clone, Debug)]
@@ -244,6 +244,12 @@ impl<M: Mrdt> HistoryRecorder<M> {
         }
     }
 
+    /// The history under its lock, recovered if a panicking holder
+    /// poisoned it (DESIGN §10).
+    fn history(&self) -> MutexGuard<'_, WitnessHistory<M>> {
+        self.history.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Records this recorder refused to retain (0 while under capacity).
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
@@ -263,11 +269,7 @@ impl<M: Mrdt> HistoryRecorder<M> {
     {
         let recorder = Arc::clone(self);
         registry.gauge_fn("peepul_verify_witness_records", move || {
-            recorder
-                .history
-                .lock()
-                .expect("witness recorder poisoned")
-                .records() as f64
+            recorder.history().records() as f64
         });
         let dropped = Arc::clone(&self.dropped);
         registry.gauge_fn("peepul_verify_witness_dropped", move || {
@@ -279,7 +281,7 @@ impl<M: Mrdt> HistoryRecorder<M> {
     /// accounts the drop (in the shared counter and the history itself,
     /// so snapshots carry their own truncation evidence).
     fn retain(&self, record: impl FnOnce(&mut WitnessHistory<M>)) {
-        let mut history = self.history.lock().expect("witness recorder poisoned");
+        let mut history = self.history();
         if self.capacity.is_some_and(|cap| history.records() >= cap) {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             history.note_dropped();
@@ -290,10 +292,7 @@ impl<M: Mrdt> HistoryRecorder<M> {
 
     /// A snapshot of everything recorded so far.
     pub fn snapshot(&self) -> WitnessHistory<M> {
-        self.history
-            .lock()
-            .expect("witness recorder poisoned")
-            .clone()
+        self.history().clone()
     }
 }
 
