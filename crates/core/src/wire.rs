@@ -125,6 +125,60 @@ pub fn decode_len(input: &mut &[u8]) -> Option<usize> {
     (len <= input.len()).then_some(len)
 }
 
+/// Implements [`Wire`] for an enum with unit and struct variants: one tag
+/// byte, `base + tag`, then the variant's fields in the listed order. An
+/// unknown tag decodes to `None`. The base lets two protocols share one
+/// frame space without colliding tags.
+///
+/// ```
+/// use peepul_core::wire::{wire_enum, Wire};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Msg {
+///     Ping,
+///     Echo { payload: Vec<u8> },
+/// }
+///
+/// wire_enum!(Msg, base = 8, {
+///     0 => Ping,
+///     1 => Echo(payload: Vec<u8>),
+/// });
+///
+/// assert_eq!(Msg::Ping.to_wire(), [8]);
+/// let echo = Msg::Echo { payload: vec![7] };
+/// assert_eq!(Msg::from_wire(&echo.to_wire()), Some(echo));
+/// assert_eq!(Msg::from_wire(&[0]), None);
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident, base = $base:expr, {
+        $($tag:literal => $variant:ident $(($($field:ident : $ftype:ty),*))? ,)*
+    }) => {
+        impl $crate::wire::Wire for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $( $ty::$variant $({ $($field),* })? => {
+                        out.push($base + $tag);
+                        $( $($crate::wire::Wire::encode($field, out);)* )?
+                    } )*
+                }
+            }
+
+            fn decode(input: &mut &[u8]) -> Option<Self> {
+                match <u8 as $crate::wire::Wire>::decode(input)?.checked_sub($base)? {
+                    $( $tag => {
+                        $( $(let $field = <$ftype as $crate::wire::Wire>::decode(input)?;)* )?
+                        Some($ty::$variant $({ $($field),* })?)
+                    } )*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+pub use crate::wire_enum;
+
 macro_rules! wire_int {
     ($($t:ty),*) => {$(
         impl Wire for $t {

@@ -24,7 +24,7 @@
 //! length-prefixed — the same codec states travel in.
 
 use crate::error::NetError;
-use peepul_core::wire::{decode_len, encode_len, take};
+use peepul_core::wire::{decode_len, encode_len, take, wire_enum};
 use peepul_core::Wire;
 use peepul_store::ObjectId;
 
@@ -176,32 +176,7 @@ pub enum Response {
     },
 }
 
-macro_rules! wire_enum {
-    ($ty:ident { $($tag:literal => $variant:ident $(($($field:ident : $ftype:ty),*))? ,)* }) => {
-        impl Wire for $ty {
-            fn encode(&self, out: &mut Vec<u8>) {
-                match self {
-                    $( $ty::$variant $({ $($field),* })? => {
-                        out.push($tag);
-                        $( $($field.encode(out);)* )?
-                    } )*
-                }
-            }
-
-            fn decode(input: &mut &[u8]) -> Option<Self> {
-                match u8::decode(input)? {
-                    $( $tag => {
-                        $( $(let $field = <$ftype>::decode(input)?;)* )?
-                        Some($ty::$variant $({ $($field),* })?)
-                    } )*
-                    _ => None,
-                }
-            }
-        }
-    };
-}
-
-wire_enum!(Request {
+wire_enum!(Request, base = 0, {
     0 => FetchRefs,
     1 => Want(wants: Vec<ObjectId>, haves: Vec<ObjectId>),
     // 2 is retired (the pre-delta state request); tags are never reused.
@@ -210,7 +185,7 @@ wire_enum!(Request {
     5 => GetStatesDelta(ids: Vec<ObjectId>, haves: Vec<ObjectId>),
 });
 
-wire_enum!(Response {
+wire_enum!(Response, base = 0, {
     0 => Refs(refs: Vec<(String, ObjectId)>),
     1 => Commits(commits: Vec<PackedObject>),
     // 2 is retired (the pre-delta state reply); tags are never reused.
@@ -221,7 +196,7 @@ wire_enum!(Response {
     7 => StatesDelta(states: Vec<StateTransfer>),
 });
 
-wire_enum!(StateTransfer {
+wire_enum!(StateTransfer, base = 0, {
     0 => Full(state: PackedObject),
     1 => Delta(id: ObjectId, base: ObjectId, delta: Vec<u8>),
 });

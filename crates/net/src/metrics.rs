@@ -9,7 +9,7 @@
 //! are *fleet* facts, measured where the fleet loop runs (the server's
 //! sync thread), not here.
 
-use peepul_obs::{Counter, EventRing, Histogram, Obs, Registry, Subsystem, TraceLevel};
+use peepul_obs::{Counter, EventRing, Histogram, Registry, Subsystem, TraceLevel};
 use std::sync::Arc;
 
 /// Metric handles for one replica's replication traffic.
@@ -60,8 +60,8 @@ pub struct NetMetrics {
 
 impl NetMetrics {
     /// Resolves every handle from `registry`, recording trace events
-    /// into `ring`.
-    pub fn register(registry: &Registry, ring: Arc<EventRing>) -> Arc<NetMetrics> {
+    /// into `ring`; passed to [`Obs::attach`](peepul_obs::Obs::attach).
+    pub fn register(registry: &Arc<Registry>, ring: Arc<EventRing>) -> Arc<NetMetrics> {
         Arc::new(NetMetrics {
             fetches_total: registry.counter("peepul_net_fetches_total"),
             fetch_micros: registry.histogram("peepul_net_fetch_micros"),
@@ -79,13 +79,6 @@ impl NetMetrics {
             delta_bytes_saved_total: registry.counter("peepul_net_delta_bytes_saved_total"),
             ring,
         })
-    }
-
-    /// Attaches to an [`Obs`] spine: `Some` handles when the spine is
-    /// enabled, `None` when it is disabled.
-    pub fn attach(obs: &Obs) -> Option<Arc<NetMetrics>> {
-        obs.enabled()
-            .then(|| NetMetrics::register(obs.registry(), Arc::clone(obs.ring())))
     }
 
     /// Records a net trace event at [`TraceLevel::Info`].

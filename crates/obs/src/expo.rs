@@ -128,6 +128,21 @@ fn parse_labels(s: &str) -> Result<Vec<(String, String)>, String> {
     Ok(labels)
 }
 
+/// Escapes a label value for a `{key="value"}` block: `\\`, `\"` and
+/// `\n`, the escapes the parser undoes.
+pub fn escape_label_value(value: &str) -> String {
+    let mut out = String::with_capacity(value.len());
+    for c in value.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// Parses a quoted-string body up to its closing quote, unescaping
 /// `\"`, `\\` and `\n`. Returns the value and the number of input bytes
 /// consumed **including** the closing quote.
@@ -183,6 +198,10 @@ mod tests {
     fn escaped_label_values_roundtrip() {
         let samples = parse_exposition("m{l=\"a\\\"b\\\\c\"} 1").unwrap();
         assert_eq!(samples[0].label("l"), Some("a\"b\\c"));
+
+        let raw = "a\"b\\c\nd";
+        let line = format!("m{{l=\"{}\"}} 1", escape_label_value(raw));
+        assert_eq!(parse_exposition(&line).unwrap()[0].label("l"), Some(raw));
     }
 
     #[test]

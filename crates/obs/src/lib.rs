@@ -1,5 +1,5 @@
 //! Observability spine for the peepul workspace: metrics + tracing with
-//! zero dependencies and no locks on the hot path.
+//! zero dependencies.
 //!
 //! Two facilities, bundled behind one cheap handle ([`Obs`]):
 //!
@@ -7,20 +7,17 @@
 //!   and log2-bucket latency [`Histogram`]s, rendered on demand as a
 //!   Prometheus-style text exposition ([`Registry::render`], parsed back
 //!   by [`parse_exposition`]);
-//! * an [`EventRing`] — a lock-free bounded ring of structured trace
-//!   events (subsystem, kind, label, value, timestamp) with a per-
-//!   [`Subsystem`] [`TraceLevel`], dumpable as JSONL
-//!   ([`EventRing::dump_jsonl`]).
+//! * an [`EventRing`] — a bounded window of structured trace events
+//!   (subsystem, kind, label, value, timestamp) at or above one
+//!   [`TraceLevel`], dumpable as JSONL ([`EventRing::dump_jsonl`]).
 //!
 //! # Design constraints
 //!
-//! The handles are designed so that instrumented hot paths pay only
-//! atomic increments: metric handles ([`Counter`], [`Gauge`],
-//! [`Histogram`]) are `Arc`-shared slots resolved **once** at attach
-//! time — the registry's interior lock is touched only at registration
-//! and exposition, never per operation. The event ring is a per-slot
-//! seqlock built entirely from atomics (this crate contains no `unsafe`),
-//! so producers never block each other or the snapshot reader. The
+//! Metric handles ([`Counter`], [`Gauge`], [`Histogram`]) are
+//! `Arc`-shared slots resolved **once**, by [`Obs::attach`], and then
+//! updated with atomic operations only — the registry's interior lock is
+//! touched only at registration and exposition, never per operation. The
+//! event ring takes one uncontended mutex per recorded event. The
 //! workspace-wide overhead budget — enforced by `tests/obs_overhead.rs`
 //! in CI — is a **< 5 %** commit-throughput delta between a fully
 //! instrumented store and [`ObsConfig::disabled`].
@@ -33,7 +30,8 @@
 //! durations are histograms in microseconds ending in `_micros`; gauges
 //! carry a bare unit. Labels are baked into the registry name — the
 //! registry itself is label-agnostic, and [`parse_exposition`] splits
-//! them back out.
+//! them back out. A label value minted at runtime goes through
+//! [`escape_label_value`] first.
 
 #![forbid(unsafe_code)]
 
@@ -41,25 +39,23 @@ mod expo;
 mod registry;
 mod ring;
 
-pub use expo::{parse_exposition, Sample};
+pub use expo::{escape_label_value, parse_exposition, Sample};
 pub use registry::{Counter, Gauge, Histogram, Registry};
 pub use ring::{EventRing, Subsystem, TraceEvent, TraceLevel};
 
 use std::sync::Arc;
 
 /// Configuration for an [`Obs`] spine: whether instrumentation is live,
-/// how many trace events the ring retains, and the initial per-subsystem
-/// trace levels.
+/// how many trace events the ring retains, and the ring's trace level.
 #[derive(Clone, Debug)]
 pub struct ObsConfig {
-    /// Master switch. When `false`, consumers should not attach metric
-    /// handles at all ([`Obs::enabled`] reports this), so hot paths pay
-    /// literally nothing — the contract `tests/obs_overhead.rs` measures
-    /// against.
+    /// Master switch. When `false`, [`Obs::attach`] attaches no metric
+    /// handles at all, so hot paths pay literally nothing — the contract
+    /// `tests/obs_overhead.rs` measures against.
     pub enabled: bool,
-    /// Event-ring capacity in slots; `0` disables tracing entirely.
+    /// Event-ring capacity in events; `0` disables tracing entirely.
     pub ring_capacity: usize,
-    /// Initial trace level for every [`Subsystem`].
+    /// The ring's trace level, shared by every [`Subsystem`].
     pub level: TraceLevel,
 }
 
@@ -75,8 +71,8 @@ impl Default for ObsConfig {
 
 impl ObsConfig {
     /// The all-off configuration: no metrics attached, a zero-capacity
-    /// ring, every subsystem at [`TraceLevel::Off`]. `tests/obs_overhead.rs`
-    /// gates the instrumented build against exactly this baseline.
+    /// ring at [`TraceLevel::Off`]. `tests/obs_overhead.rs` gates the
+    /// instrumented build against exactly this baseline.
     pub fn disabled() -> Self {
         ObsConfig {
             enabled: false,
@@ -91,7 +87,7 @@ impl ObsConfig {
 ///
 /// Cloning is cheap (two `Arc` bumps); every subsystem holds its own
 /// clone. Construct one per process with [`Obs::new`], or
-/// [`Obs::disabled`] for an inert spine that consumers skip attaching.
+/// [`Obs::disabled`] for an inert spine that attaches nothing.
 #[derive(Clone)]
 pub struct Obs {
     registry: Arc<Registry>,
@@ -102,13 +98,9 @@ pub struct Obs {
 impl Obs {
     /// Builds a spine from `config`.
     pub fn new(config: ObsConfig) -> Self {
-        let ring = EventRing::new(config.ring_capacity);
-        for sub in Subsystem::ALL {
-            ring.set_level(sub, config.level);
-        }
         Obs {
             registry: Arc::new(Registry::new()),
-            ring: Arc::new(ring),
+            ring: Arc::new(EventRing::new(config.ring_capacity, config.level)),
             enabled: config.enabled,
         }
     }
@@ -118,11 +110,21 @@ impl Obs {
         Obs::new(ObsConfig::disabled())
     }
 
-    /// Whether instrumentation should be attached at all. Consumers
-    /// check this once at construction and skip attaching their metric
-    /// structs when `false`.
+    /// Whether instrumentation is attached at all.
     pub fn enabled(&self) -> bool {
         self.enabled
+    }
+
+    /// Attaches one subsystem's metric bundle: `register` resolves every
+    /// handle from the shared registry once and keeps the ring its trace
+    /// events go to. `None` when the spine is disabled, so an
+    /// instrumented hot path then pays one `Option` check.
+    pub fn attach<T>(
+        &self,
+        register: impl FnOnce(&Arc<Registry>, Arc<EventRing>) -> T,
+    ) -> Option<T> {
+        self.enabled
+            .then(|| register(&self.registry, Arc::clone(&self.ring)))
     }
 
     /// The shared metrics registry.
@@ -160,6 +162,7 @@ mod tests {
     fn disabled_spine_is_inert() {
         let obs = Obs::disabled();
         assert!(!obs.enabled());
+        assert!(obs.attach(|_, _| ()).is_none());
         assert_eq!(obs.ring().capacity(), 0);
         obs.ring()
             .record(Subsystem::Store, TraceLevel::Info, "commit", "main", 1);
@@ -170,7 +173,9 @@ mod tests {
     fn default_spine_records() {
         let obs = Obs::default();
         assert!(obs.enabled());
-        let c = obs.registry().counter("peepul_test_total");
+        let c = obs
+            .attach(|registry, _| registry.counter("peepul_test_total"))
+            .unwrap();
         c.inc();
         obs.ring()
             .record(Subsystem::Net, TraceLevel::Info, "fetch", "peer-a", 7);

@@ -1,5 +1,5 @@
 //! Service-layer observability: the [`ServerMetrics`] bundle the daemon
-//! updates when its [`Obs`] spine is enabled.
+//! updates when its [`Obs`](peepul_obs::Obs) spine is enabled.
 //!
 //! Request latencies are per-request-type summaries
 //! (`peepul_server_request_micros{kind="put"}`), resolved once at attach
@@ -10,7 +10,9 @@
 //! `Hello`, the sync thread caches one gauge per configured peer).
 
 use crate::service::ServiceRequest;
-use peepul_obs::{Counter, EventRing, Gauge, Histogram, Obs, Registry, Subsystem, TraceLevel};
+use peepul_obs::{
+    escape_label_value, Counter, EventRing, Gauge, Histogram, Registry, Subsystem, TraceLevel,
+};
 use std::sync::Arc;
 
 /// The service request kinds, in tag order — the `kind` label values of
@@ -65,7 +67,7 @@ pub struct ServerMetrics {
 
 impl ServerMetrics {
     /// Resolves every fixed handle from `registry`, recording trace
-    /// events into `ring`.
+    /// events into `ring`; passed to [`Obs::attach`](peepul_obs::Obs::attach).
     pub fn register(registry: &Arc<Registry>, ring: Arc<EventRing>) -> Arc<ServerMetrics> {
         Arc::new(ServerMetrics {
             requests_total: registry.counter("peepul_server_requests_total"),
@@ -80,13 +82,6 @@ impl ServerMetrics {
             registry: Arc::clone(registry),
             ring,
         })
-    }
-
-    /// Attaches to an [`Obs`] spine: `Some` handles when the spine is
-    /// enabled, `None` when it is disabled.
-    pub fn attach(obs: &Obs) -> Option<Arc<ServerMetrics>> {
-        obs.enabled()
-            .then(|| ServerMetrics::register(obs.registry(), Arc::clone(obs.ring())))
     }
 
     /// Records one answered request: `kind` indexes [`REQUEST_KINDS`].
@@ -107,7 +102,8 @@ impl ServerMetrics {
     /// use, cached by the session.
     pub fn tenant_ops(&self, tenant: &str) -> Counter {
         self.registry.counter(&format!(
-            "peepul_server_tenant_ops_total{{tenant=\"{tenant}\"}}"
+            "peepul_server_tenant_ops_total{{tenant=\"{}\"}}",
+            escape_label_value(tenant)
         ))
     }
 
@@ -116,8 +112,10 @@ impl ServerMetrics {
     /// newest event this node has observed from the peer trails its own
     /// clock.
     pub fn peer_lag(&self, peer: &str) -> Gauge {
-        self.registry
-            .gauge(&format!("peepul_net_lag_ticks{{peer=\"{peer}\"}}"))
+        self.registry.gauge(&format!(
+            "peepul_net_lag_ticks{{peer=\"{}\"}}",
+            escape_label_value(peer)
+        ))
     }
 
     /// Records a server trace event at [`TraceLevel::Info`].

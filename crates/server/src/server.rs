@@ -121,6 +121,7 @@ pub struct Server<B: Backend + Send + Sync + 'static> {
     flush_thread: Option<JoinHandle<()>>,
     name: String,
     obs: Obs,
+    metrics: Option<Arc<ServerMetrics>>,
     trace_dump: Option<PathBuf>,
 }
 
@@ -146,9 +147,9 @@ impl<B: Backend + Send + Sync + 'static> Server<B> {
         // handles; a disabled spine attaches nothing, so the hot paths
         // pay only a `None` check.
         let obs = Obs::new(config.obs.clone());
-        replica.with_store(|s| s.set_metrics(StoreMetrics::attach(&obs)));
-        replica.set_net_metrics(NetMetrics::attach(&obs));
-        let metrics = ServerMetrics::attach(&obs);
+        replica.with_store(|s| s.set_metrics(obs.attach(StoreMetrics::register)));
+        replica.set_net_metrics(obs.attach(NetMetrics::register));
+        let metrics = obs.attach(ServerMetrics::register);
         let started = Instant::now();
         if obs.enabled() {
             obs.registry()
@@ -184,44 +185,21 @@ impl<B: Backend + Send + Sync + 'static> Server<B> {
         )?;
 
         let sync_shutdown = Arc::new(AtomicBool::new(false));
-        let sync_thread = if config.peers.is_empty() {
-            None
-        } else {
+        let sync_thread = (!config.peers.is_empty()).then(|| {
             let replica = replica.clone();
             let peers = config.peers.clone();
-            let interval = config.sync_interval;
-            let flag = Arc::clone(&sync_shutdown);
             let metrics = metrics.clone();
-            Some(std::thread::spawn(move || {
-                while !flag.load(Ordering::SeqCst) {
-                    let _ = sync_round(&replica, &peers, metrics.as_deref());
-                    // Sleep in small slices so shutdown is prompt even
-                    // under long intervals.
-                    let mut remaining = interval;
-                    while !remaining.is_zero() && !flag.load(Ordering::SeqCst) {
-                        let slice = remaining.min(Duration::from_millis(50));
-                        std::thread::sleep(slice);
-                        remaining = remaining.saturating_sub(slice);
-                    }
-                }
-            }))
-        };
+            spawn_periodic(config.sync_interval, &sync_shutdown, move || {
+                let _ = sync_round(&replica, &peers, metrics.as_deref());
+            })
+        });
 
         let flush_thread = config.flush_interval.map(|interval| {
             let replica = replica.clone();
-            let flag = Arc::clone(&sync_shutdown);
-            std::thread::spawn(move || {
-                while !flag.load(Ordering::SeqCst) {
-                    // One sync covers every commit any session landed
-                    // since the last pass — group commit across sessions.
-                    let _ = replica.with_store(|s| s.flush());
-                    let mut remaining = interval;
-                    while !remaining.is_zero() && !flag.load(Ordering::SeqCst) {
-                        let slice = remaining.min(Duration::from_millis(50));
-                        std::thread::sleep(slice);
-                        remaining = remaining.saturating_sub(slice);
-                    }
-                }
+            spawn_periodic(interval, &sync_shutdown, move || {
+                // One sync covers every commit any session landed since
+                // the last pass — group commit across sessions.
+                let _ = replica.with_store(|s| s.flush());
             })
         });
 
@@ -233,6 +211,7 @@ impl<B: Backend + Send + Sync + 'static> Server<B> {
             flush_thread,
             name: config.name,
             obs,
+            metrics,
             trace_dump: config.trace_dump,
         })
     }
@@ -278,11 +257,7 @@ impl<B: Backend + Send + Sync + 'static> Server<B> {
     /// calling thread — deterministic syncing for tests and benches (the
     /// background thread runs exactly this).
     pub fn sync_with(&self, peers: &[String]) -> SyncRoundReport {
-        sync_round(
-            &self.replica,
-            peers,
-            ServerMetrics::attach(&self.obs).as_deref(),
-        )
+        sync_round(&self.replica, peers, self.metrics.as_deref())
     }
 
     /// Stops the sync thread and the frame server (joining every serving
@@ -309,6 +284,28 @@ impl<B: Backend + Send + Sync + 'static> Drop for Server<B> {
     fn drop(&mut self) {
         self.shutdown();
     }
+}
+
+/// Spawns a thread that runs `pass` every `interval` until `shutdown` is
+/// set. It sleeps in 50 ms slices, so shutdown stays prompt under long
+/// intervals.
+fn spawn_periodic(
+    interval: Duration,
+    shutdown: &Arc<AtomicBool>,
+    mut pass: impl FnMut() + Send + 'static,
+) -> JoinHandle<()> {
+    let shutdown = Arc::clone(shutdown);
+    std::thread::spawn(move || {
+        while !shutdown.load(Ordering::SeqCst) {
+            pass();
+            let mut remaining = interval;
+            while !remaining.is_zero() && !shutdown.load(Ordering::SeqCst) {
+                let slice = remaining.min(Duration::from_millis(50));
+                std::thread::sleep(slice);
+                remaining = remaining.saturating_sub(slice);
+            }
+        }
+    })
 }
 
 /// One anti-entropy round: pull every non-tracking branch each reachable

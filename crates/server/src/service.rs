@@ -18,7 +18,7 @@
 //! namespaces cannot be escaped; the `remote/` prefix is reserved for the
 //! replication layer's tracking branches and refused everywhere.
 
-use peepul_core::wire::Wire;
+use peepul_core::wire::wire_enum;
 use peepul_store::ObjectId;
 use peepul_types::lww_register::LwwRegister;
 use peepul_types::map::MrdtMap;
@@ -158,32 +158,7 @@ pub enum ServiceResponse {
     },
 }
 
-macro_rules! service_wire_enum {
-    ($ty:ident { $($tag:literal => $variant:ident $(($($field:ident : $ftype:ty),*))? ,)* }) => {
-        impl Wire for $ty {
-            fn encode(&self, out: &mut Vec<u8>) {
-                match self {
-                    $( $ty::$variant $({ $($field),* })? => {
-                        out.push(SERVICE_TAG_BASE + $tag);
-                        $( $($field.encode(out);)* )?
-                    } )*
-                }
-            }
-
-            fn decode(input: &mut &[u8]) -> Option<Self> {
-                match u8::decode(input)?.checked_sub(SERVICE_TAG_BASE)? {
-                    $( $tag => {
-                        $( $(let $field = <$ftype>::decode(input)?;)* )?
-                        Some($ty::$variant $({ $($field),* })?)
-                    } )*
-                    _ => None,
-                }
-            }
-        }
-    };
-}
-
-service_wire_enum!(ServiceRequest {
+wire_enum!(ServiceRequest, base = SERVICE_TAG_BASE, {
     0 => Hello(tenant: String),
     1 => Get(branch: String, key: String),
     2 => Put(branch: String, key: String, value: String),
@@ -196,7 +171,7 @@ service_wire_enum!(ServiceRequest {
     9 => TraceDump,
 });
 
-service_wire_enum!(ServiceResponse {
+wire_enum!(ServiceResponse, base = SERVICE_TAG_BASE, {
     0 => Ok,
     1 => Value(value: Option<String>),
     2 => Table(entries: Vec<(String, String)>),
@@ -287,6 +262,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use peepul_core::wire::Wire;
 
     fn oid(n: u8) -> ObjectId {
         peepul_store::content_id(&n)

@@ -2,7 +2,7 @@
 //! [`BranchStore`](crate::BranchStore) updates when one is attached.
 //!
 //! Handles are resolved from the shared `peepul-obs` registry once, at
-//! [`StoreMetrics::attach`] time; the hot paths then pay one `Option`
+//! [`Obs::attach`](peepul_obs::Obs::attach) time; the hot paths then pay one `Option`
 //! branch plus a few relaxed atomic operations per instrumented
 //! operation — the cost `tests/obs_overhead.rs` gates below 5 %. Facts
 //! that already live elsewhere (merge-memo counters, the backend's
@@ -10,7 +10,7 @@
 //! [`BranchStore::publish_gauges`](crate::BranchStore::publish_gauges)
 //! at exposition time instead of being pushed on every operation.
 
-use peepul_obs::{Counter, EventRing, Gauge, Histogram, Obs, Registry, Subsystem, TraceLevel};
+use peepul_obs::{Counter, EventRing, Gauge, Histogram, Registry, Subsystem, TraceLevel};
 use std::sync::Arc;
 
 /// Metric handles for one store, resolved from a registry.
@@ -109,8 +109,8 @@ pub struct StoreMetrics {
 
 impl StoreMetrics {
     /// Resolves every handle from `registry`, recording trace events
-    /// into `ring`.
-    pub fn register(registry: &Registry, ring: Arc<EventRing>) -> Arc<StoreMetrics> {
+    /// into `ring`; passed to [`Obs::attach`](peepul_obs::Obs::attach).
+    pub fn register(registry: &Arc<Registry>, ring: Arc<EventRing>) -> Arc<StoreMetrics> {
         Arc::new(StoreMetrics {
             commits_total: registry.counter("peepul_store_commits_total"),
             commit_micros: registry.histogram("peepul_store_commit_micros"),
@@ -147,14 +147,6 @@ impl StoreMetrics {
             delta_states: registry.gauge("peepul_store_delta_states"),
             ring,
         })
-    }
-
-    /// Attaches to an [`Obs`] spine: `Some` handles when the spine is
-    /// enabled, `None` (zero-cost hot paths) when it is
-    /// [`disabled`](peepul_obs::ObsConfig::disabled).
-    pub fn attach(obs: &Obs) -> Option<Arc<StoreMetrics>> {
-        obs.enabled()
-            .then(|| StoreMetrics::register(obs.registry(), Arc::clone(obs.ring())))
     }
 
     /// Records a store trace event at [`TraceLevel::Info`].

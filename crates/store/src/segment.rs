@@ -1565,4 +1565,42 @@ mod tests {
         assert_eq!(b.fsync_count(), base + 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
+
+    #[test]
+    fn coalesced_flush_syncs_at_the_first_boundary_past_max_delay() {
+        let dir = scratch("coalesced");
+        let max_delay = Duration::from_millis(50);
+        let mut b = SegmentBackend::open_with(
+            &dir,
+            SegmentOptions {
+                durable: true,
+                flush: FlushPolicy::Coalesced { max_delay },
+                ..SegmentOptions::default()
+            },
+        )
+        .unwrap();
+        let base = b.fsync_count();
+        for i in 0..20u32 {
+            // Restart the window so this boundary lands inside it however
+            // slowly the host runs.
+            b.last_sync = Instant::now();
+            b.put(format!("inside the window {i}").as_bytes()).unwrap();
+            b.commit_boundary().unwrap();
+        }
+        assert_eq!(
+            b.fsync_count(),
+            base,
+            "boundaries inside the window must not sync"
+        );
+        std::thread::sleep(max_delay);
+        b.commit_boundary().unwrap();
+        assert_eq!(
+            b.fsync_count(),
+            base + 1,
+            "the first boundary past the window syncs once"
+        );
+        b.commit_boundary().unwrap();
+        assert_eq!(b.fsync_count(), base + 1, "nothing unsynced is left");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -334,6 +334,23 @@ fn metrics_exposition_covers_every_subsystem() {
 }
 
 #[test]
+fn a_tenant_name_with_quotes_and_backslashes_keeps_the_exposition_parseable() {
+    let server = memory_server("escaped");
+    let mut client = ServiceClient::connect(server.addr()).unwrap();
+    client.hello("a\"b\\c").unwrap();
+    client.put("main", "k", "v").unwrap();
+
+    let text = client.metrics().unwrap();
+    let samples = peepul::obs::parse_exposition(&text).expect("exposition must parse");
+    let tenant = samples
+        .iter()
+        .find(|s| s.name == "peepul_server_tenant_ops_total")
+        .unwrap_or_else(|| panic!("no tenant counter in:\n{text}"));
+    assert_eq!(tenant.label("tenant"), Some("a\"b\\c"));
+    assert_eq!(tenant.value, 2.0, "hello + put");
+}
+
+#[test]
 fn trace_dump_flushes_the_event_ring_as_jsonl() {
     let scratch = Scratch::new("trace-dump");
     let path = scratch.path().join("trace.jsonl");
