@@ -7,8 +7,9 @@
 //! per-replica [`FaultInjector`]s. Gossip is a real `pull` — refs,
 //! want/have negotiation, verified object transfer — and replicas can be
 //! partitioned, lose messages, and lag independently.
+//! [`Cluster::converge`] brings the fleet together with the same
+//! [`Replica::sync`] the `peepul-server` daemon runs against its peers.
 
-use crate::anti_entropy::AntiEntropy;
 use crate::error::NetError;
 use crate::observer::{HistoryObserver, ReplicationMutation};
 use crate::replica::{Remote, Replica};
@@ -21,10 +22,27 @@ use std::sync::Arc;
 /// The branch each node applies its local operations to.
 const LOCAL_BRANCH: &str = "main";
 
+/// The round bound of [`Cluster::converge`]: a healthy fleet of any size
+/// converges in two rounds and confirms it in a third; the margin is
+/// budget for lossy links.
+const MAX_ROUNDS: usize = 64;
+
 /// Replica-id ranges are spaced this far apart so that `n` independent
 /// stores can each fork thousands of branches without two stores ever
 /// minting the same `(tick, replica)` timestamp pair.
 const REPLICA_ID_STRIDE: u32 = 1 << 16;
+
+/// Whether `e` is a lost gossip opportunity — weather, retried next round
+/// — rather than a bug.
+fn lost_gossip(e: &NetError) -> bool {
+    matches!(
+        e,
+        NetError::Dropped
+            | NetError::Partitioned
+            | NetError::UnknownRemoteBranch(_)
+            | NetError::PushRejected
+    )
+}
 
 fn replica_name(i: usize) -> String {
     format!("replica-{i}")
@@ -253,25 +271,83 @@ impl<M: Mrdt + Send + Sync + 'static, B: Backend + Send + Sync + 'static> Cluste
         Ok(())
     }
 
-    /// Brings every replica to the same state and returns the per-replica
+    /// Brings every replica to the same head and returns the per-replica
     /// final states.
     ///
-    /// This runs the [`AntiEntropy`] scheduler over the cluster's own
-    /// links — **honouring their fault plans**, so a cluster whose
-    /// partitions were never healed fails here rather than pretending to
-    /// converge.
+    /// Anti-entropy runs in star rounds: replica 0, the hub, runs
+    /// [`Replica::sync`] with every other replica in turn, and the rounds
+    /// stop after one that moved no head and lost no message. The hub
+    /// linearises the merge order, which is what makes the fleet's
+    /// *heads* (not just its states) settle: free-running ring gossip
+    /// never quiesces for n ≥ 3, because every replica keeps minting a
+    /// fresh merge commit one step ahead of the replica pulling it. On
+    /// healthy links the first round gathers every spoke's history into
+    /// the hub, the second pushes the hub's head to the spokes synced
+    /// before the last one, and a third confirms quiescence; the rounds
+    /// are bounded at 64.
+    ///
+    /// The rounds run over the cluster's own links, **honouring their
+    /// fault plans**: a partitioned endpoint severs its pair, and the
+    /// hub's link applies its loss and drop plan. A dropped message, a
+    /// partition, a branch not yet created on the peer and a refused push
+    /// are lost gossip, retried next round; any other error (a corrupt
+    /// object, a protocol violation) is a bug, not weather, and fails
+    /// here.
+    ///
+    /// Converged means every replica's branch points at the **same head
+    /// commit**. That is deliberately stronger than equal head states:
+    /// replicas that never communicated can reach byte-identical states
+    /// by coincidence (five isolated counters that each incremented five
+    /// times), yet still owe each other history — merging them later
+    /// would change the value. Equal head commits mean equal Merkle
+    /// histories, hence byte-identical canonical states too. So a cluster
+    /// whose partitions were never healed fails here rather than
+    /// pretending to converge.
     ///
     /// # Errors
     ///
-    /// [`NetError::Protocol`] when anti-entropy quiesced without reaching
-    /// convergence (links still partitioned); store errors from merging.
+    /// [`NetError::Protocol`] when the rounds ended without convergence
+    /// (links still partitioned); any error that is not lost gossip.
     pub fn converge(&self) -> Result<Vec<Arc<M>>, NetError> {
-        let report = AntiEntropy::new().run_with_faults(&self.nodes, LOCAL_BRANCH, &self.faults)?;
-        if !report.converged {
+        let hub = &self.nodes[0];
+        for _ in 0..MAX_ROUNDS {
+            let mut quiet = true;
+            for (spoke, link) in self.nodes.iter().zip(&self.faults).skip(1) {
+                // The hub's own partition surfaces from its link.
+                let synced = if link.is_partitioned() {
+                    Err(NetError::Partitioned)
+                } else {
+                    let transport =
+                        ChannelTransport::with_faults(spoke.clone(), self.faults[0].clone());
+                    hub.sync(&mut Remote::new(spoke.name(), transport))
+                };
+                let errors = match synced {
+                    Ok(report) => {
+                        quiet &= !report.moved();
+                        report.errors.into_iter().map(|(_, e)| e).collect()
+                    }
+                    Err(e) => vec![e],
+                };
+                for e in errors {
+                    if !lost_gossip(&e) {
+                        return Err(e);
+                    }
+                    quiet = false;
+                }
+            }
+            if quiet {
+                break;
+            }
+        }
+        let head = hub.head_id(LOCAL_BRANCH)?;
+        if self
+            .nodes
+            .iter()
+            .any(|n| n.head_id(LOCAL_BRANCH) != Ok(head))
+        {
             return Err(NetError::Protocol(format!(
-                "anti-entropy quiesced without convergence after {} rounds \
-                 ({} pulls lost) — are links still partitioned?",
-                report.rounds, report.pulls_failed
+                "anti-entropy ended without convergence after {MAX_ROUNDS} rounds \
+                 — are links still partitioned?"
             )));
         }
         Ok(self
@@ -381,6 +457,37 @@ mod tests {
         for s in &states {
             assert_eq!(s.count(), 15);
         }
+    }
+
+    /// `converge` runs the daemon's sync, so the spokes catch up by
+    /// served pushes, not only by pulls of their own.
+    #[test]
+    fn converge_serves_pushes() {
+        use crate::metrics::NetMetrics;
+        use peepul_obs::{Obs, ObsConfig};
+
+        let cluster: Cluster<Counter> = Cluster::new(3).unwrap();
+        let metrics: Vec<Arc<NetMetrics>> = (0..3)
+            .map(|i| {
+                let m = Obs::new(ObsConfig::default())
+                    .attach(NetMetrics::register)
+                    .unwrap();
+                cluster
+                    .node(i)
+                    .unwrap()
+                    .set_net_metrics(Some(Arc::clone(&m)));
+                m
+            })
+            .collect();
+        cluster.run(4, 0, |_, _| CounterOp::Increment).unwrap();
+        let states = cluster.converge().unwrap();
+        assert!(states.iter().all(|s| s.count() == 12));
+        let served: u64 = metrics[1..]
+            .iter()
+            .map(|m| m.serve_pushes_total.get())
+            .sum();
+        assert!(served >= 1, "no spoke was pushed to");
+        assert_eq!(metrics[0].pushes_total.get(), served);
     }
 
     #[test]

@@ -20,17 +20,18 @@
 //!   answered from the Merkle commit structure, `GetStatesDelta`,
 //!   `HaveObjects`, `Push`;
 //! * [`replica`] — [`Replica`] (a store that serves the protocol) and
-//!   [`Remote`] (a named link), with Git-shaped `fetch` / `pull` / `push`
-//!   and hash-verified ingest;
+//!   [`Remote`] (a named link), with Git-shaped `fetch` / `pull` / `push`,
+//!   hash-verified ingest, and [`Replica::sync`] — pull every branch,
+//!   then push every branch: the one routine that brings two replicas
+//!   together;
 //! * [`serve`] — the shared accept-loop machinery: [`FrameServer`] (one
 //!   serving thread per connection, connection cap with accept-time
 //!   backpressure, clean shutdown) parameterized by a [`FrameService`]
 //!   protocol handler — [`TcpServer`] and the `peepul-server` daemon are
 //!   both bindings of it;
-//! * [`anti_entropy`] — the [`AntiEntropy`] scheduler: periodic pairwise
-//!   pulls until quiescence;
 //! * [`cluster`] — the [`Cluster`] facade: `n` real replicas over
-//!   channel links.
+//!   channel links, brought together by star rounds of `sync`
+//!   ([`Cluster::converge`]).
 //!
 //! States cross the wire in the [`Wire`](peepul_core::Wire) codec and are
 //! re-hashed on arrival; commit records travel as their canonical bytes.
@@ -69,7 +70,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod anti_entropy;
 pub mod cluster;
 pub mod error;
 pub mod message;
@@ -80,13 +80,14 @@ pub mod serve;
 pub mod tcp;
 pub mod transport;
 
-pub use anti_entropy::{AntiEntropy, AntiEntropyReport};
 pub use cluster::Cluster;
 pub use error::NetError;
 pub use message::{PackedObject, Request, Response, StateTransfer};
 pub use metrics::NetMetrics;
 pub use observer::{HistoryObserver, ReplicationMutation};
-pub use replica::{FetchStats, PullOutcome, PullReport, PushReport, Remote, Replica};
+pub use replica::{
+    FetchStats, PullOutcome, PullReport, PushReport, Remote, Replica, SyncReport, TRACKING_PREFIX,
+};
 pub use serve::{ConnStats, FnService, FrameServer, FrameService, ServeOptions};
 pub use tcp::{TcpServer, TcpTransport};
 pub use transport::{ChannelTransport, FaultCounters, FaultInjector, Transport};

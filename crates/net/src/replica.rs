@@ -13,13 +13,19 @@
 //!
 //! * [`Replica::fetch`] — negotiate and transfer the objects this store
 //!   lacks, verify every one against its content address, and land the
-//!   remote head as a `remote/<name>/<branch>` tracking branch;
+//!   remote head as a `remote/<name>/<branch>` tracking branch (under
+//!   [`TRACKING_PREFIX`]);
 //! * [`Replica::pull`] — fetch, then integrate: fast-forward when the
 //!   local branch is strictly behind, otherwise a real three-way merge
 //!   through the store's typed-handle path (LCA search, merge memo and
 //!   all);
 //! * [`Replica::push`] — upload the peer's missing objects and ask it to
 //!   fast-forward its branch; refused if the peer has diverged.
+//!
+//! [`Replica::sync`] composes them into the one routine that brings two
+//! replicas together — pull every branch, then push every branch. The
+//! daemon's peer round and [`Cluster::converge`](crate::Cluster::converge)
+//! both run it.
 //!
 //! Replication operations **never hold the local store lock across a
 //! transport request** — locks are taken per phase. Two replicas pulling
@@ -49,6 +55,11 @@ use peepul_store::{
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// The namespace of tracking branches: a fetch lands the peer `p`'s
+/// branch `b` as `remote/p/b`. Branches under it are never synced onward,
+/// and the service layer refuses client reads and writes under it.
+pub const TRACKING_PREFIX: &str = "remote/";
 
 /// The observer/mutation/metrics slot shared by every clone of a replica
 /// handle.
@@ -389,7 +400,7 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
         } = self.hooks();
         let start = metrics.as_ref().map(|_| std::time::Instant::now());
         let rt0 = remote.round_trips;
-        let tracking_branch = format!("remote/{}/{branch}", remote.name());
+        let tracking_branch = format!("{TRACKING_PREFIX}{}/{branch}", remote.name());
         let refs = remote.refs()?;
         let head = refs
             .iter()
@@ -662,6 +673,51 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
         }
         Ok(report)
     }
+
+    /// Brings this replica and the peer together in one pass, the way Git
+    /// does: pull every branch the peer advertises (tracking branches
+    /// excepted), then push every local branch whose head the peer does
+    /// not already advertise. Pulls merge; pushes only fast-forward.
+    ///
+    /// A failure on one branch never stops the pass: it is recorded in
+    /// [`SyncReport::errors`] and the next branch goes ahead. A refused
+    /// push is resolved by the next sync's pull and merge.
+    ///
+    /// # Errors
+    ///
+    /// Only when the peer's refs cannot be read (the peer is unreachable);
+    /// every later failure lands in the report.
+    pub fn sync<T: Transport>(&self, remote: &mut Remote<T>) -> Result<SyncReport, NetError> {
+        let advertised = remote.refs()?;
+        let mut report = SyncReport::default();
+        for (branch, _) in &advertised {
+            if branch.starts_with(TRACKING_PREFIX) {
+                continue;
+            }
+            match self.pull(remote, branch) {
+                Ok(pull) if pull.outcome == PullOutcome::UpToDate => {}
+                Ok(_) => report.pulled.push(branch.clone()),
+                Err(e) => report.errors.push((branch.clone(), e)),
+            }
+        }
+        let locals: Vec<(String, ObjectId)> = self.with_store_read(|s| {
+            s.branch_names()
+                .into_iter()
+                .filter(|b| !b.starts_with(TRACKING_PREFIX))
+                .filter_map(|b| Some((b.to_owned(), s.head_id(b).ok()?)))
+                .collect()
+        });
+        for (branch, head) in locals {
+            if advertised.iter().any(|(b, id)| *b == branch && *id == head) {
+                continue; // the peer already has this very head
+            }
+            match self.push(remote, &branch) {
+                Ok(_) => report.pushed.push(branch),
+                Err(e) => report.errors.push((branch, e)),
+            }
+        }
+        Ok(report)
+    }
 }
 
 impl<M: Mrdt, B: Backend> fmt::Debug for Replica<M, B> {
@@ -737,6 +793,25 @@ pub struct PushReport {
     pub created: bool,
 }
 
+/// What one [`Replica::sync`] moved, and what failed on the way.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SyncReport {
+    /// Branches whose local head a pull moved (created, fast-forwarded or
+    /// merged).
+    pub pulled: Vec<String>,
+    /// Branches whose head a push moved on the peer.
+    pub pushed: Vec<String>,
+    /// Per-branch failures, in the order met; the pass went on past each.
+    pub errors: Vec<(String, NetError)>,
+}
+
+impl SyncReport {
+    /// Whether the sync moved a head on either side.
+    pub fn moved(&self) -> bool {
+        !self.pulled.is_empty() || !self.pushed.is_empty()
+    }
+}
+
 /// A named link to a peer replica — Git's "remote": a name this replica
 /// files the peer's branches under, plus the transport that reaches it.
 #[derive(Debug)]
@@ -747,8 +822,9 @@ pub struct Remote<T> {
 }
 
 impl<T: Transport> Remote<T> {
-    /// Names a transport. The name becomes the `remote/<name>/…` prefix of
-    /// tracking branches created by fetches through this remote.
+    /// Names a transport. The name becomes the `remote/<name>/…` prefix
+    /// ([`TRACKING_PREFIX`]) of tracking branches created by fetches
+    /// through this remote.
     pub fn new(name: impl Into<String>, transport: T) -> Self {
         Remote {
             name: name.into(),
@@ -1168,6 +1244,37 @@ mod tests {
         let mut remote = Remote::new("b", ChannelTransport::connect(b.clone()));
         a.pull(&mut remote, "main").unwrap();
         assert_eq!(a.read("main", &CounterQuery::Value).unwrap(), 2);
+    }
+
+    /// One sync does both directions: the initiator pulls the branch it
+    /// lacks and merges the diverged `main`, then pushes the merge back,
+    /// so both sides end on the same heads; a second sync moves nothing.
+    #[test]
+    fn one_sync_pulls_and_pushes_until_both_sides_agree() {
+        let a: Replica<Counter, _> = Replica::open("a", "main", MemoryBackend::new()).unwrap();
+        let b: Replica<Counter, _> = Replica::open("b", "main", MemoryBackend::new()).unwrap();
+        a.apply("main", &CounterOp::Increment).unwrap();
+        b.apply("main", &CounterOp::Increment).unwrap();
+        b.with_store(|s| s.branch_mut("main")?.fork("feature"))
+            .unwrap();
+        b.apply("feature", &CounterOp::Increment).unwrap();
+
+        let mut to_b = Remote::new("b", ChannelTransport::connect(b.clone()));
+        let report = a.sync(&mut to_b).unwrap();
+        assert_eq!(report.pulled, ["feature", "main"]);
+        assert_eq!(report.pushed, ["main"], "feature is already on b");
+        assert!(report.errors.is_empty(), "{:?}", report.errors);
+        for branch in ["main", "feature"] {
+            assert_eq!(a.head_id(branch).unwrap(), b.head_id(branch).unwrap());
+        }
+        assert_eq!(b.read("main", &CounterQuery::Value).unwrap(), 2);
+        assert!(
+            !b.with_store_read(|s| s.has_branch("remote/a/main")),
+            "a push lands no tracking branch on the peer"
+        );
+
+        let again = a.sync(&mut to_b).unwrap();
+        assert_eq!(again, SyncReport::default(), "nothing left to move");
     }
 
     /// The service-layer contract: the read path takes the *shared* lock,

@@ -41,6 +41,4 @@ pub mod service;
 
 pub use metrics::ServerMetrics;
 pub use server::{Server, ServerConfig, ServiceClient, SyncRoundReport};
-pub use service::{
-    Kv, ServiceRequest, ServiceResponse, Session, SERVICE_TAG_BASE, TRACKING_PREFIX,
-};
+pub use service::{Kv, ServiceRequest, ServiceResponse, Session, SERVICE_TAG_BASE};

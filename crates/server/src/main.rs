@@ -49,6 +49,20 @@ fn parse_flush(arg: &str) -> Option<FlushPolicy> {
     }
 }
 
+/// The background flusher's period under `policy`. A non-per-commit
+/// policy defers fsyncs to the flusher: a coalesced backend promises that
+/// an acknowledged commit is synced within `max_delay`, and the flusher
+/// keeps that promise on an idle node; an explicit one is bounded at one
+/// second. A zero delay syncs at every commit boundary and needs no
+/// flusher.
+fn flush_interval(policy: FlushPolicy) -> Option<Duration> {
+    match policy {
+        FlushPolicy::PerCommit => None,
+        FlushPolicy::Coalesced { max_delay } => (!max_delay.is_zero()).then_some(max_delay),
+        FlushPolicy::Explicit => Some(Duration::from_secs(1)),
+    }
+}
+
 fn parse_args() -> Args {
     let mut listen = None;
     let mut data = None;
@@ -106,12 +120,7 @@ fn parse_args() -> Args {
     let (Some(listen), Some(data), Some(name)) = (listen, data, name) else {
         usage();
     };
-    // A non-per-commit policy defers fsyncs to the background flusher;
-    // bound the exposure at one second.
-    let flush_interval = match options.flush {
-        FlushPolicy::PerCommit => None,
-        FlushPolicy::Coalesced { .. } | FlushPolicy::Explicit => Some(Duration::from_secs(1)),
-    };
+    let flush_interval = flush_interval(options.flush);
     Args {
         listen,
         data,
@@ -156,5 +165,22 @@ fn main() {
     // keeps the process (and thereby the Server) alive.
     loop {
         std::thread::park();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_flusher_runs_at_the_coalescing_delay() {
+        let coalesced = parse_flush("coalesced:50").unwrap();
+        assert_eq!(flush_interval(coalesced), Some(Duration::from_millis(50)));
+        assert_eq!(
+            flush_interval(FlushPolicy::Explicit),
+            Some(Duration::from_secs(1))
+        );
+        assert_eq!(flush_interval(FlushPolicy::PerCommit), None);
+        assert_eq!(flush_interval(parse_flush("coalesced:0").unwrap()), None);
     }
 }

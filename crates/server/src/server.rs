@@ -24,17 +24,18 @@
 //! ## Peering
 //!
 //! A background thread runs an anti-entropy round every `sync_interval`:
-//! for each configured peer it pulls every advertised non-tracking branch
-//! and pushes every local non-tracking branch (ignoring non-fast-forward
-//! refusals — the next round pulls, merges and retries). Unreachable
-//! peers are skipped, so a fleet can be started in any order.
+//! it connects to each configured peer and runs [`Replica::sync`] — pull
+//! every advertised non-tracking branch, then push every local one (a
+//! refused push is pulled, merged and retried next round). The certified
+//! fleet's `Cluster::converge` runs the same routine. Unreachable peers
+//! are skipped, so a fleet can be started in any order.
 
 use crate::metrics::{request_kind, ServerMetrics};
-use crate::service::{Kv, ServiceRequest, ServiceResponse, Session, TRACKING_PREFIX};
+use crate::service::{Kv, ServiceRequest, ServiceResponse, Session};
 use peepul_core::wire::Wire;
 use peepul_net::{
     ConnStats, FrameServer, FrameService, NetError, NetMetrics, Remote, Replica, ServeOptions,
-    TcpTransport,
+    TcpTransport, TRACKING_PREFIX,
 };
 use peepul_obs::{Obs, ObsConfig};
 use peepul_store::{Backend, BranchStore, CommitId, StoreError, StoreMetrics};
@@ -104,9 +105,9 @@ pub struct SyncRoundReport {
     pub peers_reached: usize,
     /// Peers that could not be reached (skipped, not fatal).
     pub peers_unreachable: usize,
-    /// Branches pulled (fetched and integrated) across all peers.
+    /// Local branch heads the pulls moved, across all peers.
     pub branches_pulled: usize,
-    /// Branches pushed (accepted fast-forwards) across all peers.
+    /// Peer branch heads the pushes moved, across all peers.
     pub branches_pushed: usize,
 }
 
@@ -308,9 +309,8 @@ fn spawn_periodic(
     })
 }
 
-/// One anti-entropy round: pull every non-tracking branch each reachable
-/// peer advertises, then push every local non-tracking branch (ignoring
-/// divergence refusals — pulled next round, merged, retried).
+/// One anti-entropy round: [`Replica::sync`] with each reachable peer.
+/// Per-branch failures are not fatal: the next round retries them.
 ///
 /// With `metrics` attached the round's duration lands in
 /// `peepul_net_sync_round_micros` and every reached peer's replication
@@ -323,38 +323,15 @@ fn sync_round<B: Backend>(
     let start = metrics.map(|_| Instant::now());
     let mut report = SyncRoundReport::default();
     for peer in peers {
-        let Ok(transport) = TcpTransport::connect(peer.as_str()) else {
-            report.peers_unreachable += 1;
-            continue;
-        };
-        let mut remote = Remote::new(peer.clone(), transport);
-        let Ok(refs) = remote.refs() else {
+        let synced = TcpTransport::connect(peer.as_str())
+            .and_then(|transport| replica.sync(&mut Remote::new(peer.clone(), transport)));
+        let Ok(synced) = synced else {
             report.peers_unreachable += 1;
             continue;
         };
         report.peers_reached += 1;
-        for (branch, _) in refs {
-            if branch.starts_with(TRACKING_PREFIX) {
-                continue;
-            }
-            if replica.pull(&mut remote, &branch).is_ok() {
-                report.branches_pulled += 1;
-            }
-        }
-        let locals: Vec<String> = replica.with_store_read(|s| {
-            s.branch_names()
-                .iter()
-                .filter(|b| !b.starts_with(TRACKING_PREFIX))
-                .map(|b| (*b).to_owned())
-                .collect()
-        });
-        for branch in locals {
-            // Divergence refusals are resolved by the next round's
-            // pull+merge; other errors are transient network conditions.
-            if replica.push(&mut remote, &branch).is_ok() {
-                report.branches_pushed += 1;
-            }
-        }
+        report.branches_pulled += synced.pulled.len();
+        report.branches_pushed += synced.pushed.len();
         if let Some(m) = metrics {
             if let Some(lag) = replica.with_store_read(|s| peer_lag_ticks(s, peer)) {
                 m.peer_lag(peer).set(lag as i64);

@@ -19,6 +19,7 @@
 //! replication layer's tracking branches and refused everywhere.
 
 use peepul_core::wire::wire_enum;
+use peepul_net::TRACKING_PREFIX;
 use peepul_store::ObjectId;
 use peepul_types::lww_register::LwwRegister;
 use peepul_types::map::MrdtMap;
@@ -192,10 +193,6 @@ wire_enum!(ServiceResponse, base = SERVICE_TAG_BASE, {
     5 => Err(message: String),
     6 => Metrics(text: String),
 });
-
-/// The branch-name prefix reserved for the replication layer's tracking
-/// branches; the service refuses to read or write under it.
-pub const TRACKING_PREFIX: &str = "remote/";
 
 /// One connection's session state: the tenant namespace it is bound to,
 /// if any.

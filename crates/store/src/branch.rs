@@ -52,7 +52,7 @@
 use crate::backend::{Backend, MemoryBackend};
 use crate::dag::{CommitGraph, CommitId};
 use crate::error::StoreError;
-use crate::memo::{MergeCacheStats, MergeMemo};
+use crate::memo::{MergeCacheStats, MergeMemo, DEFAULT_MEMO_CAPACITY};
 use crate::metrics::StoreMetrics;
 use crate::object::{canonical_bytes, content_id_of_bytes, ObjectId};
 use peepul_core::{Delta, Mrdt, ReplicaId, Timestamp, Wire};
@@ -627,10 +627,13 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
         self.memo.stats()
     }
 
-    /// Enables or disables merge memoization (disabling clears the cache).
-    /// Used by the equivalence suite to check cached ≡ uncached.
+    /// Enables or disables merge memoization: `false` sets the cache's
+    /// capacity to 0 (clearing it), `true` restores
+    /// [`DEFAULT_MEMO_CAPACITY`]. Used by the equivalence suite to check
+    /// cached ≡ uncached.
     pub fn set_merge_cache(&self, enabled: bool) {
-        self.memo.set_enabled(enabled);
+        self.memo
+            .set_capacity(if enabled { DEFAULT_MEMO_CAPACITY } else { 0 });
     }
 
     /// Attaches (or detaches, with `None`) observability handles. With no

@@ -74,7 +74,16 @@ struct MemoInner<M> {
     order: VecDeque<MemoKey>,
     capacity: usize,
     stats: MergeCacheStats,
-    enabled: bool,
+}
+
+impl<M> MemoInner<M> {
+    /// Evicts the oldest entries until at most `len` remain.
+    fn evict_down_to(&mut self, len: usize) {
+        while self.cache.len() > len {
+            let oldest = self.order.pop_front().expect("order tracks cache");
+            self.cache.remove(&oldest);
+        }
+    }
 }
 
 /// A content-addressed cache of three-way merge results, bounded to
@@ -85,13 +94,13 @@ pub struct MergeMemo<M> {
 }
 
 impl<M> MergeMemo<M> {
-    /// Creates an enabled, empty cache with [`DEFAULT_MEMO_CAPACITY`].
+    /// Creates an empty cache bounded to [`DEFAULT_MEMO_CAPACITY`].
     pub fn new() -> Self {
         Self::with_capacity(DEFAULT_MEMO_CAPACITY)
     }
 
-    /// Creates an enabled, empty cache bounded to `capacity` triples
-    /// (`0` disables caching outright).
+    /// Creates an empty cache bounded to `capacity` triples (`0` disables
+    /// caching outright).
     pub fn with_capacity(capacity: usize) -> Self {
         MergeMemo {
             inner: Mutex::new(MemoInner {
@@ -99,7 +108,6 @@ impl<M> MergeMemo<M> {
                 order: VecDeque::new(),
                 capacity,
                 stats: MergeCacheStats::default(),
-                enabled: true,
             }),
         }
     }
@@ -110,20 +118,13 @@ impl<M> MergeMemo<M> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Enables or disables the cache; disabling clears it (and the
-    /// subsequent merges count as misses).
-    pub fn set_enabled(&self, enabled: bool) {
+    /// Re-bounds the cache to `capacity` triples, evicting the oldest
+    /// entries that no longer fit. `0` is the one off switch: it empties
+    /// the cache, and every later merge counts as a miss.
+    pub fn set_capacity(&self, capacity: usize) {
         let mut inner = self.inner();
-        inner.enabled = enabled;
-        if !enabled {
-            inner.cache.clear();
-            inner.order.clear();
-        }
-    }
-
-    /// Whether the cache is consulted at all.
-    pub fn is_enabled(&self) -> bool {
-        self.inner().enabled
+        inner.capacity = capacity;
+        inner.evict_down_to(capacity);
     }
 
     /// The merged state for `(lca, left, right)`, computing and caching it
@@ -138,12 +139,10 @@ impl<M> MergeMemo<M> {
     pub fn merged(&self, key: MemoKey, merge: impl FnOnce() -> M) -> Arc<M> {
         {
             let mut inner = self.inner();
-            if inner.enabled {
-                if let Some(hit) = inner.cache.get(&key) {
-                    let hit = Arc::clone(&hit.state);
-                    inner.stats.hits += 1;
-                    return hit;
-                }
+            if let Some(hit) = inner.cache.get(&key) {
+                let hit = Arc::clone(&hit.state);
+                inner.stats.hits += 1;
+                return hit;
             }
             inner.stats.misses += 1;
         }
@@ -162,23 +161,21 @@ impl<M> MergeMemo<M> {
     {
         {
             let mut inner = self.inner();
-            if inner.enabled {
-                if let Some(hit) = inner.cache.get(&key) {
-                    let state = Arc::clone(&hit.state);
-                    let cached_id = hit.id;
-                    inner.stats.hits += 1;
-                    drop(inner);
-                    // Backfill the id if an earlier `merged` call cached
-                    // the entry without one.
-                    let id = cached_id.unwrap_or_else(|| {
-                        let id = crate::object::content_id(state.as_ref());
-                        if let Some(entry) = self.inner().cache.get_mut(&key) {
-                            entry.id = Some(id);
-                        }
-                        id
-                    });
-                    return (state, id);
-                }
+            if let Some(hit) = inner.cache.get(&key) {
+                let state = Arc::clone(&hit.state);
+                let cached_id = hit.id;
+                inner.stats.hits += 1;
+                drop(inner);
+                // Backfill the id if an earlier `merged` call cached the
+                // entry without one.
+                let id = cached_id.unwrap_or_else(|| {
+                    let id = crate::object::content_id(state.as_ref());
+                    if let Some(entry) = self.inner().cache.get_mut(&key) {
+                        entry.id = Some(id);
+                    }
+                    id
+                });
+                return (state, id);
             }
             inner.stats.misses += 1;
         }
@@ -190,11 +187,9 @@ impl<M> MergeMemo<M> {
 
     fn insert(&self, key: MemoKey, state: &Arc<M>, id: Option<ObjectId>) {
         let mut inner = self.inner();
-        if inner.enabled && inner.capacity > 0 {
-            while inner.cache.len() >= inner.capacity {
-                let oldest = inner.order.pop_front().expect("order tracks cache");
-                inner.cache.remove(&oldest);
-            }
+        if inner.capacity > 0 {
+            let room = inner.capacity - 1;
+            inner.evict_down_to(room);
             let entry = MemoEntry {
                 state: Arc::clone(state),
                 id,
@@ -229,7 +224,7 @@ impl<M> Default for MergeMemo<M> {
 
 impl<M> Clone for MergeMemo<M> {
     /// An independent cache holding the same entries (the merged states
-    /// stay `Arc`-shared), eviction order, counters and enabled flag.
+    /// stay `Arc`-shared), eviction order, counters and capacity.
     fn clone(&self) -> Self {
         let inner = self.inner();
         let cache = inner
@@ -249,7 +244,6 @@ impl<M> Clone for MergeMemo<M> {
                 order: inner.order.clone(),
                 capacity: inner.capacity,
                 stats: inner.stats,
-                enabled: inner.enabled,
             }),
         }
     }
@@ -299,7 +293,7 @@ mod tests {
         let memo: MergeMemo<u64> = MergeMemo::new();
         let key = (content_id(&0u8), content_id(&1u8), content_id(&2u8));
         memo.merged(key, || 1);
-        memo.set_enabled(false);
+        memo.set_capacity(0);
         assert!(memo.is_empty());
         memo.merged(key, || 2);
         memo.merged(key, || 3);

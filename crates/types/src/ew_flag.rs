@@ -13,7 +13,9 @@
 //!   space-efficient OR-set (§2.1.2) so a re-enable still defeats a
 //!   concurrent disable.
 
-use peepul_core::{AbstractOf, Certified, Mrdt, SimulationRelation, Specification, Timestamp};
+use peepul_core::{
+    AbstractOf, AbstractState, Certified, Mrdt, SimulationRelation, Specification, Timestamp,
+};
 use std::collections::BTreeSet;
 
 /// Update operations of the enable-wins flag.
@@ -35,7 +37,7 @@ pub enum EwFlagQuery {
 /// An enable event is *live* in `abs` when no disable event observed it.
 /// The flag reads true iff a live enable exists; this is the shared
 /// specification of both implementations.
-fn live_enables(abs: &AbstractOf<EwFlag>) -> BTreeSet<Timestamp> {
+fn live_enables(abs: &AbstractState<EwFlagOp, ()>) -> BTreeSet<Timestamp> {
     abs.events()
         .filter(|e| matches!(e.op(), EwFlagOp::Enable))
         .filter(|e| {
@@ -128,15 +130,19 @@ impl Mrdt for EwFlag {
     }
 }
 
-/// Specification `F_flag`: a read returns true iff some enable event is not
-/// visible to any disable event.
+/// Specification `F_flag` of both implementations (their abstract states
+/// are one type): a read returns true iff some enable event is not visible
+/// to any disable event.
 #[derive(Debug)]
 pub struct EwFlagSpec;
 
-impl Specification<EwFlag> for EwFlagSpec {
-    fn spec(_op: &EwFlagOp, _state: &AbstractOf<EwFlag>) {}
+impl<M> Specification<M> for EwFlagSpec
+where
+    M: Mrdt<Op = EwFlagOp, Value = (), Query = EwFlagQuery, Output = bool>,
+{
+    fn spec(_op: &EwFlagOp, _state: &AbstractState<EwFlagOp, ()>) {}
 
-    fn query(q: &EwFlagQuery, state: &AbstractOf<EwFlag>) -> bool {
+    fn query(q: &EwFlagQuery, state: &AbstractState<EwFlagOp, ()>) -> bool {
         match q {
             EwFlagQuery::Read => !live_enables(state).is_empty(),
         }
@@ -236,32 +242,6 @@ impl Mrdt for EwFlagSpace {
     }
 }
 
-/// Specification for [`EwFlagSpace`] — identical to [`EwFlagSpec`], with the
-/// operation/value types re-stated for the space-efficient state type.
-#[derive(Debug)]
-pub struct EwFlagSpaceSpec;
-
-impl Specification<EwFlagSpace> for EwFlagSpaceSpec {
-    fn spec(_op: &EwFlagOp, _state: &AbstractOf<EwFlagSpace>) {}
-
-    fn query(q: &EwFlagQuery, state: &AbstractOf<EwFlagSpace>) -> bool {
-        match q {
-            EwFlagQuery::Read => !live_enables_space(state).is_empty(),
-        }
-    }
-}
-
-fn live_enables_space(abs: &AbstractOf<EwFlagSpace>) -> BTreeSet<Timestamp> {
-    abs.events()
-        .filter(|e| matches!(e.op(), EwFlagOp::Enable))
-        .filter(|e| {
-            !abs.events()
-                .any(|d| matches!(d.op(), EwFlagOp::Disable) && abs.vis(e.id(), d.id()))
-        })
-        .map(|e| e.id())
-        .collect()
-}
-
 /// Simulation relation for [`EwFlagSpace`]: the token, when present, is the
 /// **greatest** live enable timestamp; when absent there is no live enable.
 #[derive(Debug)]
@@ -269,12 +249,12 @@ pub struct EwFlagSpaceSim;
 
 impl SimulationRelation<EwFlagSpace> for EwFlagSpaceSim {
     fn holds(abs: &AbstractOf<EwFlagSpace>, conc: &EwFlagSpace) -> bool {
-        let live = live_enables_space(abs);
+        let live = live_enables(abs);
         conc.token == live.last().copied()
     }
 
     fn explain_failure(abs: &AbstractOf<EwFlagSpace>, conc: &EwFlagSpace) -> Option<String> {
-        let live = live_enables_space(abs);
+        let live = live_enables(abs);
         (conc.token != live.last().copied()).then(|| {
             format!(
                 "concrete token {:?} but greatest live enable is {:?}",
@@ -286,7 +266,7 @@ impl SimulationRelation<EwFlagSpace> for EwFlagSpaceSim {
 }
 
 impl Certified for EwFlagSpace {
-    type Spec = EwFlagSpaceSpec;
+    type Spec = EwFlagSpec;
     type Sim = EwFlagSpaceSim;
 }
 
@@ -381,9 +361,16 @@ mod tests {
         let i = AbstractOf::<EwFlag>::new()
             .perform(EwFlagOp::Enable, (), ts(1))
             .perform(EwFlagOp::Disable, (), ts(2));
-        assert!(!EwFlagSpec::query(&EwFlagQuery::Read, &i));
+        // One specification certifies both implementations.
+        let read = |i: &AbstractOf<EwFlag>| {
+            let token_set = <EwFlagSpec as Specification<EwFlag>>::query(&EwFlagQuery::Read, i);
+            let space = <EwFlagSpec as Specification<EwFlagSpace>>::query(&EwFlagQuery::Read, i);
+            assert_eq!(token_set, space);
+            token_set
+        };
+        assert!(!read(&i));
         let i = i.perform(EwFlagOp::Enable, (), ts(3));
-        assert!(EwFlagSpec::query(&EwFlagQuery::Read, &i));
+        assert!(read(&i));
     }
 
     #[test]

@@ -73,27 +73,25 @@ pub(crate) fn live_adds<T: Clone + PartialEq>(abs: &OrSetAbstract<T>) -> Vec<(T,
         .collect()
 }
 
-/// The specified answer of any OR-set query on abstract state `abs`.
-pub(crate) fn orset_query<T: Ord + Clone + PartialEq>(
-    q: &OrSetQuery<T>,
-    abs: &OrSetAbstract<T>,
-) -> OrSetOutput<T> {
-    match q {
-        OrSetQuery::Lookup(x) => OrSetOutput::Present(live_adds(abs).iter().any(|(y, _)| y == x)),
-        OrSetQuery::Read => {
-            let elems: BTreeSet<T> = live_adds(abs).into_iter().map(|(x, _)| x).collect();
-            OrSetOutput::Elements(elems.into_iter().collect())
-        }
-    }
-}
-
-impl<T: Ord + Clone + PartialEq + peepul_core::Wire + fmt::Debug> Specification<OrSet<T>>
-    for OrSetSpec
+/// One specification for every OR-set variant: they share operation,
+/// query and return-value types, hence one abstract state.
+impl<T, M> Specification<M> for OrSetSpec
+where
+    T: Ord + Clone,
+    M: Mrdt<Op = OrSetOp<T>, Value = (), Query = OrSetQuery<T>, Output = OrSetOutput<T>>,
 {
-    fn spec(_op: &OrSetOp<T>, _state: &AbstractOf<OrSet<T>>) {}
+    fn spec(_op: &OrSetOp<T>, _state: &OrSetAbstract<T>) {}
 
-    fn query(q: &OrSetQuery<T>, state: &AbstractOf<OrSet<T>>) -> OrSetOutput<T> {
-        orset_query(q, state)
+    fn query(q: &OrSetQuery<T>, state: &OrSetAbstract<T>) -> OrSetOutput<T> {
+        match q {
+            OrSetQuery::Lookup(x) => {
+                OrSetOutput::Present(live_adds(state).iter().any(|(y, _)| y == x))
+            }
+            OrSetQuery::Read => {
+                let elems: BTreeSet<T> = live_adds(state).into_iter().map(|(x, _)| x).collect();
+                OrSetOutput::Elements(elems.into_iter().collect())
+            }
+        }
     }
 }
 

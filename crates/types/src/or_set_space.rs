@@ -10,10 +10,9 @@
 //! pairs added on exactly one branch; and pairs added on both branches, of
 //! which the one with the larger timestamp survives.
 
-use crate::or_set::{live_adds, orset_query, OrSetSpec};
+use crate::or_set::{live_adds, OrSetAbstract, OrSetSpec};
 use peepul_core::{
-    diff_item_lists, AbstractOf, Certified, Delta, Mrdt, SimulationRelation, Specification,
-    Timestamp, Wire,
+    diff_item_lists, AbstractOf, Certified, Delta, Mrdt, SimulationRelation, Timestamp, Wire,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -138,6 +137,17 @@ pub(crate) fn merge_spaced<T: Ord + Clone>(
     out
 }
 
+/// The abstract state both space-efficient variants simulate: each element
+/// with a live add, mapped to the greatest timestamp among its live adds.
+pub(crate) fn greatest_live_adds<T: Ord + Clone>(abs: &OrSetAbstract<T>) -> BTreeMap<T, Timestamp> {
+    let mut greatest = BTreeMap::new();
+    for (x, t) in live_adds(abs) {
+        let slot = greatest.entry(x).or_insert(t);
+        *slot = t.max(*slot);
+    }
+    greatest
+}
+
 impl<T: Ord + Clone + PartialEq + peepul_core::Wire + fmt::Debug> Mrdt for OrSetSpace<T> {
     type Op = OrSetOp<T>;
     type Value = ();
@@ -216,15 +226,7 @@ impl<T: Ord + Clone + PartialEq + peepul_core::Wire + fmt::Debug> SimulationRela
         if conc.pairs.len() != conc.as_map().len() {
             return false;
         }
-        let live = live_adds(abs);
-        let mut greatest: BTreeMap<T, Timestamp> = BTreeMap::new();
-        for (x, t) in live {
-            let slot = greatest.entry(x).or_insert(t);
-            if t > *slot {
-                *slot = t;
-            }
-        }
-        conc.as_map() == greatest
+        conc.as_map() == greatest_live_adds(abs)
     }
 
     fn explain_failure(abs: &AbstractOf<OrSetSpace<T>>, conc: &OrSetSpace<T>) -> Option<String> {
@@ -244,20 +246,10 @@ impl<T: Ord + Clone + PartialEq + peepul_core::Wire + fmt::Debug> Certified for 
     type Sim = OrSetSpaceSim;
 }
 
-impl<T: Ord + Clone + PartialEq + peepul_core::Wire + fmt::Debug> Specification<OrSetSpace<T>>
-    for OrSetSpec
-{
-    fn spec(_op: &OrSetOp<T>, _state: &AbstractOf<OrSetSpace<T>>) {}
-
-    fn query(q: &OrSetQuery<T>, state: &AbstractOf<OrSetSpace<T>>) -> OrSetOutput<T> {
-        orset_query(q, state)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use peepul_core::ReplicaId;
+    use peepul_core::{ReplicaId, Specification};
 
     fn ts(tick: u64, r: u32) -> Timestamp {
         Timestamp::new(tick, ReplicaId::new(r))

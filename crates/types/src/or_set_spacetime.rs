@@ -17,9 +17,9 @@
 //! [`Mrdt::observably_equal`] compares contents, not shapes.
 
 use crate::avl::AvlMap;
-use crate::or_set::{live_adds, orset_query, OrSetSpec};
-use crate::or_set_space::merge_spaced;
-use peepul_core::{AbstractOf, Certified, Mrdt, SimulationRelation, Specification, Timestamp};
+use crate::or_set::OrSetSpec;
+use crate::or_set_space::{greatest_live_adds, merge_spaced};
+use peepul_core::{AbstractOf, Certified, Mrdt, SimulationRelation, Timestamp};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -190,14 +190,7 @@ impl<T: Ord + Clone + PartialEq + peepul_core::Wire + fmt::Debug>
         if conc.tree.check_invariants().is_err() {
             return false;
         }
-        let mut greatest: BTreeMap<T, Timestamp> = BTreeMap::new();
-        for (x, t) in live_adds(abs) {
-            let slot = greatest.entry(x).or_insert(t);
-            if t > *slot {
-                *slot = t;
-            }
-        }
-        conc.as_map() == greatest
+        conc.as_map() == greatest_live_adds(abs)
     }
 
     fn explain_failure(
@@ -221,16 +214,6 @@ impl<T: Ord + Clone + PartialEq + peepul_core::Wire + fmt::Debug>
 impl<T: Ord + Clone + PartialEq + peepul_core::Wire + fmt::Debug> Certified for OrSetSpacetime<T> {
     type Spec = OrSetSpec;
     type Sim = OrSetSpacetimeSim;
-}
-
-impl<T: Ord + Clone + PartialEq + peepul_core::Wire + fmt::Debug> Specification<OrSetSpacetime<T>>
-    for OrSetSpec
-{
-    fn spec(_op: &OrSetOp<T>, _state: &AbstractOf<OrSetSpacetime<T>>) {}
-
-    fn query(q: &OrSetQuery<T>, state: &AbstractOf<OrSetSpacetime<T>>) -> OrSetOutput<T> {
-        orset_query(q, state)
-    }
 }
 
 #[cfg(test)]

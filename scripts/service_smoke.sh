@@ -9,8 +9,9 @@
 # peepul-server -p peepul-cli).
 #
 # The scenario: three nodes on ephemeral ports, each peering with the
-# previously started ones (anti-entropy is pull+push, so a chain
-# suffices to connect the fleet). Writes, forks and merges land on
+# previously started ones (each peer round pulls every branch, then
+# pushes every branch, so a chain suffices to connect the fleet). n3
+# runs a coalesced flush policy, so its background flusher runs too. Writes, forks and merges land on
 # *different* nodes; the test then polls `peepul-cli serve-status` until
 # every node reports identical heads for every non-tracking branch, and
 # finally asserts each node serves every write. The whole run is bounded
@@ -59,27 +60,40 @@ trap cleanup EXIT INT TERM
 WATCHDOG=$!
 disown "$WATCHDOG" 2>/dev/null || true
 
-start_node() { # name, peers...
+start_node() { # name, peers... (extra server flags in $NODE_FLAGS)
+  # Runs in this shell, not a command substitution, so the pid reaches
+  # PIDS and the cleanup trap tears the node down.
   local name="$1"; shift
   local peer_flags=()
   for p in "$@"; do peer_flags+=(--peer "$p"); done
+  # shellcheck disable=SC2086 # NODE_FLAGS is a flag list, split on purpose
   "$SERVER" --listen 127.0.0.1:0 --data "$WORK/$name" --name "$name" \
-    --sync-interval-ms 200 "${peer_flags[@]+"${peer_flags[@]}"}" \
+    --sync-interval-ms 200 ${NODE_FLAGS:-} "${peer_flags[@]+"${peer_flags[@]}"}" \
     > "$WORK/$name.log" 2>&1 &
   PIDS+=($!)
-  # Scrape the announced ephemeral port.
+}
+
+addr_of() { # name -> the ephemeral address the node announced
   for _ in $(seq 1 50); do
-    if grep -q "listening on" "$WORK/$name.log"; then break; fi
+    if grep -q "listening on" "$WORK/$1.log"; then break; fi
     sleep 0.1
   done
-  grep -o "listening on .*" "$WORK/$name.log" | awk '{print $3}'
+  grep -o "listening on .*" "$WORK/$1.log" | awk '{print $3}'
 }
 
 echo "== starting 3-node fleet"
-A=$(start_node n1)
-B=$(start_node n2 "$A")
-C=$(start_node n3 "$A" "$B")
+start_node n1
+A=$(addr_of n1)
+start_node n2 "$A"
+B=$(addr_of n2)
+NODE_FLAGS="--flush coalesced:50" start_node n3 "$A" "$B"
+C=$(addr_of n3)
 echo "   n1=$A n2=$B n3=$C"
+if ! "$CLI" --addr "$C" serve-status | grep -qx 'flush coalesced:50ms'; then
+  echo "service_smoke: FAIL — n3 does not report its coalesced flush policy" >&2
+  "$CLI" --addr "$C" serve-status >&2
+  exit 1
+fi
 
 echo "== writes, forks and merges against different nodes"
 "$CLI" --addr "$A" put main city lyon

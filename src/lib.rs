@@ -14,7 +14,7 @@
 //! | [`core`] | the formal model: [`core::Mrdt`], abstract executions, specifications, simulation relations, proof obligations |
 //! | [`types`] | the certified data types: counters, flags, registers, sets, logs, maps, three OR-sets, the replicated queue, the chat app |
 //! | [`store`] | the Git-like store: branches, commit DAG, recursive LCAs, Lamport timestamps, SHA-256 content addressing, pluggable backends (in-memory + on-disk segment), merge memoization, the formal LTS |
-//! | [`net`] | true multi-store replication: the `Transport` abstraction (in-process channels + TCP), Git-style fetch/push negotiation with hash-verified ingest, anti-entropy, replicated clusters with fault injection |
+//! | [`net`] | true multi-store replication: the `Transport` abstraction (in-process channels + TCP), Git-style fetch/push negotiation with hash-verified ingest, one pull-then-push `sync` routine, replicated clusters with fault injection |
 //! | [`verify`] | the certification harness: bounded-exhaustive + randomized obligation checking |
 //! | [`obs`] | the observability spine: atomic metrics registry, fixed-bucket latency histograms, Prometheus-style exposition, bounded trace ring |
 //! | [`quark`] | the evaluation baseline: relational-reification merges à la Quark (OOPSLA 2019) |
@@ -110,9 +110,9 @@ pub mod prelude {
         Timestamp, Wire,
     };
     pub use peepul_net::{
-        AntiEntropy, ChannelTransport, Cluster, FaultInjector, FrameServer, FrameService,
-        HistoryObserver, NetError, NetMetrics, Remote, Replica, ReplicationMutation, TcpServer,
-        TcpTransport, Transport,
+        ChannelTransport, Cluster, FaultInjector, FrameServer, FrameService, HistoryObserver,
+        NetError, NetMetrics, Remote, Replica, ReplicationMutation, TcpServer, TcpTransport,
+        Transport,
     };
     pub use peepul_obs::{Obs, ObsConfig};
     pub use peepul_store::{

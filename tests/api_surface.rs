@@ -18,8 +18,7 @@
 //! count below. The deprecated string-addressed `BranchStore` shims of the
 //! 0.2 release are gone (their one-release grace window closed with the
 //! `peepul-net` release); the replication surface (`Replica`, `Remote`,
-//! transports, `AntiEntropy`, `Wire`, `TrackOutcome`) is part of the
-//! golden instead. The codec unification added `CommitMeta` (the parsed
+//! transports, `Wire`, `TrackOutcome`) is part of the golden instead. The codec unification added `CommitMeta` (the parsed
 //! commit record, used by both the reopen path and fetch negotiation) and
 //! removed the `Hash`-stream machinery from `peepul::store`
 //! (`Sha256Hasher` is gone; `canonical_bytes`/`content_id` now take
@@ -36,7 +35,9 @@
 //! observability spine added `Obs`/`ObsConfig` (the shared handle and its
 //! knobs), the per-subsystem attach points `StoreMetrics`/`NetMetrics`,
 //! and `StorageInfo` (the backend's self-description behind the
-//! `serve-status` disk fields).
+//! `serve-status` disk fields). `AntiEntropy` left the golden when
+//! `Replica::sync` became the one routine that brings two replicas
+//! together: the daemon's peer round and `Cluster::converge` both run it.
 
 macro_rules! surface {
     ($($name:ident),* $(,)?) => {
@@ -53,7 +54,6 @@ macro_rules! surface {
 surface![
     AbstractOf,
     AbstractState,
-    AntiEntropy,
     Backend,
     BoundedChecker,
     BoundedConfig,
@@ -127,7 +127,7 @@ fn prelude_surface_matches_golden() {
     );
     assert_eq!(
         golden.len(),
-        63,
+        62,
         "prelude surface changed size — update the golden list *and* the \
          expected count deliberately"
     );

@@ -21,8 +21,8 @@ mod common;
 
 use common::{for_each_backend, Scratch};
 use peepul::net::{
-    AntiEntropy, ChannelTransport, Cluster, FaultInjector, NetError, Remote, Replica, TcpServer,
-    TcpTransport, Transport,
+    ChannelTransport, Cluster, FaultInjector, NetError, Remote, Replica, TcpServer, TcpTransport,
+    Transport,
 };
 use peepul::prelude::*;
 use peepul::store::{SegmentBackend, SegmentOptions, DEFAULT_SNAPSHOT_INTERVAL};
@@ -656,19 +656,12 @@ proptest! {
         events in proptest::collection::vec(event_strategy(), 1..40),
     ) {
         for_each_backend("ae-prop", |kind, make| {
-            let replicas: Vec<Replica<OrSetSpace<u8>, DynBackend>> = (0..FLEET)
-                .map(|i| {
-                    let store = BranchStore::with_backend_and_base(
-                        "main",
-                        make(),
-                        (i as u32) << 16,
-                    )
-                    .expect("store construction");
-                    Replica::new(format!("replica-{i}"), store)
-                })
-                .collect();
-            let faults: Vec<FaultInjector> =
-                (0..FLEET).map(|_| FaultInjector::new()).collect();
+            let cluster: Cluster<OrSetSpace<u8>, DynBackend> =
+                Cluster::replicated((0..FLEET).map(|_| make()).collect()).unwrap();
+            let replicas: Vec<&Replica<OrSetSpace<u8>, DynBackend>> =
+                (0..FLEET).map(|i| cluster.node(i).unwrap()).collect();
+            let faults: Vec<&FaultInjector> =
+                (0..FLEET).map(|i| cluster.faults(i).unwrap()).collect();
 
             for ev in &events {
                 match ev {
@@ -702,8 +695,9 @@ proptest! {
             for f in &faults {
                 f.heal();
             }
-            let report = AntiEntropy::new().run(&replicas, "main").unwrap();
-            assert!(report.converged, "{kind}: {report:?}");
+            if let Err(e) = cluster.converge() {
+                panic!("{kind}: {e}");
+            }
             let head0 = replicas[0].head_id("main").unwrap();
             let state0 = replicas[0].state_id("main").unwrap();
             for r in &replicas[1..] {

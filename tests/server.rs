@@ -13,6 +13,9 @@
 //! * tenant sessions are namespaced — one tenant's writes are invisible
 //!   to another tenant addressing the same branch name;
 //! * forked/merged client branches converge to the mainline answer;
+//! * one `Server::sync_with` round pulls every peer branch and pushes
+//!   every local one, so two diverged nodes serve every key, and a second
+//!   round moves nothing;
 //! * a daemon over the segment backend restarted on the same directory
 //!   serves every previously acknowledged write (durability through the
 //!   service path, not just the store API);
@@ -24,7 +27,7 @@ mod common;
 
 use common::Scratch;
 use peepul::store::{MemoryBackend, SegmentBackend};
-use peepul_server::{Server, ServerConfig, ServiceClient};
+use peepul_server::{Server, ServerConfig, ServiceClient, SyncRoundReport};
 use std::time::{Duration, Instant};
 
 fn memory_server(name: &str) -> Server<MemoryBackend> {
@@ -377,6 +380,53 @@ fn trace_dump_flushes_the_event_ring_as_jsonl() {
     }
     // The put's commit landed in the ring.
     assert!(dump.contains("\"commit\""), "no commit event in:\n{dump}");
+}
+
+#[test]
+fn one_sync_round_pulls_and_pushes_every_branch() {
+    // Neither node has peers configured: the round runs only when called.
+    let a = memory_server("node-a");
+    let b = memory_server("node-b");
+    let mut ca = ServiceClient::connect(a.addr()).unwrap();
+    let mut cb = ServiceClient::connect(b.addr()).unwrap();
+    let mut tenant = ServiceClient::connect(b.addr()).unwrap();
+    tenant.hello("acme").unwrap();
+    tenant.put("main", "t", "3").unwrap(); // acme/main exists only on b
+    ca.put("main", "from-a", "1").unwrap();
+    cb.put("main", "from-b", "2").unwrap(); // main has diverged
+
+    let peers = [b.addr().to_string()];
+    let report = a.sync_with(&peers);
+    // a creates acme/main and merges main, then pushes the merged main;
+    // acme/main is already on b.
+    let expected = SyncRoundReport {
+        peers_reached: 1,
+        peers_unreachable: 0,
+        branches_pulled: 2,
+        branches_pushed: 1,
+    };
+    assert_eq!(report, expected);
+    for client in [&mut ca, &mut cb] {
+        assert_eq!(client.get("main", "from-a").unwrap().as_deref(), Some("1"));
+        assert_eq!(client.get("main", "from-b").unwrap().as_deref(), Some("2"));
+        assert_eq!(client.get("acme/main", "t").unwrap().as_deref(), Some("3"));
+    }
+    for branch in ["main", "acme/main"] {
+        assert_eq!(
+            a.replica().head_id(branch).unwrap(),
+            b.replica().head_id(branch).unwrap()
+        );
+    }
+
+    let again = a.sync_with(&peers);
+    assert_eq!(
+        again,
+        SyncRoundReport {
+            peers_reached: 1,
+            ..SyncRoundReport::default()
+        },
+        "a second round has nothing left to move"
+    );
 }
 
 #[test]
