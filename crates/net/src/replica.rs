@@ -442,7 +442,7 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
             let mut seen = HashSet::new();
             for pc in &commits {
                 if let Some(meta) = parse_commit_record(&pc.bytes) {
-                    if seen.insert(meta.state) && s.state_payload(meta.state).is_none() {
+                    if seen.insert(meta.state) && !s.has_state(meta.state) {
                         need.push(meta.state);
                     }
                 }

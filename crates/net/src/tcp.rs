@@ -11,7 +11,9 @@
 //!
 //! The magic catches protocol confusion (something that is not a peer),
 //! the length bounds the read (frames over 256 MiB are rejected before
-//! allocation), and the FNV-1a checksum catches bytes damaged in transit
+//! allocation, and the payload buffer grows only as bytes arrive, so a
+//! header that claims a large frame and then stalls pins one read chunk,
+//! not the claimed size), and the FNV-1a checksum catches bytes damaged in transit
 //! *before* they reach the message decoder. Content verification of the
 //! objects inside the payload happens again, cryptographically, at ingest
 //! — the checksum is a cheap early tripwire, not the integrity story.
@@ -32,6 +34,8 @@ use std::sync::Arc;
 const MAGIC: [u8; 4] = *b"PPL1";
 /// Frames above this size are rejected before any allocation.
 const MAX_FRAME: u32 = 256 * 1024 * 1024;
+/// How far the payload buffer may run ahead of the bytes received.
+const READ_CHUNK: usize = 1024 * 1024;
 
 /// FNV-1a 64-bit — the frame checksum.
 fn checksum(bytes: &[u8]) -> u64 {
@@ -110,8 +114,15 @@ fn read_frame_rest(first: u8, r: &mut impl Read) -> Result<Vec<u8>, NetError> {
         return Err(NetError::BadFrame(format!("frame too large: {len} bytes")));
     }
     let expected = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    // Grow the buffer one chunk at a time as the payload arrives: the
+    // header alone is no reason to allocate what it claims.
+    let len = len as usize;
+    let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
+    while payload.len() < len {
+        let start = payload.len();
+        payload.resize(len.min(start + READ_CHUNK), 0);
+        r.read_exact(&mut payload[start..])?;
+    }
     let actual = checksum(&payload);
     if actual != expected {
         return Err(NetError::BadFrame(format!(
@@ -298,6 +309,48 @@ mod tests {
             read_frame(&mut &header[..]),
             Err(NetError::BadFrame(msg)) if msg.contains("large")
         ));
+    }
+
+    /// A reader that serves `data`, then EOF, and records the largest
+    /// buffer it was asked to fill.
+    struct Recording<'a> {
+        data: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for Recording<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.data.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_stalled_frame_claiming_the_cap_pins_one_chunk() {
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&MAGIC);
+        frame.extend_from_slice(&MAX_FRAME.to_le_bytes());
+        frame.extend_from_slice(&0u64.to_le_bytes());
+        frame.extend_from_slice(&[7u8; 4096]);
+        let mut r = Recording {
+            data: &frame,
+            largest: 0,
+        };
+        assert!(matches!(read_frame(&mut r), Err(NetError::Io(_))));
+        assert!(
+            r.largest <= READ_CHUNK,
+            "asked to fill {} bytes at once",
+            r.largest
+        );
+    }
+
+    #[test]
+    fn a_frame_longer_than_one_chunk_roundtrips() {
+        let payload: Vec<u8> = (0..READ_CHUNK * 2 + 5).map(|i| i as u8).collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &payload).unwrap();
+        let mut r = &buf[..];
+        assert_eq!(read_frame(&mut r).unwrap(), Some(payload));
     }
 
     #[test]

@@ -52,11 +52,11 @@
 use crate::backend::{Backend, MemoryBackend};
 use crate::dag::{CommitGraph, CommitId};
 use crate::error::StoreError;
-use crate::memo::{MergeCacheStats, MergeMemo, DEFAULT_MEMO_CAPACITY};
+use crate::memo::{MergeCacheStats, MergeMemo, StateCache, DEFAULT_MEMO_CAPACITY};
 use crate::metrics::StoreMetrics;
-use crate::object::{canonical_bytes, content_id_of_bytes, ObjectId};
+use crate::object::{canonical_bytes, content_id, content_id_of_bytes, ObjectId};
 use peepul_core::{Delta, Mrdt, ReplicaId, Timestamp, Wire};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -75,11 +75,14 @@ pub use records::{
 };
 
 #[derive(Clone, Debug)]
-struct BranchInfo {
+struct BranchInfo<M> {
     head: CommitId,
     replica: ReplicaId,
     /// The interned validated name; handles clone this (cheap `Arc`).
     id: BranchId,
+    /// The head's typed state, pinned: apply, read, transactions and both
+    /// merge inputs use it without a lookup.
+    state: Arc<M>,
 }
 
 /// A Git-like store replicating one MRDT object across branches.
@@ -109,16 +112,22 @@ struct BranchInfo {
 /// # }
 /// ```
 ///
+/// Typed states are held only where something is likely to read them
+/// again: each branch pins its head's state, and a bounded cache keeps
+/// the most recent states heads left or reads resolved. Any other
+/// commit's state is resolved from the backend on demand
+/// ([`BranchStore::state_at`]), every delta link hash-checked.
+///
 /// Cloning forks the whole world: an independent store with the same
-/// history, branches, clock, backend contents and merge memo. States are
-/// `Arc`-shared, so the cost is the index vectors and maps, not the
-/// payloads. The bounded-exhaustive checker branches its depth-first
-/// search over the serving store this way.
+/// history, branches, clock, backend contents, merge memo and state
+/// cache. States are `Arc`-shared, so the cost is the index vectors and
+/// maps, not the payloads. The bounded-exhaustive checker branches its
+/// depth-first search over the serving store this way.
 #[derive(Clone)]
 pub struct BranchStore<M: Mrdt, B: Backend = MemoryBackend> {
-    graph: CommitGraph<Arc<M>>,
-    /// Content address of each commit's *state*, indexed like the graph.
-    state_ids: Vec<ObjectId>,
+    /// The commit DAG; each commit's payload is its state's content
+    /// address.
+    graph: CommitGraph<ObjectId>,
     /// Content address of each *commit record*, indexed like the graph.
     commit_ids: Vec<ObjectId>,
     /// The `(tick, replica)` mint of each commit, indexed like the graph.
@@ -128,16 +137,18 @@ pub struct BranchStore<M: Mrdt, B: Backend = MemoryBackend> {
     mints: Vec<Timestamp>,
     /// Commit content address → graph id (the fetch/ingest lookup).
     commit_index: HashMap<ObjectId, CommitId>,
-    /// State content address → first commit carrying it (typed payload
-    /// lookup for serving state objects to peers).
-    state_index: HashMap<ObjectId, CommitId>,
-    branches: BTreeMap<String, BranchInfo>,
+    /// Every state address some commit carries — what the state readers
+    /// check before they touch the backend (GC prunes it).
+    state_index: HashSet<ObjectId>,
+    branches: BTreeMap<String, BranchInfo<M>>,
     /// Global Lamport tick: unique and happens-before consistent because
     /// the store is the sole timestamp authority (Ψ_ts).
     tick: u64,
     next_replica: u32,
     backend: B,
     memo: MergeMemo<M>,
+    /// The typed states kept besides the pinned heads.
+    state_cache: StateCache<M>,
     /// Observability handles, attached by [`BranchStore::set_metrics`];
     /// `None` keeps every hot path at its uninstrumented cost.
     metrics: Option<Arc<StoreMetrics>>,
@@ -213,8 +224,9 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
             ));
         }
         let mut store = BranchStore::empty(backend, replica_base);
-        let root = store.commit(Vec::new(), Arc::new(M::initial()), (0, 0), diff_parent)?;
-        store.create_branch(id, root)?;
+        let initial = M::initial();
+        let root = store.commit(Vec::new(), None, &initial, (0, 0), diff_parent)?;
+        store.create_branch(id, root, Arc::new(initial))?;
         Ok(store)
     }
 
@@ -224,16 +236,16 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
     fn empty(backend: B, next_replica: u32) -> Self {
         BranchStore {
             graph: CommitGraph::new(),
-            state_ids: Vec::new(),
             commit_ids: Vec::new(),
             mints: Vec::new(),
             commit_index: HashMap::new(),
-            state_index: HashMap::new(),
+            state_index: HashSet::new(),
             branches: BTreeMap::new(),
             tick: 0,
             next_replica,
             backend,
             memo: MergeMemo::new(),
+            state_cache: StateCache::new(),
             metrics: None,
             boundaries: 0,
             delta_deps: HashMap::new(),
@@ -246,31 +258,32 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
     /// the graph untouched (the orphaned object, if any, is harmless in a
     /// content-addressed store).
     ///
-    /// `delta` is the commit's delta source, called as `delta(parent,
-    /// state)`: an update commit passes its operation's
-    /// [`Mrdt::op_delta`], every other commit [`diff_parent`].
+    /// `first_state` is the first parent's state (`None` exactly for a
+    /// root). `delta` is the commit's delta source, called as
+    /// `delta(first_state, state)`: an update commit passes its
+    /// operation's [`Mrdt::op_delta`], every other commit [`diff_parent`].
     fn commit(
         &mut self,
         parents: Vec<CommitId>,
-        state: Arc<M>,
+        first_state: Option<&M>,
+        state: &M,
         mint: (u64, u32),
         delta: impl FnOnce(&M, &M) -> Delta,
     ) -> Result<CommitId, StoreError> {
-        let canonical = canonical_bytes(state.as_ref());
+        let canonical = canonical_bytes(state);
         let state_id = content_id_of_bytes(&canonical);
         // The (first) parent's state is the delta base; the delta is only
         // computed if `put_state` finds the chain bound allows one.
-        let base = parents.first().map(|p| self.state_ids[p.index()]);
-        let parent_state = parents.first().map(|p| self.graph.payload(*p).clone());
+        let base = parents.first().map(|p| *self.graph.payload(*p));
         self.put_state(state_id, &canonical, base, || {
-            let parent_state = parent_state.as_deref().expect("a base has a parent state");
-            delta(parent_state, &state).to_wire()
+            let parent_state = first_state.expect("a base has a parent state");
+            delta(parent_state, state).to_wire()
         })?;
         let parent_ids: Vec<ObjectId> =
             parents.iter().map(|p| self.commit_ids[p.index()]).collect();
         let record = commit_record(&parent_ids, state_id, mint.0, mint.1);
         let commit_oid = self.backend.put(&record)?;
-        Ok(self.install_commit(parents, state, state_id, commit_oid, mint))
+        Ok(self.install_commit(parents, state_id, commit_oid, mint))
     }
 
     /// Appends an already-published commit to the in-memory structures:
@@ -281,54 +294,74 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
     fn install_commit(
         &mut self,
         parents: Vec<CommitId>,
-        state: Arc<M>,
         state_id: ObjectId,
         commit_oid: ObjectId,
         mint: (u64, u32),
     ) -> CommitId {
         let cid = if parents.is_empty() {
-            self.graph.add_root(state)
+            self.graph.add_root(state_id)
         } else {
             self.graph
-                .add_commit(parents, state)
+                .add_commit(parents, state_id)
                 .expect("callers pass live parents")
         };
-        self.state_ids.push(state_id);
         self.commit_ids.push(commit_oid);
         self.mints
             .push(Timestamp::new(mint.0, ReplicaId::new(mint.1)));
         self.commit_index.insert(commit_oid, cid);
-        self.state_index.entry(state_id).or_insert(cid);
+        self.state_index.insert(state_id);
         cid
     }
 
-    /// Moves an existing branch to `head` — the one epilogue of every
-    /// head move (apply, merge, transaction, fast-forward): backend ref
-    /// first, then the table entry, then one durability point.
-    pub(crate) fn advance_head(&mut self, branch: &str, head: CommitId) -> Result<(), StoreError> {
+    /// Moves an existing branch to `head`, whose typed state is `state` —
+    /// the one epilogue of every head move (apply, merge, transaction,
+    /// fast-forward): backend ref first, then the table entry, then one
+    /// durability point. The state the branch leaves enters the state
+    /// cache: it is the likeliest base of the branch's next merge.
+    pub(crate) fn advance_head(
+        &mut self,
+        branch: &str,
+        head: CommitId,
+        state: Arc<M>,
+    ) -> Result<(), StoreError> {
         self.backend
             .set_ref(branch, self.commit_ids[head.index()])?;
-        self.branches
+        let info = self
+            .branches
             .get_mut(branch)
-            .expect("callers pass an existing branch")
-            .head = head;
+            .expect("callers pass an existing branch");
+        let left = std::mem::replace(&mut info.state, state);
+        let left_id = *self.graph.payload(info.head);
+        info.head = head;
+        self.state_cache.insert(left_id, left);
         self.durability_point()
     }
 
     /// Creates branch `id` at `head` (root branch, fork, first track): the
     /// insert counterpart of [`BranchStore::advance_head`].
-    fn create_branch(&mut self, id: BranchId, head: CommitId) -> Result<(), StoreError> {
+    fn create_branch(
+        &mut self,
+        id: BranchId,
+        head: CommitId,
+        state: Arc<M>,
+    ) -> Result<(), StoreError> {
         self.backend.set_ref(&id, self.commit_ids[head.index()])?;
-        self.insert_branch(id, head);
+        self.insert_branch(id, head, state);
         self.durability_point()
     }
 
-    /// Adds `id` to the branch table at `head`, minting its replica id.
-    fn insert_branch(&mut self, id: BranchId, head: CommitId) {
+    /// Adds `id` to the branch table at `head`, pinning its typed `state`
+    /// and minting its replica id.
+    fn insert_branch(&mut self, id: BranchId, head: CommitId, state: Arc<M>) {
         let replica = ReplicaId::new(self.next_replica);
         self.next_replica += 1;
-        self.branches
-            .insert(id.to_string(), BranchInfo { head, replica, id });
+        let info = BranchInfo {
+            head,
+            replica,
+            id,
+            state,
+        };
+        self.branches.insert(info.id.to_string(), info);
     }
 
     /// Marks the end of one logical commit (an apply, a merge, a fork, a
@@ -378,6 +411,7 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
             info.id.clone(),
             info.head,
             info.replica,
+            &info.state,
         ))
     }
 
@@ -401,7 +435,7 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
         self.info(branch).map(|i| i.replica)
     }
 
-    fn info(&self, branch: &str) -> Result<&BranchInfo, StoreError> {
+    fn info(&self, branch: &str) -> Result<&BranchInfo<M>, StoreError> {
         self.branches
             .get(branch)
             .ok_or_else(|| StoreError::UnknownBranch(branch.to_owned()))
@@ -432,16 +466,17 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
     ///
     /// [`StoreError::UnknownBranch`] if the branch does not exist.
     pub fn state_id(&self, branch: &str) -> Result<ObjectId, StoreError> {
-        Ok(self.state_ids[self.head(branch)?.index()])
+        Ok(*self.graph.payload(self.head(branch)?))
     }
 
-    /// The current state of a branch (cheap `Arc` clone).
+    /// The current state of a branch (cheap `Arc` clone of the pinned
+    /// head state).
     ///
     /// # Errors
     ///
     /// [`StoreError::UnknownBranch`] if the branch does not exist.
     pub fn state(&self, branch: &str) -> Result<Arc<M>, StoreError> {
-        Ok(self.graph.payload(self.head(branch)?).clone())
+        self.info(branch).map(|i| Arc::clone(&i.state))
     }
 
     /// Answers a pure query against a branch's head state — the
@@ -453,7 +488,7 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
     /// [`StoreError::UnknownBranch`] if the branch does not exist.
     pub fn read(&self, branch: &str, q: &M::Query) -> Result<M::Output, StoreError> {
         let start = self.metrics.as_ref().map(|_| Instant::now());
-        let out = self.graph.payload(self.head(branch)?).query(q);
+        let out = self.info(branch)?.state.query(q);
         if let (Some(m), Some(start)) = (&self.metrics, start) {
             m.reads_total.inc();
             m.read_micros.observe_since(start);
@@ -466,27 +501,27 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
         if self.branches.contains_key(&new) {
             return Err(StoreError::BranchExists(new));
         }
-        let head = self.head(from)?;
-        self.create_branch(id.clone(), head)?;
+        let info = self.info(from)?;
+        let (head, state) = (info.head, Arc::clone(&info.state));
+        self.create_branch(id.clone(), head, state)?;
         Ok(id)
     }
 
     pub(crate) fn do_apply(&mut self, branch: &str, op: &M::Op) -> Result<M::Value, StoreError> {
         let start = self.metrics.as_ref().map(|_| Instant::now());
-        let (head, replica) = {
-            let info = self.info(branch)?;
-            (info.head, info.replica)
-        };
+        let info = self.info(branch)?;
+        let (head, replica, state) = (info.head, info.replica, Arc::clone(&info.state));
         self.tick += 1;
         let t = Timestamp::new(self.tick, replica);
-        let (next, value) = self.graph.payload(head).apply(op, t);
+        let (next, value) = state.apply(op, t);
         let new_head = self.commit(
             vec![head],
-            Arc::new(next),
+            Some(&state),
+            &next,
             (t.tick(), t.replica().as_u32()),
             |parent, next| parent.op_delta(op, next),
         )?;
-        self.advance_head(branch, new_head)?;
+        self.advance_head(branch, new_head, Arc::new(next))?;
         if let (Some(m), Some(start)) = (&self.metrics, start) {
             let micros = start.elapsed().as_micros() as u64;
             m.commits_total.inc();
@@ -504,57 +539,77 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
     /// being committed into the graph, so the whole path works against
     /// `&self` — read-only callers no longer need `&mut BranchStore`. The
     /// interior-mutable [`MergeMemo`] still caches (and serves) the
-    /// virtual merges by content-address triple.
+    /// virtual merges by content-address triple, and a base's state is
+    /// loaded like any other ([`BranchStore::state_at`]).
     ///
     /// # Errors
     ///
     /// [`StoreError::UnknownBranch`] for missing branches;
     /// [`StoreError::NoCommonAncestor`] for unrelated histories (impossible
-    /// for branches forked from one root).
+    /// for branches forked from one root); the backend's errors when a
+    /// base's state has to be resolved from it.
     pub fn lca_state(&self, b1: &str, b2: &str) -> Result<Arc<M>, StoreError> {
         let (c1, c2) = (self.head(b1)?, self.head(b2)?);
-        let (state, _, _) = self.virtual_lca(&[c1], &[c2])?;
-        Ok(state)
+        let (lca, _, _) = self.virtual_lca(&[c1], &[c2])?;
+        self.lca_typed(lca)
     }
 
     /// Recursive virtual merge of the merge bases of two virtual commits
     /// (each given by its real leaf set), exactly like git merge-recursive
-    /// — but materialising nothing. Returns the LCA state, its content
-    /// address, and the leaf set describing the virtual ancestor.
+    /// — but materialising nothing. Returns the LCA, its content address,
+    /// and the leaf set describing the virtual ancestor.
     ///
     /// Criss-cross rounds re-derive the same `(lca, left, right)` triples,
-    /// so these merges are where the memo pays.
+    /// so these merges are where the memo pays. A typed input is loaded
+    /// only when the memo misses: a hit needs nothing but addresses.
     #[allow(clippy::type_complexity)]
     fn virtual_lca(
         &self,
         left: &[CommitId],
         right: &[CommitId],
-    ) -> Result<(Arc<M>, ObjectId, Vec<CommitId>), StoreError> {
+    ) -> Result<(Lca<M>, ObjectId, Vec<CommitId>), StoreError> {
         let bases = self.graph.merge_bases_of(left, right);
         let Some((&first, rest)) = bases.split_first() else {
             return Err(StoreError::NoCommonAncestor);
         };
-        let mut state = self.graph.payload(first).clone();
-        let mut sid = self.state_ids[first.index()];
+        let mut sid = *self.graph.payload(first);
+        let mut lca = Lca::Stored(sid);
         let mut leaves = vec![first];
         for &base in rest {
-            let (sub_state, sub_sid, _) = self.virtual_lca(&leaves, &[base])?;
-            let base_sid = self.state_ids[base.index()];
-            // merged_with_id caches the result's content address with the
-            // entry, so repeated criss-cross derivations skip both the
-            // merge AND the O(state) re-hash.
-            let (merged, merged_sid) = {
-                let graph = &self.graph;
-                let virt_state = Arc::clone(&state);
-                self.memo.merged_with_id((sub_sid, sid, base_sid), move || {
-                    M::merge(&sub_state, &virt_state, graph.payload(base))
-                })
+            let (sub, sub_sid, _) = self.virtual_lca(&leaves, &[base])?;
+            let base_sid = *self.graph.payload(base);
+            let key = (sub_sid, sid, base_sid);
+            // The memo keeps the result's content address with the entry,
+            // so repeated criss-cross derivations skip the merge, the
+            // O(state) re-hash and loading the three inputs.
+            lca = match self.memo.get(key) {
+                Some((state, id)) => {
+                    sid = id;
+                    state.map_or(Lca::Stored(id), Lca::Virtual)
+                }
+                None => {
+                    let merged = M::merge(
+                        &*self.lca_typed(sub)?,
+                        &*self.lca_typed(lca)?,
+                        &*self.state_at(base)?,
+                    );
+                    let merged = Arc::new(merged);
+                    sid = content_id(merged.as_ref());
+                    self.memo.insert(key, Some(Arc::clone(&merged)), sid);
+                    Lca::Virtual(merged)
+                }
             };
-            sid = merged_sid;
-            state = merged;
             leaves.push(base);
         }
-        Ok((state, sid, leaves))
+        Ok((lca, sid, leaves))
+    }
+
+    /// The typed state of a merge base `virtual_lca` returned.
+    fn lca_typed(&self, lca: Lca<M>) -> Result<Arc<M>, StoreError> {
+        match lca {
+            Lca::Stored(id) => self.typed_state(id),
+            Lca::Virtual(state) => Ok(state),
+        }
     }
 
     pub(crate) fn do_merge(&mut self, into: &str, from: &str) -> Result<(), StoreError> {
@@ -563,20 +618,29 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
         if self.graph.is_ancestor(c_from, c_into) {
             return Ok(()); // nothing new to integrate
         }
-        let (lca_state, lca_sid, _) = self.virtual_lca(&[c_into], &[c_from])?;
+        let (lca, lca_sid, _) = self.virtual_lca(&[c_into], &[c_from])?;
+        let (ours, theirs) = (self.state(into)?, self.state(from)?);
         let key = (
             lca_sid,
-            self.state_ids[c_into.index()],
-            self.state_ids[c_from.index()],
+            *self.graph.payload(c_into),
+            *self.graph.payload(c_from),
         );
-        let merged = {
-            let graph = &self.graph;
-            self.memo.merged(key, || {
-                M::merge(&lca_state, graph.payload(c_into), graph.payload(c_from))
-            })
+        let merged = match self.memo.get(key) {
+            Some((Some(state), _)) => state,
+            Some((None, id)) => self.typed_state(id)?,
+            None => Arc::new(M::merge(&*self.lca_typed(lca)?, &ours, &theirs)),
         };
-        let new_head = self.commit(vec![c_into, c_from], merged, (0, 0), diff_parent)?;
-        self.advance_head(into, new_head)?;
+        let new_head = self.commit(
+            vec![c_into, c_from],
+            Some(&ours),
+            &merged,
+            (0, 0),
+            diff_parent,
+        )?;
+        // The result is committed now: the memo remembers its address
+        // only, and its typed state lives where every head's does.
+        self.memo.insert(key, None, *self.graph.payload(new_head));
+        self.advance_head(into, new_head, merged)?;
         if let (Some(m), Some(start)) = (&self.metrics, start) {
             let micros = start.elapsed().as_micros() as u64;
             m.merges_total.inc();
@@ -593,7 +657,10 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
     }
 
     /// Direct access to the underlying commit graph (read-only).
-    pub fn graph(&self) -> &CommitGraph<Arc<M>> {
+    ///
+    /// Each commit's payload is its state's content address; the typed
+    /// state is [`BranchStore::state_at`].
+    pub fn graph(&self) -> &CommitGraph<ObjectId> {
         &self.graph
     }
 
@@ -650,7 +717,7 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
     }
 
     /// Publishes the **pull-model** gauges — facts that live in other
-    /// structures (merge-memo counters, backend
+    /// structures (merge-memo and state-cache counters, backend
     /// [`StorageInfo`](crate::StorageInfo), graph sizes) and would cost
     /// hot-path work to push on every operation. Callers invoke this
     /// right before rendering an exposition (the server's `Metrics`
@@ -675,6 +742,12 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
         m.branches.set(self.branches.len() as i64);
         m.objects.set(self.backend.object_count() as i64);
         m.delta_states.set(self.delta_deps.len() as i64);
+        let (cached, hits, misses) = self.state_cache.snapshot();
+        let mut resident: HashSet<ObjectId> = cached.into_iter().collect();
+        resident.extend(self.branches.values().map(|b| *self.graph.payload(b.head)));
+        m.resident_states.set(resident.len() as i64);
+        m.state_cache_hits.set(hits as i64);
+        m.state_cache_misses.set(misses as i64);
     }
 }
 
@@ -694,7 +767,7 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
     ///
     /// Panics if `c` does not belong to this store's graph.
     pub fn state_oid(&self, c: CommitId) -> ObjectId {
-        self.state_ids[c.index()]
+        *self.graph.payload(c)
     }
 
     /// Resolves a commit content address to its graph id, if this store
@@ -770,6 +843,14 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
         out.sort_unstable();
         out
     }
+}
+
+/// A merge base as [`BranchStore::virtual_lca`] returns it: a stored
+/// state (a real commit's, or a committed merge's the memo remembered),
+/// loaded only if a merge needs it, or a virtual merge's typed result.
+enum Lca<M> {
+    Stored(ObjectId),
+    Virtual(Arc<M>),
 }
 
 /// The delta source of a commit no single operation describes (root,

@@ -26,7 +26,7 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
         let mut seen: HashSet<CommitId> = stack.iter().copied().collect();
         while let Some(c) = stack.pop() {
             live.insert(self.commit_ids[c.index()]);
-            live.insert(self.state_ids[c.index()]);
+            live.insert(*self.graph.payload(c));
             for &p in self.graph.parents(c) {
                 if seen.insert(p) {
                     stack.push(p);
@@ -73,7 +73,10 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
     /// Collected commits take their Lamport mints with them: a later
     /// [`BranchStore::open`] recovers the clock as the maximum over
     /// *reachable* history (the live store's clock never moves
-    /// backwards, so in-process timestamps stay unique either way).
+    /// backwards, so in-process timestamps stay unique either way). The
+    /// collected commits stay in the graph, but their states are gone:
+    /// [`BranchStore::state_at`] on one returns
+    /// [`StoreError::Collected`].
     ///
     /// # Errors
     ///
@@ -87,7 +90,10 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
         // stale index entry would let a re-pushed collected commit land
         // without its bytes.
         self.commit_index.retain(|oid, _| live.contains(oid));
-        self.state_index.retain(|oid, _| live.contains(oid));
+        self.state_index.retain(|oid| live.contains(oid));
+        // A memoized real merge names its committed state by address;
+        // one that was collected must not be served by address again.
+        self.memo.retain_live(&live);
         // Collected delta-stored states drop out of the retention index;
         // every surviving entry's base is in `live` (the closure in
         // `live_objects` put it there), so surviving chains stay whole.

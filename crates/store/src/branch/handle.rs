@@ -109,6 +109,8 @@ pub struct BranchRef<'s, M: Mrdt, B: Backend> {
     id: BranchId,
     head: CommitId,
     replica: ReplicaId,
+    /// The head's pinned state.
+    state: &'s Arc<M>,
 }
 
 impl<'s, M: Mrdt, B: Backend> BranchRef<'s, M, B> {
@@ -117,12 +119,14 @@ impl<'s, M: Mrdt, B: Backend> BranchRef<'s, M, B> {
         id: BranchId,
         head: CommitId,
         replica: ReplicaId,
+        state: &'s Arc<M>,
     ) -> Self {
         BranchRef {
             store,
             id,
             head,
             replica,
+            state,
         }
     }
 
@@ -148,7 +152,7 @@ impl<'s, M: Mrdt, B: Backend> BranchRef<'s, M, B> {
 
     /// The content address of the head state.
     pub fn state_id(&self) -> ObjectId {
-        self.store.state_ids[self.head.index()]
+        self.store.state_oid(self.head)
     }
 
     /// The replica id minting timestamps for this branch.
@@ -158,13 +162,13 @@ impl<'s, M: Mrdt, B: Backend> BranchRef<'s, M, B> {
 
     /// The head state (cheap `Arc` clone).
     pub fn state(&self) -> Arc<M> {
-        self.store.graph.payload(self.head).clone()
+        Arc::clone(self.state)
     }
 
     /// Answers a pure query against the head state — commit-free: no
     /// commit, no timestamp, no backend write.
     pub fn read(&self, q: &M::Query) -> M::Output {
-        self.store.graph.payload(self.head).query(q)
+        self.state.query(q)
     }
 
     /// The commit history of this branch, newest first.
@@ -204,7 +208,7 @@ impl<'s, M: Mrdt, B: Backend> BranchMut<'s, M, B> {
         &self.id
     }
 
-    fn info(&self) -> &BranchInfo {
+    fn info(&self) -> &BranchInfo<M> {
         self.store
             .branches
             .get(&*self.id)
@@ -218,12 +222,12 @@ impl<'s, M: Mrdt, B: Backend> BranchMut<'s, M, B> {
 
     /// The head state (cheap `Arc` clone).
     pub fn state(&self) -> Arc<M> {
-        self.store.graph.payload(self.head()).clone()
+        Arc::clone(&self.info().state)
     }
 
     /// Answers a pure query against the head state — commit-free.
     pub fn read(&self, q: &M::Query) -> M::Output {
-        self.store.graph.payload(self.head()).query(q)
+        self.info().state.query(q)
     }
 
     /// The commit history of this branch, newest first.
@@ -278,7 +282,7 @@ impl<'s, M: Mrdt, B: Backend> BranchMut<'s, M, B> {
     pub fn begin(&mut self) -> Transaction<'_, 's, M, B> {
         let info = self.info();
         let (base, replica) = (info.head, info.replica);
-        let scratch = self.store.graph.payload(base).as_ref().clone();
+        let scratch = info.state.as_ref().clone();
         Transaction {
             branch: self,
             scratch,
@@ -406,10 +410,19 @@ impl<M: Mrdt, B: Backend> Transaction<'_, '_, M, B> {
         // `(store.tick, replica)` is exactly the final `apply`'s stamp —
         // unique per committed transaction.
         let mint = (store.tick, self.replica.as_u32());
-        let new_head = store.commit(vec![self.base], Arc::new(self.scratch), mint, diff_parent)?;
+        // The exclusive borrow kept the branch on `base`, so its pinned
+        // head state is the batch's parent state.
+        let parent = Arc::clone(&store.info(&id)?.state);
+        let new_head = store.commit(
+            vec![self.base],
+            Some(&parent),
+            &self.scratch,
+            mint,
+            diff_parent,
+        )?;
         // However many ops were staged, the whole batch is one logical
         // commit: one durability point, at most one fsync.
-        store.advance_head(&id, new_head)?;
+        store.advance_head(&id, new_head, Arc::new(self.scratch))?;
         if let (Some(m), Some(start)) = (store.metrics(), start) {
             let micros = start.elapsed().as_micros() as u64;
             m.commits_total.inc();

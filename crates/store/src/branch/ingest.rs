@@ -4,13 +4,13 @@
 //! ([`BranchStore::track`]).
 
 use super::records::{
-    check_address, parse_commit_record, resolve_state_record, CommitMeta, StateRecord,
+    check_address, decode_state, parse_commit_record, resolve_state_record, CommitMeta, StateRecord,
 };
 use super::{BranchId, BranchStore};
 use crate::backend::Backend;
 use crate::dag::CommitId;
 use crate::error::StoreError;
-use crate::object::{decode_canonical, ObjectId};
+use crate::object::ObjectId;
 use peepul_core::Mrdt;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -96,14 +96,6 @@ pub enum TrackOutcome {
 }
 
 impl<M: Mrdt, B: Backend> BranchStore<M, B> {
-    /// The typed state stored under the state address `oid`, if any commit
-    /// in this store carries it (cheap `Arc` clone).
-    pub fn state_payload(&self, oid: ObjectId) -> Option<Arc<M>> {
-        self.state_index
-            .get(&oid)
-            .map(|c| self.graph.payload(*c).clone())
-    }
-
     /// Verifies and lands a pack of commit records and state objects —
     /// the single ingest path replication uses. State objects arrive as
     /// full canonical bytes ([`PackState::Full`]) or in **delta form**
@@ -158,8 +150,10 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
         states: &[PackState<'_>],
     ) -> Result<IngestReport, StoreError> {
         // Phase 1: verify every state — resolve it (a full state is a
-        // chain of length 0), which hashes it, then one decode. No writes.
-        let mut typed: HashMap<ObjectId, Arc<M>> = HashMap::with_capacity(states.len());
+        // chain of length 0), which hashes it, then one decode. No store
+        // writes; the decoded states enter the state cache, which keeps
+        // the newest of them (the pack's heads come last).
+        let mut verified: HashSet<ObjectId> = HashSet::with_capacity(states.len());
         let mut resolved: HashMap<ObjectId, Arc<Vec<u8>>> = HashMap::with_capacity(states.len());
         let mut max_tick = 0u64;
         let mut delta_states = 0u64;
@@ -180,14 +174,10 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
                 delta_states += 1;
                 delta_saved_bytes += (bytes.len() as u64).saturating_sub(delta.len() as u64);
             }
-            let m: M = decode_canonical(&bytes).ok_or_else(|| {
-                StoreError::Corrupt(format!(
-                    "state object {} is not a canonical state encoding",
-                    id.short()
-                ))
-            })?;
+            let m: M = decode_state(id, &bytes)?;
             max_tick = max_tick.max(m.max_tick());
-            typed.insert(id, Arc::new(m));
+            self.state_cache.insert(id, Arc::new(m));
+            verified.insert(id);
         }
 
         // Phase 2: verify every commit record — one hash, plus structural
@@ -211,7 +201,7 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
                     )));
                 }
             }
-            if !typed.contains_key(&meta.state) && !self.state_index.contains_key(&meta.state) {
+            if !verified.contains(&meta.state) && !self.has_state(meta.state) {
                 return Err(StoreError::Corrupt(format!(
                     "commit {} references state {} that is neither in the pack nor in the store",
                     id.short(),
@@ -251,25 +241,13 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
             self.put_state(id, &resolved[&id], base, || delta.to_vec())?;
         }
         for (id, meta, bytes) in &fresh {
-            let state = match typed.get(&meta.state) {
-                Some(s) => Arc::clone(s),
-                None => self
-                    .state_payload(meta.state)
-                    .expect("checked in phase 2: state is in pack or store"),
-            };
             let parent_cids: Vec<CommitId> = meta
                 .parents
                 .iter()
                 .map(|p| self.find_commit(*p).expect("checked in phase 2"))
                 .collect();
             self.backend.put_known(*id, bytes)?;
-            self.install_commit(
-                parent_cids,
-                state,
-                meta.state,
-                *id,
-                (meta.tick, meta.replica),
-            );
+            self.install_commit(parent_cids, meta.state, *id, (meta.tick, meta.replica));
         }
         // One pack, one durability point — however many objects landed.
         self.durability_point()?;
@@ -328,7 +306,9 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
     ///
     /// [`StoreError::Corrupt`] when `target` is not a commit of this store;
     /// [`StoreError::InvalidBranchName`] for an illegal new name;
-    /// [`StoreError::Io`] if publishing the ref fails.
+    /// [`StoreError::Io`] if publishing the ref fails; the errors of
+    /// [`BranchStore::state_at`] when the target's state has to be
+    /// resolved from the backend.
     pub fn track(&mut self, name: &str, target: ObjectId) -> Result<TrackOutcome, StoreError> {
         self.track_inner(name, target, false)
     }
@@ -359,7 +339,8 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
             StoreError::Corrupt(format!("track target {} not ingested", target.short()))
         })?;
         let Some(info) = self.branches.get(name) else {
-            self.create_branch(BranchId::new(name)?, head)?;
+            let state = self.state_at(head)?;
+            self.create_branch(BranchId::new(name)?, head, state)?;
             return Ok(TrackOutcome::Created);
         };
         if info.head == head {
@@ -367,7 +348,8 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
         }
         let fast_forward = self.graph.is_ancestor(info.head, head);
         if fast_forward || force {
-            self.advance_head(name, head)?;
+            let state = self.state_at(head)?;
+            self.advance_head(name, head, state)?;
         }
         Ok(if fast_forward {
             TrackOutcome::FastForwarded

@@ -5,13 +5,15 @@
 //! Everything the store knows about the **snapshot policy** lives here:
 //! [`DEFAULT_SNAPSHOT_INTERVAL`], the chain bound and size test in
 //! `put_state`, and the one resolver (`resolve_state_record`) that every
-//! consumer — [`BranchStore::open`], [`BranchStore::state_bytes`] and
-//! [`BranchStore::ingest_pack`] — walks a delta chain through.
+//! consumer — [`BranchStore::open`], [`BranchStore::state_bytes`],
+//! [`BranchStore::ingest_pack`] and a typed read that misses the state
+//! cache ([`BranchStore::state_at`]) — walks a delta chain through.
 
 use super::BranchStore;
 use crate::backend::Backend;
+use crate::dag::CommitId;
 use crate::error::StoreError;
-use crate::object::{content_id_of_bytes, ObjectId};
+use crate::object::{content_id_of_bytes, decode_canonical, ObjectId};
 use peepul_core::{Delta, Mrdt, Wire};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -164,6 +166,18 @@ pub(super) fn check_address(expected: ObjectId, bytes: &[u8]) -> Result<(), Stor
     } else {
         Err(StoreError::CorruptObject { expected, actual })
     }
+}
+
+/// Decodes the verified canonical bytes of state `id` as a typed `M`;
+/// bytes that do not decode (or are not canonical) are corruption, the
+/// same as a wrong hash.
+pub(super) fn decode_state<M: Mrdt>(id: ObjectId, bytes: &[u8]) -> Result<M, StoreError> {
+    decode_canonical(bytes).ok_or_else(|| {
+        StoreError::Corrupt(format!(
+            "state {} does not decode as a canonical typed state",
+            id.short()
+        ))
+    })
 }
 
 /// A resolved state record: the full canonical bytes plus how many delta
@@ -354,7 +368,7 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
     /// [`StoreError::CorruptObject`] for a snapshot or delta chain that
     /// fails to resolve to bytes hashing to their address.
     pub fn state_bytes(&self, oid: ObjectId) -> Result<Option<Vec<u8>>, StoreError> {
-        if !self.state_index.contains_key(&oid) {
+        if !self.has_state(oid) {
             return Ok(None);
         }
         let resolved = resolve_state_record(
@@ -372,6 +386,65 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
         }))
     }
 
+    /// Whether some commit of this store carries the state addressed by
+    /// `oid` (and garbage collection has not reclaimed it).
+    pub fn has_state(&self, oid: ObjectId) -> bool {
+        self.state_index.contains(&oid)
+    }
+
+    /// The typed state of commit `c` — the one typed accessor for a
+    /// commit that is not a branch head (a head's state is
+    /// [`BranchStore::state`]). Served from memory when a branch head or
+    /// the state cache holds it; otherwise resolved from the backend
+    /// through the one delta resolver (every link hash-checked), decoded,
+    /// and cached.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Collected`] when garbage collection reclaimed the
+    /// state; [`StoreError::Io`] / [`StoreError::Corrupt`] /
+    /// [`StoreError::CorruptObject`] when resolving it from the backend
+    /// fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c` does not belong to this store's graph.
+    pub fn state_at(&self, c: CommitId) -> Result<Arc<M>, StoreError> {
+        self.typed_state(*self.graph.payload(c))
+    }
+
+    /// The typed state stored under `sid`: a pinned head's, a cached one,
+    /// or — on a miss — resolved from the backend, decoded and cached.
+    pub(crate) fn typed_state(&self, sid: ObjectId) -> Result<Arc<M>, StoreError> {
+        if !self.has_state(sid) {
+            return Err(StoreError::Collected(sid));
+        }
+        let graph = &self.graph;
+        if let Some(head) = self
+            .branches
+            .values()
+            .find(|b| *graph.payload(b.head) == sid)
+        {
+            return Ok(Arc::clone(&head.state));
+        }
+        if let Some(state) = self.state_cache.get(sid) {
+            return Ok(state);
+        }
+        let (bytes, _) = resolve_state_record(
+            &self.backend,
+            sid,
+            None,
+            &mut HashMap::new(),
+            &mut HashMap::new(),
+        )?
+        .ok_or_else(|| {
+            StoreError::Corrupt(format!("state {} is missing from the backend", sid.short()))
+        })?;
+        let state = Arc::new(decode_state::<M>(sid, &bytes)?);
+        self.state_cache.insert(sid, Arc::clone(&state));
+        Ok(state)
+    }
+
     /// The stored **delta form** of the state under `oid`: `Some((base,
     /// delta_wire))` when the backend holds it as a delta record, `None`
     /// when it is a full snapshot (or not held at all). The sync server
@@ -386,7 +459,7 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
         &self,
         oid: ObjectId,
     ) -> Result<Option<(ObjectId, Vec<u8>)>, StoreError> {
-        if !self.state_index.contains_key(&oid) {
+        if !self.has_state(oid) {
             return Ok(None);
         }
         let Some(record) = self.backend.get(oid)? else {

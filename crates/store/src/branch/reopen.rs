@@ -1,14 +1,14 @@
 //! Typed reopen: rebuilding a live [`BranchStore`] from the objects and
 //! refs a backend already holds.
 
-use super::records::{parse_commit_record, resolve_state_record, CommitMeta};
+use super::records::{decode_state, parse_commit_record, resolve_state_record, CommitMeta};
 use super::{BranchId, BranchStore};
 use crate::backend::Backend;
 use crate::dag::CommitId;
 use crate::error::StoreError;
-use crate::object::{decode_canonical, ObjectId};
+use crate::object::ObjectId;
 use peepul_core::Mrdt;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
 impl<M: Mrdt, B: Backend> BranchStore<M, B> {
@@ -18,11 +18,15 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
     /// Because the canonical encoding is decodable, a process restart is
     /// a full recovery, not a byte-level salvage: `open` walks every ref
     /// to its commit record, follows parent addresses through the Merkle
-    /// graph, decodes each referenced state back to the typed `M`,
-    /// rebuilds the [`CommitGraph`](crate::CommitGraph), both content-address indexes (so
-    /// merges memoize and replication serves immediately), the branch
-    /// table, and the Lamport clock (`observe_tick` over every recovered
-    /// commit mint and every tick embedded in a recovered state). Every
+    /// graph, resolves and hash-checks every referenced state and decodes
+    /// it back to the typed `M`, rebuilds the
+    /// [`CommitGraph`](crate::CommitGraph), both content-address indexes
+    /// (so merges memoize and replication serves immediately), the branch
+    /// table with each head's typed state, and the Lamport clock
+    /// (`observe_tick` over every recovered commit mint and every tick
+    /// embedded in a recovered state). Only the heads' typed states stay
+    /// in memory; any other state is resolved again when something reads
+    /// it ([`BranchStore::state_at`]). Every
     /// branch head is byte- and commit-identical to the pre-restart
     /// store: same head commit id, same state bytes, same query answers.
     ///
@@ -100,60 +104,64 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
             .map(|(o, _)| *o)
             .collect();
 
-        // Phase 3: decode states (each distinct state object once) and
-        // install commits into the graph + indexes. Nothing is written:
-        // the backend already holds every byte.
+        // Phase 3: resolve and decode states (each distinct state object
+        // once) and install commits into the graph + indexes. Nothing is
+        // written: the backend already holds every byte. Only the heads'
+        // typed states are kept. A resolved buffer is kept while some
+        // commit not yet installed names it as its first parent's state —
+        // the base the commit path stored its delta against — so chains
+        // resolve one link per state and the buffers held follow the
+        // history's width, not its length.
+        let head_states: HashSet<ObjectId> = refs.iter().map(|(_, oid)| metas[oid].state).collect();
+        let mut waiting: HashMap<ObjectId, usize> = HashMap::new();
+        for meta in metas.values() {
+            if let Some(first) = meta.parents.first() {
+                *waiting.entry(metas[first].state).or_default() += 1;
+            }
+        }
         let mut store = BranchStore::empty(backend, replica_base);
         let mut resolved: HashMap<ObjectId, Arc<Vec<u8>>> = HashMap::new();
-        let mut typed: HashMap<ObjectId, Arc<M>> = HashMap::new();
+        let mut decoded: HashSet<ObjectId> = HashSet::new();
+        let mut heads: HashMap<ObjectId, Arc<M>> = HashMap::new();
         let mut installed = 0usize;
         while let Some(oid) = ready.pop_first() {
             let meta = &metas[&oid];
-            let state = match typed.get(&meta.state) {
-                Some(s) => Arc::clone(s),
-                None => {
-                    // Resolve the stored record (a snapshot, or a delta
-                    // chain down to one) to full canonical bytes —
-                    // hash-verified per link — then decode. The resolved
-                    // cache persists across commits, so a chain of K
-                    // deltas costs K applications for the whole reopen,
-                    // not K per state.
-                    let (bytes, _) = resolve_state_record(
-                        &store.backend,
-                        meta.state,
-                        None,
-                        &mut resolved,
-                        &mut store.delta_deps,
-                    )?
-                    .ok_or_else(|| {
-                        StoreError::Corrupt(format!(
-                            "commit {} references missing state {}",
-                            oid.short(),
-                            meta.state.short()
-                        ))
-                    })?;
-                    let m: M = decode_canonical(&bytes).ok_or_else(|| {
-                        StoreError::Corrupt(format!(
-                            "state {} does not decode as typed state",
-                            meta.state.short()
-                        ))
-                    })?;
-                    store.tick = store.tick.max(m.max_tick());
-                    let arc = Arc::new(m);
-                    typed.insert(meta.state, Arc::clone(&arc));
-                    arc
+            if decoded.insert(meta.state) {
+                // Resolve the stored record (a snapshot, or a delta chain
+                // down to one) to full canonical bytes — hash-verified
+                // per link — then decode.
+                let (bytes, _) = resolve_state_record(
+                    &store.backend,
+                    meta.state,
+                    None,
+                    &mut resolved,
+                    &mut store.delta_deps,
+                )?
+                .ok_or_else(|| {
+                    StoreError::Corrupt(format!(
+                        "commit {} references missing state {}",
+                        oid.short(),
+                        meta.state.short()
+                    ))
+                })?;
+                let state: M = decode_state(meta.state, &bytes)?;
+                store.tick = store.tick.max(state.max_tick());
+                if head_states.contains(&meta.state) {
+                    heads.insert(meta.state, Arc::new(state));
                 }
-            };
+            }
+            if let Some(first) = meta.parents.first() {
+                let n = waiting.get_mut(&metas[first].state).expect("counted above");
+                *n -= 1;
+            }
+            // Drop every buffer no waiting commit needs: the one this
+            // commit consumed, its own if nothing builds on it, and any
+            // link a chain walk cached on the way.
+            resolved.retain(|sid, _| waiting.get(sid).is_some_and(|n| *n > 0));
             store.tick = store.tick.max(meta.tick);
             let parent_cids: Vec<CommitId> =
                 meta.parents.iter().map(|p| store.commit_index[p]).collect();
-            store.install_commit(
-                parent_cids,
-                state,
-                meta.state,
-                oid,
-                (meta.tick, meta.replica),
-            );
+            store.install_commit(parent_cids, meta.state, oid, (meta.tick, meta.replica));
             installed += 1;
             for child in children.get(&oid).into_iter().flatten() {
                 let n = pending.get_mut(child).expect("child is a known commit");
@@ -174,7 +182,8 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
         // Phase 4: the branch table, from the refs (sorted by name).
         for (name, oid) in &refs {
             let head = store.commit_index[oid];
-            store.insert_branch(BranchId::new(name)?, head);
+            let state = Arc::clone(&heads[&metas[oid].state]);
+            store.insert_branch(BranchId::new(name)?, head, state);
         }
         Ok(store)
     }

@@ -728,3 +728,84 @@ fn read_answers_queries_without_commits() {
         Err(StoreError::UnknownBranch("nope".into()))
     );
 }
+
+#[test]
+fn a_cold_merge_base_is_resolved_and_counted_in_the_exposition() {
+    let obs = peepul_obs::Obs::new(peepul_obs::ObsConfig::default());
+    let mut s: BranchStore<Counter> = BranchStore::new("main");
+    s.set_metrics(obs.attach(StoreMetrics::register));
+    s.branch_mut("main").unwrap().fork("dev").unwrap();
+    let fork = s.head("main").unwrap();
+    // 600 head moves push the fork state out of the 128-state cache.
+    for _ in 0..300 {
+        for branch in ["main", "dev"] {
+            s.branch_mut(branch)
+                .unwrap()
+                .apply(&CounterOp::Increment)
+                .unwrap();
+        }
+    }
+    s.branch_mut("main").unwrap().merge_from("dev").unwrap();
+    assert_eq!(s.read("main", &CounterQuery::Value).unwrap(), 600);
+    // The miss cached the base, so reading it again is a hit.
+    assert_eq!(s.state_at(fork).unwrap().count(), 0);
+
+    s.publish_gauges();
+    let text = obs.registry().render();
+    let samples = peepul_obs::parse_exposition(&text).expect("exposition parses");
+    let gauge = |name: &str| {
+        samples
+            .iter()
+            .find(|sample| sample.name == name)
+            .unwrap_or_else(|| panic!("no {name} in:\n{text}"))
+            .value
+    };
+    assert_eq!(gauge("peepul_store_state_cache_misses"), 1.0, "the base");
+    assert_eq!(gauge("peepul_store_state_cache_hits"), 1.0, "its reread");
+    let resident = gauge("peepul_store_resident_states");
+    assert!((2.0..=130.0).contains(&resident), "{resident}");
+}
+
+#[test]
+fn a_collected_commit_has_no_state_to_read() {
+    let mut s: BranchStore<Counter> = BranchStore::new("main");
+    let root = s.head("main").unwrap();
+    s.branch_mut("main")
+        .unwrap()
+        .apply(&CounterOp::Increment)
+        .unwrap();
+    let dropped = s.head("main").unwrap();
+    assert_eq!(s.state_at(dropped).unwrap().count(), 1);
+    // Move the only branch back and sweep: the increment is unreachable.
+    s.force_track("main", s.commit_oid(root)).unwrap();
+    s.collect_garbage().unwrap();
+    let sid = s.state_oid(dropped);
+    assert!(!s.has_state(sid));
+    assert_eq!(s.state_at(dropped).err(), Some(StoreError::Collected(sid)));
+    assert_eq!(s.state_at(root).unwrap().count(), 0);
+    // The graph keeps the node; the dump labels it with the error.
+    let dot = s.to_dot();
+    assert!(dot.contains("garbage collection"), "{dot}");
+    assert!(dot.contains("Counter"), "{dot}");
+}
+
+#[test]
+fn a_merge_whose_memoized_result_was_collected_is_merged_again() {
+    let mut s: BranchStore<Counter> = BranchStore::new("main");
+    s.branch_mut("main").unwrap().fork("dev").unwrap();
+    for branch in ["main", "dev"] {
+        s.branch_mut(branch)
+            .unwrap()
+            .apply(&CounterOp::Increment)
+            .unwrap();
+    }
+    let main = s.head_id("main").unwrap();
+    s.branch_mut("main").unwrap().fork("x").unwrap();
+    s.branch_mut("x").unwrap().merge_from("dev").unwrap();
+    // The memo now names the merge result by address only. Strand it
+    // and sweep, so that address leads nowhere.
+    s.force_track("x", main).unwrap();
+    s.collect_garbage().unwrap();
+    s.branch_mut("x").unwrap().merge_from("dev").unwrap();
+    assert_eq!(s.read("x", &CounterQuery::Value).unwrap(), 2);
+}

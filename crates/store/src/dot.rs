@@ -5,6 +5,7 @@
 use crate::backend::Backend;
 use crate::branch::BranchStore;
 use crate::dag::{CommitGraph, CommitId};
+use crate::object::ObjectId;
 use peepul_core::Mrdt;
 use std::collections::BTreeMap;
 use std::fmt::Write;
@@ -67,13 +68,20 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
     /// `git log --graph` for this store. Pipe through `dot -Tsvg` to
     /// visualise criss-cross histories. Branch heads render in sorted name
     /// order, so the output is deterministic across backends and runs.
+    /// Each node is labelled with its state, resolved like any other
+    /// read; a state that cannot be resolved (collected, or corrupt)
+    /// labels its node with the error instead.
     pub fn to_dot(&self) -> String {
         let heads: BTreeMap<String, CommitId> = self
             .branch_names()
             .into_iter()
             .map(|name| (name.to_owned(), self.head(name).expect("listed branch")))
             .collect();
-        render(self.graph(), |state| format!("{state:?}"), &heads)
+        let label = |sid: &ObjectId| match self.typed_state(*sid) {
+            Ok(state) => format!("{state:?}"),
+            Err(e) => format!("<{e}>"),
+        };
+        render(self.graph(), label, &heads)
     }
 }
 

@@ -38,6 +38,9 @@ pub enum StoreError {
         /// The content address its (resolved) bytes actually hash to.
         actual: crate::object::ObjectId,
     },
+    /// The state a commit names is no longer held: garbage collection
+    /// reclaimed it once no branch reached the commit any more.
+    Collected(crate::object::ObjectId),
 }
 
 impl From<std::io::Error> for StoreError {
@@ -65,6 +68,9 @@ impl fmt::Display for StoreError {
                 f,
                 "object {expected} does not hash to its address: its bytes hash to {actual}"
             ),
+            StoreError::Collected(state) => {
+                write!(f, "state {state} was reclaimed by garbage collection")
+            }
         }
     }
 }

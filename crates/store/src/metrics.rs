@@ -103,6 +103,16 @@ pub struct StoreMetrics {
     /// `peepul_store_delta_states` — delta-stored states currently live
     /// (gauge, published; the GC retention index size).
     pub delta_states: Gauge,
+    /// `peepul_store_resident_states` — typed states held in memory:
+    /// the pinned branch heads and the state cache (gauge, published).
+    pub resident_states: Gauge,
+    /// `peepul_store_state_cache_hits` — typed reads of a non-head state
+    /// the state cache answered (gauge, published).
+    pub state_cache_hits: Gauge,
+    /// `peepul_store_state_cache_misses` — typed reads of a non-head
+    /// state the cache could not answer, each resolved from the backend
+    /// (gauge, published): the count behind a slow merge.
+    pub state_cache_misses: Gauge,
     /// The trace ring commit/merge/GC events are recorded into.
     pub ring: Arc<EventRing>,
 }
@@ -145,6 +155,9 @@ impl StoreMetrics {
             delta_resolves_total: registry.counter("peepul_store_delta_resolves_total"),
             delta_chain_len: registry.histogram("peepul_store_delta_chain_len"),
             delta_states: registry.gauge("peepul_store_delta_states"),
+            resident_states: registry.gauge("peepul_store_resident_states"),
+            state_cache_hits: registry.gauge("peepul_store_state_cache_hits"),
+            state_cache_misses: registry.gauge("peepul_store_state_cache_misses"),
             ring,
         })
     }

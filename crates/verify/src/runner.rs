@@ -208,21 +208,19 @@ where
             .branch_names()
             .into_iter()
             .map(|name| {
-                let head = self.store.head(name).expect("listed branches exist");
-                (name.to_owned(), self.snapshot_at(head))
+                let snapshot = self.snapshot(name).expect("listed branches exist");
+                (name.to_owned(), snapshot)
             })
             .collect()
     }
 
-    fn snapshot_at(&self, commit: CommitId) -> Snapshot<M> {
-        Snapshot {
-            concrete: Arc::clone(self.store.graph().payload(commit)),
-            abstract_state: Arc::clone(&self.shadow[commit.index()]),
-        }
-    }
-
+    /// The concrete head state of `branch` beside its commit's shadow.
     fn snapshot(&self, branch: &str) -> Result<Snapshot<M>, StoreError> {
-        Ok(self.snapshot_at(self.store.head(branch)?))
+        let head = self.store.head(branch)?;
+        Ok(Snapshot {
+            concrete: self.store.state(branch)?,
+            abstract_state: Arc::clone(&self.shadow[head.index()]),
+        })
     }
 
     /// Records `I` for the commit the store just appended.
@@ -343,12 +341,12 @@ where
                     Obligation::PhiDo,
                     &abs_next,
                     &conc_next,
-                    self.store.graph().payload(head),
+                    &*self.store.state(&branch)?,
                 )?;
                 check_op_delta::<M>(&pre.concrete, op, &conc_next, &mut self.report)
                     .map_err(|e| self.obligation_error(step, e))?;
                 self.push_shadow(head, abs_next);
-                let post = self.snapshot_at(head);
+                let post = self.snapshot(&branch)?;
                 self.check_state(&post)
                     .map_err(|e| self.obligation_error(step, e))?;
             }
@@ -388,11 +386,11 @@ where
                         Obligation::PhiMerge,
                         &abs_next,
                         &conc_next,
-                        self.store.graph().payload(head),
+                        &*self.store.state(&into)?,
                     )?;
                     self.push_shadow(head, abs_next);
                 }
-                let post = self.snapshot_at(head);
+                let post = self.snapshot(&into)?;
                 self.check_state(&post)
                     .map_err(|e| self.obligation_error(step, e))?;
             }

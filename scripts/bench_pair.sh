@@ -17,7 +17,9 @@
 # is worse than the parent's by more than the metric's bound, better when
 # the change won at least 9 pairs in 10 and its median gain exceeds the
 # parent's interquartile distance. Exits 1 on any WORSE metric or failed
-# operation. The temporary directory is removed on exit.
+# operation. The temporary directory is removed on exit, and the working
+# tree's benchmark/Cargo.lock, which building may rewrite, is put back as
+# it was.
 set -euo pipefail
 
 [ $# -ge 2 ] || {
@@ -32,7 +34,9 @@ root="$(git rev-parse --show-toplevel)"
 # same on both sides (/tmp may be tmpfs, where it is free).
 mkdir -p "$root/target"
 tmp="$(mktemp -d "$root/target/bench_pair.XXXXXX")"
-trap 'rm -rf "$tmp"' EXIT
+lock="$root/benchmark/Cargo.lock"
+cp "$lock" "$tmp/benchmark-Cargo.lock"
+trap 'cp "$tmp/benchmark-Cargo.lock" "$lock"; rm -rf "$tmp"' EXIT
 
 parent="$tmp/parent"
 mkdir "$parent"

@@ -8,7 +8,7 @@ mod common;
 use common::{for_each_backend, BackendFactory};
 use peepul::core::{Delta, DeltaOp};
 use peepul::prelude::*;
-use peepul::store::{content_id, state_record_delta};
+use peepul::store::{content_id, state_record_delta, CommitId, ObjectId, PackState};
 use peepul::types::chat::ChatOp;
 use peepul::types::counter::CounterOp;
 use peepul::types::g_set::GSetOp;
@@ -17,6 +17,7 @@ use peepul::types::map::MapOp;
 use peepul::types::or_set_space::{OrSetOp, OrSetOutput, OrSetQuery};
 use peepul::types::queue::{QueueOp, QueueValue};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 type Db<M> = BranchStore<M, Box<dyn Backend + Send + Sync>>;
@@ -37,16 +38,28 @@ fn head_record<M: Mrdt>(db: &Db<M>, branch: &str) -> Vec<u8> {
         .expect("head state is stored")
 }
 
+/// The canonical bytes of each commit's state, recorded by the test while
+/// the commit was its branch's head.
+type Recorded = BTreeMap<CommitId, Vec<u8>>;
+
+/// Records `branch`'s head state.
+fn record_head<M: Mrdt>(db: &Db<M>, branch: &str, recorded: &mut Recorded) {
+    let head = db.head(branch).unwrap();
+    recorded.insert(head, db.state(branch).unwrap().to_wire());
+}
+
 /// Every stored state record resolves, through its delta chain, to the
-/// canonical bytes of the state its commit carries.
-fn assert_every_state_resolves<M: Mrdt>(db: &Db<M>, kind: &str) {
-    for c in db.graph().ids() {
-        let bytes = db.state_bytes(db.state_oid(c)).unwrap();
-        assert_eq!(
-            bytes,
-            Some(db.graph().payload(c).to_wire()),
-            "{kind}: state of {c:?}"
-        );
+/// canonical bytes of the state its commit carried as a head — bytes the
+/// test recorded, not ones the store's own resolver produced.
+fn assert_every_state_resolves<M: Mrdt>(db: &Db<M>, recorded: &Recorded, kind: &str) {
+    assert_eq!(
+        recorded.len(),
+        db.commit_count(),
+        "{kind}: every commit was recorded as a head"
+    );
+    for (c, bytes) in recorded {
+        let resolved = db.state_bytes(db.state_oid(*c)).unwrap();
+        assert_eq!(resolved.as_ref(), Some(bytes), "{kind}: state of {c:?}");
     }
 }
 
@@ -418,6 +431,8 @@ fn queue_update_commits_store_one_entry_not_the_queue() {
     // operation's delta inserts one length prefix and at most one entry.
     for_each_backend("queue-op-delta", |kind, make| {
         let mut db: Db<Queue<u64>> = open(make, "main");
+        let mut recorded = Recorded::new();
+        record_head(&db, "main", &mut recorded);
         db.branch_mut("main")
             .unwrap()
             .transaction(|tx| {
@@ -431,8 +446,10 @@ fn queue_update_commits_store_one_entry_not_the_queue() {
             })
             .unwrap();
         assert_eq!(db.state("main").unwrap().len(), 1000, "{kind}");
+        record_head(&db, "main", &mut recorded);
         for op in [QueueOp::Enqueue(1001), QueueOp::Dequeue] {
             db.branch_mut("main").unwrap().apply(&op).unwrap();
+            record_head(&db, "main", &mut recorded);
             // A delta record: tag, base id, and a script of at most four
             // instructions (8 + 3 × 17 + 29 bytes) — not the 10 KB list.
             let record = head_record(&db, "main");
@@ -443,7 +460,7 @@ fn queue_update_commits_store_one_entry_not_the_queue() {
                 record.len()
             );
         }
-        assert_every_state_resolves(&db, kind);
+        assert_every_state_resolves(&db, &recorded, kind);
     });
 }
 
@@ -451,6 +468,8 @@ fn queue_update_commits_store_one_entry_not_the_queue() {
 fn kv_put_stores_the_record_diff_would() {
     for_each_backend("kv-op-delta", |kind, make| {
         let mut db: Db<Kv> = open(make, "main");
+        let mut recorded = Recorded::new();
+        record_head(&db, "main", &mut recorded);
         let put = |k: String, v: &str| MapOp::Set(k, LwwOp::Write(v.to_owned()));
         db.branch_mut("main")
             .unwrap()
@@ -460,6 +479,7 @@ fn kv_put_stores_the_record_diff_would() {
                 }
             })
             .unwrap();
+        record_head(&db, "main", &mut recorded);
         // An overwrite, then a new key in the middle of the order.
         for key in ["key-0100", "key-0100x"] {
             let parent = db.state("main").unwrap();
@@ -468,11 +488,12 @@ fn kv_put_stores_the_record_diff_would() {
                 .unwrap()
                 .apply(&put(key.to_owned(), "v1"))
                 .unwrap();
+            record_head(&db, "main", &mut recorded);
             let child = db.state("main").unwrap();
             let expected = state_record_delta(parent_id, &child.diff(&parent).to_wire());
             assert_eq!(head_record(&db, "main"), expected, "{kind}: put {key}");
         }
-        assert_every_state_resolves(&db, kind);
+        assert_every_state_resolves(&db, &recorded, kind);
     });
 }
 
@@ -545,6 +566,214 @@ fn update_commits_never_diff() {
             "{kind}: one merge, one diff"
         );
         assert_eq!(db.read("main", &()).unwrap(), 100, "{kind}");
+    });
+}
+
+/// Live [`Resident`] instances — only
+/// `typed_residency_is_bounded_by_the_cache_not_the_history` uses the
+/// type, so no other test moves it.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+
+/// One live [`Resident`]: counted when made, cloned or decoded, and
+/// uncounted when dropped.
+#[derive(Debug)]
+struct Live;
+
+impl Live {
+    fn new() -> Self {
+        LIVE.fetch_add(1, Ordering::SeqCst);
+        Live
+    }
+}
+
+impl Clone for Live {
+    fn clone(&self) -> Self {
+        Live::new()
+    }
+}
+
+impl Drop for Live {
+    fn drop(&mut self) {
+        LIVE.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+impl PartialEq for Live {
+    fn eq(&self, _: &Live) -> bool {
+        true
+    }
+}
+
+/// A counter whose typed instances are counted while they live.
+#[derive(Clone, PartialEq, Debug)]
+struct Resident(u64, Live);
+
+impl Resident {
+    fn new(n: u64) -> Self {
+        Resident(n, Live::new())
+    }
+}
+
+impl Wire for Resident {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        Some(Resident::new(u64::decode(input)?))
+    }
+}
+
+impl Mrdt for Resident {
+    type Op = ();
+    type Value = ();
+    type Query = ();
+    type Output = u64;
+
+    fn initial() -> Self {
+        Resident::new(0)
+    }
+
+    fn apply(&self, _op: &(), _t: Timestamp) -> (Self, ()) {
+        (Resident::new(self.0 + 1), ())
+    }
+
+    fn query(&self, _q: &()) -> u64 {
+        self.0
+    }
+
+    fn merge(lca: &Self, a: &Self, b: &Self) -> Self {
+        Resident::new(a.0 + b.0 - lca.0)
+    }
+}
+
+/// Typed states a store may hold: the state cache (128), one pinned head
+/// per branch (2), and a few in flight.
+const RESIDENT_BOUND: usize = 128 + 2 + 4;
+
+fn segment_at(path: &std::path::Path) -> SegmentBackend {
+    SegmentBackend::open_with(
+        path,
+        SegmentOptions {
+            durable: false,
+            ..SegmentOptions::default()
+        },
+    )
+    .expect("open segment backend")
+}
+
+/// 2 000 applies over two branches on `source`; then the same history
+/// reopened, then ingested cold into a store over `cold`. At each moment
+/// the live typed states stay under [`RESIDENT_BOUND`], however long the
+/// history.
+fn check_residency<B: Backend>(
+    kind: &str,
+    source: B,
+    cold: B,
+    reopen: impl FnOnce(BranchStore<Resident, B>) -> BranchStore<Resident, B>,
+) {
+    let live = || LIVE.load(Ordering::SeqCst);
+    let mut db = BranchStore::with_backend("main", source).unwrap();
+    db.branch_mut("main").unwrap().fork("dev").unwrap();
+    for i in 0..2000 {
+        let branch = if i % 2 == 0 { "main" } else { "dev" };
+        db.branch_mut(branch).unwrap().apply(&()).unwrap();
+    }
+    assert!(live() <= RESIDENT_BOUND, "{kind}: {} after applies", live());
+
+    let heads = [db.head_id("main").unwrap(), db.head_id("dev").unwrap()];
+    let mut commits = Vec::new();
+    let mut states = Vec::new();
+    for c in db.commits_between(&heads, &[]) {
+        let oid = db.commit_oid(c);
+        commits.push((oid, db.commit_record_bytes(oid).unwrap().unwrap()));
+        let sid = db.state_oid(c);
+        states.push((sid, db.state_bytes(sid).unwrap().unwrap()));
+    }
+
+    let reopened = reopen(db);
+    assert_eq!(reopened.read("main", &()).unwrap(), 1000, "{kind}");
+    assert!(live() <= RESIDENT_BOUND, "{kind}: {} after open", live());
+    drop(reopened);
+    assert_eq!(live(), 0, "{kind}: a dropped store leaves no state behind");
+
+    let mut db: BranchStore<Resident, B> = BranchStore::with_backend("main", cold).unwrap();
+    let commits: Vec<(ObjectId, &[u8])> = commits.iter().map(|(o, b)| (*o, &b[..])).collect();
+    let states: Vec<PackState<'_>> = states
+        .iter()
+        .map(|(id, bytes)| PackState::Full { id: *id, bytes })
+        .collect();
+    db.ingest_pack(&commits, &states).unwrap();
+    db.track("main", heads[0]).unwrap();
+    db.track("dev", heads[1]).unwrap();
+    assert_eq!(db.read("dev", &()).unwrap(), 1000, "{kind}");
+    assert!(live() <= RESIDENT_BOUND, "{kind}: {} after ingest", live());
+}
+
+#[test]
+fn typed_residency_is_bounded_by_the_cache_not_the_history() {
+    check_residency("memory", MemoryBackend::new(), MemoryBackend::new(), |db| {
+        BranchStore::open(db.backend().clone()).unwrap()
+    });
+    let scratch = common::Scratch::new("residency");
+    let (source, cold) = (scratch.path().join("source"), scratch.path().join("cold"));
+    check_residency(
+        "segment",
+        segment_at(&source),
+        segment_at(&cold),
+        |mut db| {
+            db.flush().unwrap();
+            drop(db);
+            BranchStore::open(segment_at(&source)).unwrap()
+        },
+    );
+}
+
+/// Forks at S_X, commits 300 times on each side — long enough for S_X to
+/// leave the state cache — optionally reopens, and merges: the merged
+/// state must be `merge(S_X, main, dev)` of the states the test captured.
+fn check_merge_past_the_cache<B: Backend>(
+    kind: &str,
+    backend: B,
+    reopen: impl FnOnce(BranchStore<OrSetSpace<u32>, B>) -> BranchStore<OrSetSpace<u32>, B>,
+) {
+    let mut db = BranchStore::with_backend("main", backend).unwrap();
+    for v in 0..8 {
+        db.branch_mut("main")
+            .unwrap()
+            .apply(&OrSetOp::Add(v))
+            .unwrap();
+    }
+    db.branch_mut("main").unwrap().fork("dev").unwrap();
+    let s_x = db.state("main").unwrap();
+    for i in 0..300 {
+        let (ours, theirs) = match i % 3 {
+            0 => (OrSetOp::Remove(i % 8), OrSetOp::Add(1000 + i)),
+            _ => (OrSetOp::Add(100 + i), OrSetOp::Remove((i + 1) % 8)),
+        };
+        db.branch_mut("main").unwrap().apply(&ours).unwrap();
+        db.branch_mut("dev").unwrap().apply(&theirs).unwrap();
+    }
+    let (a, b) = (db.state("main").unwrap(), db.state("dev").unwrap());
+    let expected = content_id(&OrSetSpace::merge(&s_x, &a, &b));
+    let mut db = reopen(db);
+    db.branch_mut("main").unwrap().merge_from("dev").unwrap();
+    assert_eq!(db.state_id("main").unwrap(), expected, "{kind}");
+}
+
+#[test]
+fn a_merge_whose_base_left_the_cache_resolves_it() {
+    check_merge_past_the_cache("memory", MemoryBackend::new(), |db| db);
+    check_merge_past_the_cache("memory, reopened", MemoryBackend::new(), |db| {
+        BranchStore::open(db.backend().clone()).unwrap()
+    });
+    let scratch = common::Scratch::new("merge-past-cache");
+    let (live, reopened) = (scratch.path().join("live"), scratch.path().join("reopened"));
+    check_merge_past_the_cache("segment", segment_at(&live), |db| db);
+    check_merge_past_the_cache("segment, reopened", segment_at(&reopened), |mut db| {
+        db.flush().unwrap();
+        drop(db);
+        BranchStore::open(segment_at(&reopened)).unwrap()
     });
 }
 
