@@ -29,7 +29,7 @@ use std::fmt;
 ///   state, and no event.
 ///
 /// The split is what lets the branch store serve reads commit-free from a
-/// shared reference while updates batch into transactions.
+/// shared reference while every update commits as one event.
 ///
 /// Implementations are **purely functional**: `apply` and `merge` return new
 /// states rather than mutating in place, mirroring the OCaml data structures
@@ -155,11 +155,10 @@ pub trait Mrdt: Clone + PartialEq + Wire + fmt::Debug {
     /// ([`crate::wire::diff_item_lists`]) so mid-stream edits also cost
     /// O(changed items) delta bytes.
     ///
-    /// The branch store calls `diff` for merge, transaction and root
-    /// commits, whose change no single operation describes; an update
-    /// commit uses [`Mrdt::op_delta`] instead. The certification harness
-    /// checks the resolution law as part of `Φ_codec` at every state it
-    /// explores.
+    /// The branch store calls `diff` for merge and root commits, whose
+    /// change no single operation describes; an update commit uses
+    /// [`Mrdt::op_delta`] instead. The certification harness checks the
+    /// resolution law as part of `Φ_codec` at every state it explores.
     #[must_use]
     fn diff(&self, parent: &Self) -> Delta {
         Delta::splice(&parent.to_wire(), &self.to_wire())

@@ -200,7 +200,7 @@ pub trait Backend: fmt::Debug {
     fn flush(&mut self) -> Result<(), StoreError>;
 
     /// Signals that the writes since the last boundary form one logical
-    /// commit (a transaction, one `apply`, one ingested pack). Persistent
+    /// commit (one `apply`, one merge, one ingested pack). Persistent
     /// backends schedule durability here per their flush policy — one
     /// fsync per *commit* (or fewer, under a coalesced/explicit policy),
     /// never one per record. The default is a full [`Backend::flush`],

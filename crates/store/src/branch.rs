@@ -5,13 +5,13 @@
 //! [`BranchMut`], see [`handle`]): a handle is created from a branch name
 //! exactly once — where a typo surfaces immediately as
 //! [`StoreError::UnknownBranch`] — and everything else (`apply`, `read`,
-//! `fork`, `merge_from`, `history`, transactions) hangs off the handle,
-//! infallibly addressed. Updates commit new versions; **queries are
-//! commit-free**: [`BranchStore::read`] and [`BranchRef::read`] answer from
-//! the branch head against `&self`, minting no commit, no timestamp and no
-//! backend write. Batched updates go through [`BranchMut::transaction`],
-//! which stages any number of operations against a scratch state and
-//! publishes **one** commit and one backend write for the whole batch.
+//! `fork`, `merge_from`, `history`) hangs off the handle, infallibly
+//! addressed. Every update is one `DO` step: one commit carrying one
+//! timestamp. **Queries are commit-free**: [`BranchStore::read`] and
+//! [`BranchRef::read`] answer from the branch head against `&self`,
+//! minting no commit, no timestamp and no backend write. A batch that
+//! wants one fsync is N applies over a backend whose flush policy defers
+//! syncing (`FlushPolicy::Explicit`), then one [`BranchStore::flush`].
 //!
 //! The store tracks the commit DAG, mints unique happens-before-consistent
 //! timestamps, finds the lowest common ancestor for every merge, and
@@ -47,7 +47,7 @@
 //!   `ingest_pack`, `track`;
 //! * `gc` — liveness tracing, garbage collection, compaction;
 //! * `reopen` — the typed cold start ([`BranchStore::open`]);
-//! * [`handle`] — typed branch handles and transactions.
+//! * [`handle`] — typed branch handles.
 
 use crate::backend::{Backend, MemoryBackend};
 use crate::dag::{CommitGraph, CommitId};
@@ -67,7 +67,7 @@ mod ingest;
 mod records;
 mod reopen;
 
-pub use handle::{BranchId, BranchMut, BranchRef, Transaction};
+pub use handle::{BranchId, BranchMut, BranchRef};
 pub use ingest::{IngestReport, PackState, TrackOutcome};
 pub use records::{
     commit_record, parse_commit_record, parse_state_record, state_record_delta, state_record_full,
@@ -80,8 +80,8 @@ struct BranchInfo<M> {
     replica: ReplicaId,
     /// The interned validated name; handles clone this (cheap `Arc`).
     id: BranchId,
-    /// The head's typed state, pinned: apply, read, transactions and both
-    /// merge inputs use it without a lookup.
+    /// The head's typed state, pinned: apply, read and both merge inputs
+    /// use it without a lookup.
     state: Arc<M>,
 }
 
@@ -97,12 +97,10 @@ struct BranchInfo<M> {
 /// let mut store: BranchStore<Counter> = BranchStore::new("main");
 /// let dev = store.branch_mut("main")?.fork("dev")?;
 ///
-/// // Updates go through a mutable handle; a transaction batches them into
-/// // one commit.
-/// store.branch_mut(&dev)?.transaction(|tx| {
-///     tx.apply(&CounterOp::Increment);
-///     tx.apply(&CounterOp::Increment);
-/// })?;
+/// // Updates go through a mutable handle, one commit each.
+/// let mut feature = store.branch_mut(&dev)?;
+/// feature.apply(&CounterOp::Increment)?;
+/// feature.apply(&CounterOp::Increment)?;
 /// store.branch_mut("main")?.apply(&CounterOp::Increment)?;
 /// store.branch_mut("main")?.merge_from(&dev)?;
 ///
@@ -314,10 +312,10 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
     }
 
     /// Moves an existing branch to `head`, whose typed state is `state` —
-    /// the one epilogue of every head move (apply, merge, transaction,
-    /// fast-forward): backend ref first, then the table entry, then one
-    /// durability point. The state the branch leaves enters the state
-    /// cache: it is the likeliest base of the branch's next merge.
+    /// the one epilogue of every head move (apply, merge, fast-forward):
+    /// backend ref first, then the table entry, then one durability
+    /// point. The state the branch leaves enters the state cache: it is
+    /// the likeliest base of the branch's next merge.
     pub(crate) fn advance_head(
         &mut self,
         branch: &str,
@@ -364,10 +362,10 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
         self.branches.insert(info.id.to_string(), info);
     }
 
-    /// Marks the end of one logical commit (an apply, a merge, a fork, a
-    /// whole transaction, an ingested pack): the backend schedules
-    /// durability here per its flush policy — the group-commit seam that
-    /// turns N record appends into at most one fsync.
+    /// Marks the end of one logical commit (an apply, a merge, a fork, an
+    /// ingested pack): the backend schedules durability here per its
+    /// flush policy — the group-commit seam that turns N record appends
+    /// into at most one fsync.
     fn durability_point(&mut self) -> Result<(), StoreError> {
         self.boundaries += 1;
         self.backend.commit_boundary()
@@ -415,8 +413,8 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
         ))
     }
 
-    /// A mutable handle to an existing branch, for `apply`, `fork`,
-    /// `merge_from` and transactions.
+    /// A mutable handle to an existing branch, for `apply`, `fork` and
+    /// `merge_from`.
     ///
     /// # Errors
     ///
@@ -680,7 +678,9 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
         &mut self.backend
     }
 
-    /// Flushes the backend to stable storage.
+    /// Flushes the backend to stable storage. Under
+    /// `FlushPolicy::Explicit` this is the group commit: N applies
+    /// followed by one `flush` cost one fsync.
     ///
     /// # Errors
     ///
@@ -854,7 +854,7 @@ enum Lca<M> {
 }
 
 /// The delta source of a commit no single operation describes (root,
-/// merge, transaction): diff the two whole states.
+/// merge): diff the two whole states.
 fn diff_parent<M: Mrdt>(parent: &M, state: &M) -> Delta {
     state.diff(parent)
 }

@@ -6,8 +6,8 @@
 //! * versioned states in **branches** with explicit three-way **merges**
 //!   ([`BranchStore`]), addressed through validated **typed handles**
 //!   ([`BranchRef`], [`BranchMut`], [`BranchId`]) with a **commit-free
-//!   query path** ([`BranchStore::read`]) and batched **transactions**
-//!   ([`Transaction`]),
+//!   query path** ([`BranchStore::read`]); every update is one `DO` step,
+//!   one commit with one timestamp,
 //! * a commit **DAG** with Git-style merge-base computation, including
 //!   recursive virtual LCAs for criss-cross histories ([`dag`]),
 //! * a **timestamp service** that is unique and happens-before consistent
@@ -73,7 +73,7 @@ pub use backend::{Backend, BackendStats, MemoryBackend, StorageInfo, SweepStats}
 pub use branch::{
     commit_record, parse_commit_record, parse_state_record, state_record_delta, state_record_full,
     BranchId, BranchMut, BranchRef, BranchStore, CommitMeta, IngestReport, PackState, StateRecord,
-    TrackOutcome, Transaction, DEFAULT_SNAPSHOT_INTERVAL,
+    TrackOutcome, DEFAULT_SNAPSHOT_INTERVAL,
 };
 pub use dag::{CommitGraph, CommitId};
 pub use error::StoreError;

@@ -27,8 +27,6 @@ pub struct StoreMetrics {
     pub merges_total: Counter,
     /// `peepul_store_merge_micros` — merge latency (LCA + 3-way + commit).
     pub merge_micros: Histogram,
-    /// `peepul_store_txn_micros` — whole-transaction commit latency.
-    pub txn_micros: Histogram,
     /// `peepul_store_reads_total` — commit-free queries answered.
     pub reads_total: Counter,
     /// `peepul_store_read_micros` — query latency.
@@ -126,7 +124,6 @@ impl StoreMetrics {
             commit_micros: registry.histogram("peepul_store_commit_micros"),
             merges_total: registry.counter("peepul_store_merges_total"),
             merge_micros: registry.histogram("peepul_store_merge_micros"),
-            txn_micros: registry.histogram("peepul_store_txn_micros"),
             reads_total: registry.counter("peepul_store_reads_total"),
             read_micros: registry.histogram("peepul_store_read_micros"),
             ingest_packs_total: registry.counter("peepul_store_ingest_packs_total"),

@@ -62,8 +62,8 @@
 //! *When* bytes reach stable storage is governed by
 //! [`SegmentOptions::flush`] ([`FlushPolicy`]): appends themselves never
 //! fsync; the store signals logical commit boundaries through
-//! [`Backend::commit_boundary`], so one transaction (or one ingested
-//! pack) costs one fsync instead of one per record — and coalesced or
+//! [`Backend::commit_boundary`], so one commit (or one ingested pack)
+//! costs one fsync instead of one per record — and coalesced or
 //! explicit policies amortise even that across commits. The prefix
 //! property holds under every policy; the policy only bounds how much
 //! acknowledged-but-unsynced tail a power loss may cost.
@@ -85,7 +85,6 @@ const MANIFEST_MAGIC: &str = "PEEPULM1";
 const MANIFEST: &str = "manifest";
 const MANIFEST_TMP: &str = "manifest.tmp";
 const PACK_TMP: &str = "pack.tmp";
-const LEGACY_SEGMENT: &str = "store.seg";
 const KIND_OBJECT: u8 = 1;
 const KIND_REF: u8 = 2;
 /// A keyed record ([`Backend::put_keyed`]): the payload is the advertised
@@ -108,8 +107,8 @@ const PACK_FOOTER_LEN: u64 = 8 + 8 + 8;
 /// [`Backend::flush`] always syncs, under every policy.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum FlushPolicy {
-    /// Fsync at every commit boundary: one sync per transaction/commit
-    /// (never one per record). The durable default.
+    /// Fsync at every commit boundary: one sync per commit (never one
+    /// per record). The durable default.
     PerCommit,
     /// Group commit: sync at a commit boundary only when `max_delay` has
     /// elapsed since the last sync, batching many commits into one fsync.
@@ -232,8 +231,8 @@ impl SegmentBackend {
     /// Reads the manifest, loads every listed pack's offset index,
     /// replays every listed segment (truncating a torn tail of the
     /// active segment only), and deletes unlisted leftover data files
-    /// from interrupted rotations/compactions. A legacy single-file
-    /// `store.seg` directory is migrated in place.
+    /// from interrupted rotations/compactions. Only names this engine
+    /// writes are ever deleted; any other file in `dir` is left alone.
     ///
     /// # Errors
     ///
@@ -292,22 +291,15 @@ impl SegmentBackend {
         Ok(backend)
     }
 
-    /// First open of a directory: migrate a legacy single-file store or
-    /// create an empty segment, then publish the initial manifest.
+    /// First open of a directory: create an empty segment, then publish
+    /// the initial manifest.
     fn initialize(&mut self) -> Result<(), StoreError> {
         let first = segment_name(0);
-        let legacy = self.dir.join(LEGACY_SEGMENT);
-        if legacy.exists() {
-            // Legacy layout: the old store.seg IS a valid segment file —
-            // adopt it as segment-0000 and describe it with a manifest.
-            std::fs::rename(&legacy, self.dir.join(&first))?;
-        } else {
-            let mut f = File::create(self.dir.join(&first))?;
-            f.write_all(MAGIC)?;
-            if self.options.durable {
-                f.sync_all()?;
-                self.fsyncs += 1;
-            }
+        let mut f = File::create(self.dir.join(&first))?;
+        f.write_all(MAGIC)?;
+        if self.options.durable {
+            f.sync_all()?;
+            self.fsyncs += 1;
         }
         self.write_manifest(&[first])
     }
@@ -370,7 +362,9 @@ impl SegmentBackend {
 
     /// Deletes data files the manifest does not list — leftovers of a
     /// rotation or compaction that crashed before its manifest swap (or
-    /// after it, before the victim files were deleted). Best effort.
+    /// after it, before the victim files were deleted). Only the names
+    /// this engine writes qualify, so a foreign `*.seg` survives. Best
+    /// effort.
     fn remove_unlisted(&self, listed: &[String]) {
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
             return;
@@ -378,7 +372,7 @@ impl SegmentBackend {
         for entry in entries.flatten() {
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            let stale = (name.ends_with(".seg") || name.ends_with(".pack") || name == PACK_TMP)
+            let stale = (parse_file_seq(name).is_some() || name == PACK_TMP)
                 && !listed.iter().any(|l| l == name);
             if stale {
                 let _ = std::fs::remove_file(entry.path());
@@ -1360,25 +1354,22 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_file_store_migrates_in_place() {
-        let dir = scratch("legacy");
-        // Build a store, then rewind it to the legacy layout by hand.
-        let (id, seg0) = {
+    fn foreign_store_seg_survives_open() {
+        // A `store.seg` is not a name this engine writes: neither the
+        // first open nor a reopen may adopt, rename or sweep it.
+        let dir = scratch("foreign");
+        std::fs::create_dir_all(&dir).unwrap();
+        let foreign = dir.join("store.seg");
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(b"someone else's bytes");
+        std::fs::write(&foreign, &bytes).unwrap();
+        for round in 0..2 {
             let mut b = SegmentBackend::open_with(&dir, quick()).unwrap();
-            let id = b.put(b"bytes from the single-file era").unwrap();
-            b.set_ref("main", id).unwrap();
-            (id, b.active_path())
-        };
-        std::fs::rename(&seg0, dir.join(LEGACY_SEGMENT)).unwrap();
-        std::fs::remove_file(dir.join(MANIFEST)).unwrap();
-
-        let b = SegmentBackend::open_with(&dir, quick()).unwrap();
-        assert_eq!(
-            b.get(id).unwrap().as_deref(),
-            Some(&b"bytes from the single-file era"[..])
-        );
-        assert_eq!(b.get_ref("main").unwrap(), Some(id));
-        assert!(!dir.join(LEGACY_SEGMENT).exists(), "migrated, not copied");
+            assert_eq!(b.object_count(), round, "only our own records load");
+            b.put(format!("ours {round}").as_bytes()).unwrap();
+            drop(b);
+            assert_eq!(std::fs::read(&foreign).unwrap(), bytes);
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1549,7 +1540,7 @@ mod tests {
         )
         .unwrap();
         let base = b.fsync_count();
-        // Three records, one boundary — the transaction shape.
+        // Three records, one boundary — the shape of one commit.
         b.put(b"state bytes").unwrap();
         b.put(b"commit bytes").unwrap();
         let id = b.put(b"ref target").unwrap();

@@ -3,9 +3,8 @@
 //! Demonstrates the core workflow — fork, diverge, merge — with the
 //! space-efficient add-wins OR-set, including the conflict the paper opens
 //! with: one device removes an item while another concurrently re-adds it.
-//! Along the way it shows the three pillars of the redesigned API: typed
-//! branch handles, transactions (one commit per batch), and the
-//! commit-free query path.
+//! Along the way it shows the pillars of the redesigned API: typed branch
+//! handles, one commit per update, and the commit-free query path.
 //!
 //! Run with: `cargo run --example quickstart`
 
@@ -17,13 +16,11 @@ fn main() -> Result<(), StoreError> {
     let add = |x: &str| OrSetOp::Add(x.to_owned());
     let remove = |x: &str| OrSetOp::Remove(x.to_owned());
 
-    // Build the list on the laptop — one transaction, one commit, one
-    // backend write for the whole batch.
-    db.branch_mut("laptop")?.transaction(|tx| {
-        for item in ["milk", "bread", "eggs"] {
-            tx.apply(&add(item));
-        }
-    })?;
+    // Build the list on the laptop — one commit per item.
+    let mut laptop = db.branch_mut("laptop")?;
+    for item in ["milk", "bread", "eggs"] {
+        laptop.apply(&add(item))?;
+    }
     println!("laptop list: {:?}", db.state("laptop")?.elements());
 
     // The phone clones the list and goes offline. `fork` hands back a
@@ -32,10 +29,8 @@ fn main() -> Result<(), StoreError> {
     let phone = db.branch_mut("laptop")?.fork("phone")?;
 
     // Offline edits on both devices:
-    db.branch_mut(&phone)?.transaction(|tx| {
-        tx.apply(&remove("milk")); // phone: bought the milk
-        tx.apply(&add("coffee")); // phone: need coffee
-    })?;
+    db.branch_mut(&phone)?.apply(&remove("milk"))?; // phone: bought the milk
+    db.branch_mut(&phone)?.apply(&add("coffee"))?; // phone: need coffee
     db.branch_mut("laptop")?.apply(&add("milk"))?; // laptop: need milk AGAIN (re-add)
     db.branch_mut("laptop")?.apply(&remove("bread"))?; // laptop: bread already home
 

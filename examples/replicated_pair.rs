@@ -9,7 +9,7 @@
 //! Run: `cargo run --example replicated_pair`
 
 use peepul::net::{PullOutcome, Remote, Replica, TcpServer, TcpTransport};
-use peepul::store::{MemoryBackend, StoreError};
+use peepul::store::MemoryBackend;
 use peepul::types::or_set::{OrSetOp, OrSetOutput, OrSetQuery};
 use peepul::types::or_set_space::OrSetSpace;
 
@@ -24,20 +24,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // derives a disjoint replica-id range from each name, so independent
     // peers never mint colliding timestamps.
     let cloud: Replica<List, _> = Replica::open("cloud", "main", MemoryBackend::new())?;
-    cloud.with_store(|s| -> Result<(), StoreError> {
-        s.branch_mut("main")?.transaction(|tx| {
-            tx.apply(&add("milk"));
-            tx.apply(&add("eggs"));
-        })?;
-        Ok(())
-    })?;
+    cloud.apply("main", &add("milk"))?;
+    cloud.apply("main", &add("eggs"))?;
     let server = TcpServer::spawn(cloud.clone())?;
     println!("cloud replica serving on {}", server.addr());
 
     // The laptop: an *independent* store that already made its own edit
     // while offline.
     let laptop: Replica<List, _> = Replica::open("laptop", "main", MemoryBackend::new())?;
-    laptop.with_store(|s| s.branch_mut("main")?.apply(&add("coffee")).map(|_| ()))?;
+    laptop.apply("main", &add("coffee"))?;
 
     // Pull: fetch over the socket, then a real three-way merge.
     let mut remote = Remote::new("cloud", TcpTransport::connect(server.addr())?);

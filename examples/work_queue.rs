@@ -25,13 +25,11 @@ fn dequeue(
 
 fn main() -> Result<(), StoreError> {
     let mut db: BranchStore<Queue<String>> = BranchStore::new("producer");
-    // The producer submits the morning batch as one transaction: one
-    // commit and one backend write for all four jobs.
-    db.branch_mut("producer")?.transaction(|tx| {
-        for i in 1..=4 {
-            tx.apply(&QueueOp::Enqueue(format!("job-{i}")));
-        }
-    })?;
+    // The producer submits the morning batch, one commit per job.
+    let mut producer = db.branch_mut("producer")?;
+    for i in 1..=4 {
+        producer.apply(&QueueOp::Enqueue(format!("job-{i}")))?;
+    }
 
     // Two workers clone the queue and start pulling independently.
     let worker_a = db.branch_mut("producer")?.fork("worker-a")?;

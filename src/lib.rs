@@ -22,7 +22,7 @@
 //! # Quickstart
 //!
 //! The public API separates **updates** (state-transforming operations,
-//! addressed through typed branch handles, batchable into transactions)
+//! addressed through typed branch handles, one commit each)
 //! from **queries** (pure observations, served commit-free from `&store`):
 //!
 //! ```
@@ -37,13 +37,12 @@
 //! // `fork` returns a validated BranchId — typos fail here, not mid-merge.
 //! let phone = db.branch_mut("laptop")?.fork("phone")?;
 //!
-//! // Concurrently: the phone checks milk off; the laptop batches a
-//! // shopping trip into ONE commit with a transaction.
+//! // Concurrently: the phone checks milk off; the laptop re-adds it and
+//! // adds eggs, one commit per update.
 //! db.branch_mut(&phone)?.apply(&OrSetOp::Remove("milk".into()))?;
-//! db.branch_mut("laptop")?.transaction(|tx| {
-//!     tx.apply(&OrSetOp::Add("milk".into()));
-//!     tx.apply(&OrSetOp::Add("eggs".into()));
-//! })?;
+//! let mut laptop = db.branch_mut("laptop")?;
+//! laptop.apply(&OrSetOp::Add("milk".into()))?;
+//! laptop.apply(&OrSetOp::Add("eggs".into()))?;
 //!
 //! db.branch_mut("laptop")?.merge_from(&phone)?;
 //!
@@ -118,7 +117,7 @@ pub mod prelude {
     pub use peepul_store::{
         Backend, BranchId, BranchMut, BranchRef, BranchStore, CommitMeta, FlushPolicy,
         MemoryBackend, SegmentBackend, SegmentOptions, StorageInfo, StoreError, StoreMetrics,
-        SweepStats, TrackOutcome, Transaction,
+        SweepStats, TrackOutcome,
     };
     pub use peepul_types::{
         Chat, Counter, EwFlag, EwFlagSpace, GMap, GSet, LwwRegister, MergeableLog, MrdtMap, OrSet,

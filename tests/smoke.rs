@@ -26,13 +26,9 @@ fn counter_fork_apply_merge() {
         .unwrap()
         .apply(&CounterOp::Increment)
         .unwrap();
-    db.branch_mut(&feature)
-        .unwrap()
-        .transaction(|tx| {
-            tx.apply(&CounterOp::Increment);
-            tx.apply(&CounterOp::Increment);
-        })
-        .unwrap();
+    let mut on_feature = db.branch_mut(&feature).unwrap();
+    on_feature.apply(&CounterOp::Increment).unwrap();
+    on_feature.apply(&CounterOp::Increment).unwrap();
 
     db.branch_mut("main").unwrap().merge_from(&feature).unwrap();
     // 1 shared + 1 on main + 2 on feature: the delta merge loses nothing.

@@ -1,7 +1,7 @@
 //! Property tests for the multi-segment storage engine: GC, rotation and
 //! compaction are *unobservable* at the store level.
 //!
-//! Any interleaving of commits, forks, merges, transactions, stranded
+//! Any interleaving of commits, forks, merges, flushed batches, stranded
 //! history, GC, segment rotation and compaction must leave a
 //! `SegmentBackend` store byte-identical to a `MemoryBackend` store fed
 //! the same schedule — same Merkle head and state address per branch,
@@ -55,7 +55,7 @@ enum Step {
         into: u8,
         from: u8,
     },
-    /// A whole batch through one transaction — the group-commit path.
+    /// A batch of applies closed by one `flush` — the group-commit path.
     Batch {
         branch: u8,
         values: Vec<u8>,
@@ -158,15 +158,11 @@ fn replay<B: Backend>(
                 }
             }
             Step::Batch { branch, values } => {
-                let b = pick(&branches, *branch);
-                db.branch_mut(&b)
-                    .unwrap()
-                    .transaction(|tx| {
-                        for v in values {
-                            tx.apply(&OrSetOp::Add(*v));
-                        }
-                    })
-                    .unwrap();
+                let mut b = db.branch_mut(&pick(&branches, *branch)).unwrap();
+                for v in values {
+                    b.apply(&OrSetOp::Add(*v)).unwrap();
+                }
+                db.flush().unwrap();
             }
             Step::Strand { from, value } => {
                 let src = pick(&branches, *from);

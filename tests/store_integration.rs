@@ -8,12 +8,15 @@ mod common;
 use common::{for_each_backend, BackendFactory};
 use peepul::core::{Delta, DeltaOp};
 use peepul::prelude::*;
-use peepul::store::{content_id, state_record_delta, CommitId, ObjectId, PackState};
+use peepul::store::{
+    content_id, state_record_delta, CommitId, ObjectId, PackState, DEFAULT_SNAPSHOT_INTERVAL,
+};
 use peepul::types::chat::ChatOp;
 use peepul::types::counter::CounterOp;
 use peepul::types::g_set::GSetOp;
 use peepul::types::lww_register::LwwOp;
 use peepul::types::map::MapOp;
+use peepul::types::or_set;
 use peepul::types::or_set_space::{OrSetOp, OrSetOutput, OrSetQuery};
 use peepul::types::queue::{QueueOp, QueueValue};
 use proptest::prelude::*;
@@ -46,6 +49,22 @@ type Recorded = BTreeMap<CommitId, Vec<u8>>;
 fn record_head<M: Mrdt>(db: &Db<M>, branch: &str, recorded: &mut Recorded) {
     let head = db.head(branch).unwrap();
     recorded.insert(head, db.state(branch).unwrap().to_wire());
+}
+
+/// Applies `ops` to `main` one commit each, recording every head. The
+/// load is stored as full snapshots, so the next commit opens a fresh
+/// delta chain however long the load was.
+fn bulk_load<M: Mrdt>(
+    db: &mut Db<M>,
+    ops: impl IntoIterator<Item = M::Op>,
+    recorded: &mut Recorded,
+) {
+    db.set_snapshot_interval(0);
+    for op in ops {
+        db.branch_mut("main").unwrap().apply(&op).unwrap();
+        record_head(db, "main", recorded);
+    }
+    db.set_snapshot_interval(DEFAULT_SNAPSHOT_INTERVAL);
 }
 
 /// Every stored state record resolves, through its delta chain, to the
@@ -433,20 +452,12 @@ fn queue_update_commits_store_one_entry_not_the_queue() {
         let mut db: Db<Queue<u64>> = open(make, "main");
         let mut recorded = Recorded::new();
         record_head(&db, "main", &mut recorded);
-        db.branch_mut("main")
-            .unwrap()
-            .transaction(|tx| {
-                for v in 0..501 {
-                    tx.apply(&QueueOp::Enqueue(v));
-                }
-                tx.apply(&QueueOp::Dequeue);
-                for v in 501..1001 {
-                    tx.apply(&QueueOp::Enqueue(v));
-                }
-            })
-            .unwrap();
+        let load = (0..501)
+            .map(QueueOp::Enqueue)
+            .chain([QueueOp::Dequeue])
+            .chain((501..1001).map(QueueOp::Enqueue));
+        bulk_load(&mut db, load, &mut recorded);
         assert_eq!(db.state("main").unwrap().len(), 1000, "{kind}");
-        record_head(&db, "main", &mut recorded);
         for op in [QueueOp::Enqueue(1001), QueueOp::Dequeue] {
             db.branch_mut("main").unwrap().apply(&op).unwrap();
             record_head(&db, "main", &mut recorded);
@@ -471,15 +482,8 @@ fn kv_put_stores_the_record_diff_would() {
         let mut recorded = Recorded::new();
         record_head(&db, "main", &mut recorded);
         let put = |k: String, v: &str| MapOp::Set(k, LwwOp::Write(v.to_owned()));
-        db.branch_mut("main")
-            .unwrap()
-            .transaction(|tx| {
-                for i in 0..512 {
-                    tx.apply(&put(format!("key-{i:04}"), "v0"));
-                }
-            })
-            .unwrap();
-        record_head(&db, "main", &mut recorded);
+        let load = (0..512).map(|i| put(format!("key-{i:04}"), "v0"));
+        bulk_load(&mut db, load, &mut recorded);
         // An overwrite, then a new key in the middle of the order.
         for key in ["key-0100", "key-0100x"] {
             let parent = db.state("main").unwrap();
@@ -777,8 +781,59 @@ fn a_merge_whose_base_left_the_cache_resolves_it() {
     });
 }
 
+/// Interprets a byte as an OR-set update, covering add/remove conflicts.
+fn or_set_op_of(byte: u8) -> or_set::OrSetOp<u8> {
+    let x = byte % 8;
+    if byte % 3 == 0 {
+        or_set::OrSetOp::Remove(x)
+    } else {
+        or_set::OrSetOp::Add(x)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Reads never perturb the store: interleaving arbitrary reads between
+    /// updates changes neither the commit count, the head addresses nor
+    /// the backend. The reads run through a `&BranchStore` binding, which
+    /// itself proves the read path needs no `&mut`.
+    #[test]
+    fn reads_are_side_effect_free(
+        raw in proptest::collection::vec(any::<u8>(), 1..16),
+    ) {
+        for_each_backend("read-pure", |kind, make| {
+            let mut noisy: Db<OrSet<u8>> = open(make, "main");
+            let mut quiet: Db<OrSet<u8>> = open(make, "main");
+            for byte in &raw {
+                let op = or_set_op_of(*byte);
+                noisy.branch_mut("main").unwrap().apply(&op).unwrap();
+                quiet.branch_mut("main").unwrap().apply(&op).unwrap();
+                // Hammer the read path on one store only.
+                let shared: &Db<OrSet<u8>> = &noisy;
+                let puts = shared.backend().stats().puts;
+                for x in 0..4u8 {
+                    shared.read("main", &or_set::OrSetQuery::Lookup(x)).unwrap();
+                    shared.branch("main").unwrap().read(&or_set::OrSetQuery::Read);
+                }
+                assert_eq!(
+                    shared.backend().stats().puts,
+                    puts,
+                    "{kind}: reads published to the backend"
+                );
+            }
+            assert_eq!(
+                noisy.commit_count(),
+                quiet.commit_count(),
+                "{kind}: reads minted commits"
+            );
+            assert_eq!(
+                noisy.head_id("main").unwrap(),
+                quiet.head_id("main").unwrap(),
+                "{kind}: reads changed the head"
+            );
+        });
+    }
 
     /// `Kv`'s update delta is byte-for-byte the script `diff` finds, and
     /// resolves to the child. Keys come from a small alphabet, so new keys
