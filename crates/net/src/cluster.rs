@@ -125,16 +125,15 @@ impl<M: Mrdt + Send + Sync + 'static, B: Backend + Send + Sync + 'static> Cluste
     }
 
     /// Answers a pure query against one replica's current head — the
-    /// commit-free read path. The read goes through
-    /// [`Replica::read_observed`], so an attached [`HistoryObserver`]
-    /// witnesses every probe.
+    /// commit-free read path. The read goes through [`Replica::read`], so
+    /// an attached [`HistoryObserver`] witnesses every probe.
     ///
     /// # Errors
     ///
     /// [`StoreError::UnknownBranch`] if `replica >= self.replicas()`.
     pub fn read(&self, replica: usize, q: &M::Query) -> Result<M::Output, NetError> {
         match self.nodes.get(replica) {
-            Some(node) => Ok(node.read_observed(LOCAL_BRANCH, q)?),
+            Some(node) => Ok(node.read(LOCAL_BRANCH, q)?),
             None => Err(StoreError::UnknownBranch(replica_name(replica)).into()),
         }
     }
@@ -475,7 +474,7 @@ mod tests {
                 cluster
                     .node(i)
                     .unwrap()
-                    .set_net_metrics(Some(Arc::clone(&m)));
+                    .set_metrics(None, Some(Arc::clone(&m)));
                 m
             })
             .collect();

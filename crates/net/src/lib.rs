@@ -53,7 +53,7 @@
 //! // disjoint replica-id range from the name, so independent peers can
 //! // never mint colliding timestamps.
 //! let origin: Replica<Counter, _> = Replica::open("origin", "main", MemoryBackend::new())?;
-//! origin.with_store(|s| s.branch_mut("main")?.apply(&CounterOp::Increment))?;
+//! origin.apply("main", &CounterOp::Increment)?;
 //! let server = TcpServer::spawn(origin)?;
 //!
 //! // …and an independent client store that pulls it over a socket.

@@ -1,6 +1,6 @@
 //! Replication-layer observability: the [`NetMetrics`] bundle a
 //! [`Replica`](crate::Replica) updates when one is attached (via
-//! [`Replica::set_net_metrics`](crate::Replica::set_net_metrics)).
+//! [`Replica::set_metrics`](crate::Replica::set_metrics)).
 //!
 //! Handles are resolved from the shared `peepul-obs` registry once at
 //! attach time, exactly like the store's `StoreMetrics`: the replication

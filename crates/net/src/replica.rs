@@ -4,9 +4,8 @@
 //! A [`Replica`] owns its own [`BranchStore`] — its own commit graph, its
 //! own backend, its own Lamport clock. Nothing is shared with any peer:
 //! the only way state moves between replicas is as verified
-//! content-addressed objects over a [`Transport`]. That is the difference
-//! between this module and the old single-store thread simulation, and it
-//! is what makes partitions, lag and independent crashes expressible.
+//! content-addressed objects over a [`Transport`], which is what makes
+//! partitions, lag and independent crashes expressible.
 //!
 //! A [`Remote`] is a named link to a peer (name + transport), like a Git
 //! remote. The three client operations mirror Git's:
@@ -32,14 +31,24 @@
 //! from each other concurrently therefore cannot deadlock: each thread
 //! holds at most one replica lock at any instant.
 //!
+//! `Replica` is the store's **only writer**: every mutation is one of its
+//! methods — [`Replica::apply`] (DO), [`Replica::fork`] (CREATEBRANCH),
+//! [`Replica::merge`] (MERGE), the replication paths, and
+//! [`Replica::flush`] — and each emits what the attached
+//! [`HistoryObserver`] must witness. No raw `&mut BranchStore` leaves
+//! this module, so no write can slip past the witness.
+//!
 //! The store sits behind an `RwLock`, not a mutex: pure observations
-//! ([`Replica::read`], [`Replica::state`], the read-only protocol
-//! requests `FetchRefs`/`Want`/`GetStatesDelta`/`HaveObjects`) take the shared
-//! read lock and run concurrently with each other — the store's
-//! commit-free query path needs only `&self` — while mutations (applies,
-//! merges, ingest, `Push`) take the exclusive write lock. A server
-//! answering many sessions over one replica therefore serializes writes
-//! but never serializes reads behind them.
+//! take the shared read lock and run concurrently with each other — the
+//! store's commit-free query path needs only `&self`. There are three
+//! read paths: [`Replica::read`] (a query, witnessed as an observation
+//! when an observer is attached), the unwitnessed accessors
+//! ([`Replica::state`], [`Replica::head_id`], [`Replica::with_store_read`]
+//! and friends), and the read-only protocol requests
+//! `FetchRefs`/`Want`/`GetStatesDelta`/`HaveObjects`. Mutations take the
+//! exclusive write lock. A server answering many sessions over one
+//! replica therefore serializes writes but never serializes reads behind
+//! them.
 
 use crate::error::NetError;
 use crate::message::{PackedObject, Request, Response, StateTransfer};
@@ -50,7 +59,7 @@ use peepul_core::{Mrdt, ReplicaId, Timestamp, Wire};
 use peepul_store::sha256::Sha256;
 use peepul_store::{
     parse_commit_record, Backend, BranchStore, IngestReport, ObjectId, PackState, StoreError,
-    TrackOutcome,
+    StoreMetrics, TrackOutcome,
 };
 use std::collections::HashSet;
 use std::fmt;
@@ -88,6 +97,21 @@ impl<M: Mrdt> Default for Hooks<M> {
 /// the transports serving it to peers ([`ChannelTransport`] holds one,
 /// [`TcpServer`] holds one) while application threads keep using it
 /// locally.
+///
+/// It is also the store's only writer: outside this crate a replica's
+/// store is reachable only through `&BranchStore`
+/// ([`Replica::with_store_read`]), which cannot mint, so every DO, fork
+/// and merge goes through a method that reports to the observer. There
+/// is no raw write handle to take:
+///
+/// ```compile_fail,E0599
+/// use peepul_net::Replica;
+/// use peepul_store::{BranchStore, MemoryBackend};
+/// use peepul_types::counter::Counter;
+///
+/// type Store = BranchStore<Counter, MemoryBackend>;
+/// let raw_write: fn(&Replica<Counter, MemoryBackend>, fn(&mut Store)) = Replica::with_store;
+/// ```
 ///
 /// [`ChannelTransport`]: crate::transport::ChannelTransport
 /// [`TcpServer`]: crate::tcp::TcpServer
@@ -196,13 +220,6 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
         &self.name
     }
 
-    /// Runs `f` with the store under the **exclusive write lock**. The
-    /// closure must not block on another replica's lock (transports do
-    /// not — see the module docs).
-    pub fn with_store<R>(&self, f: impl FnOnce(&mut BranchStore<M, B>) -> R) -> R {
-        f(&mut self.write_store())
-    }
-
     /// Runs `f` with the store under the **shared read lock**: any number
     /// of readers run concurrently, and none of the store's mutating or
     /// commit-minting paths are reachable through `&BranchStore`.
@@ -211,13 +228,23 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
     }
 
     /// Answers a pure query against a local branch head (commit-free,
-    /// under the shared read lock — concurrent with other readers).
+    /// under the shared read lock — concurrent with other readers). When
+    /// an observer is attached, the observation (query, output, visible
+    /// event set) is emitted under the same read lock — the probe side of
+    /// the `Φ_ra` witness.
     ///
     /// # Errors
     ///
     /// [`StoreError::UnknownBranch`] if the branch does not exist.
     pub fn read(&self, branch: &str, q: &M::Query) -> Result<M::Output, StoreError> {
-        self.read_store().read(branch, q)
+        let observer = self.hooks().observer;
+        let store = self.read_store();
+        let out = store.read(branch, q)?;
+        if let Some(obs) = &observer {
+            let visible = store.visible_mints(store.head(branch)?);
+            obs.observed(&self.name, q, &out, &visible);
+        }
+        Ok(out)
     }
 
     /// A local branch's current state (cheap `Arc` clone).
@@ -257,7 +284,8 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
     /// Attaches a [`HistoryObserver`] that will receive one witness event
     /// per replication-visible transition: local operations through
     /// [`Replica::apply`], pack ingests (fetches and served pushes), head
-    /// integrations, and observations through [`Replica::read_observed`].
+    /// moves (pulls, served pushes and [`Replica::merge`]), and
+    /// observations through [`Replica::read`].
     /// Shared by every clone of this handle; replaces any previous
     /// observer.
     pub fn set_observer(&self, observer: Arc<dyn HistoryObserver<M>>) {
@@ -278,36 +306,35 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
         self.hooks_mut().mutation = mutation;
     }
 
-    /// Attaches (or detaches, with `None`) replication metrics — same
-    /// shared-by-every-clone semantics as [`Replica::set_observer`].
-    /// Fetches, pushes and served pushes through any clone of this
-    /// handle update the attached counters.
-    pub fn set_net_metrics(&self, metrics: Option<Arc<NetMetrics>>) {
-        self.hooks_mut().metrics = metrics;
+    /// Attaches (or detaches, with `None`) the store's and the
+    /// replication layer's metrics. The store metrics live in the store
+    /// itself; the net metrics have the same shared-by-every-clone
+    /// semantics as [`Replica::set_observer`]: fetches, pushes and served
+    /// pushes through any clone of this handle update them.
+    pub fn set_metrics(&self, store: Option<Arc<StoreMetrics>>, net: Option<Arc<NetMetrics>>) {
+        self.write_store().set_metrics(store);
+        self.hooks_mut().metrics = net;
     }
 
-    /// Applies one local operation to `branch` — the witness-observed
-    /// counterpart of `with_store(|s| s.branch_mut(branch)?.apply(op))`.
-    /// When an observer is attached, the minted event (timestamp, return
-    /// value, visible set) is emitted **under the same write lock** as
-    /// the commit, so the per-replica witness order matches the store's
+    /// Applies one local operation to `branch` (the paper's DO). When an
+    /// observer is attached, the minted event (timestamp, return value,
+    /// visible set) is emitted **under the same write lock** as the
+    /// commit, so the per-replica witness order matches the store's
     /// mutation order exactly.
     ///
     /// # Errors
     ///
     /// As [`BranchStore::branch_mut`] + apply.
     pub fn apply(&self, branch: &str, op: &M::Op) -> Result<M::Value, StoreError> {
-        let Hooks {
-            observer, mutation, ..
-        } = self.hooks();
+        let hooks = self.hooks();
         let mut store = self.write_store();
         let value = store.branch_mut(branch)?.apply(op)?;
-        if let Some(obs) = &observer {
+        if let Some(obs) = &hooks.observer {
             let head = store.head(branch)?;
             let t = store.commit_mint(head);
             let mut past = store.visible_mints(head);
             past.retain(|&e| e != t);
-            if mutation == ReplicationMutation::DropVisibilityEdge {
+            if hooks.mutation == ReplicationMutation::DropVisibilityEdge {
                 // Claim the latest foreign event in the ancestry was never
                 // observed (no-op while the ancestry is all-local).
                 if let Some(i) = past.iter().rposition(|e| e.replica() != t.replica()) {
@@ -319,23 +346,118 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
         Ok(value)
     }
 
-    /// Answers a pure query like [`Replica::read`], additionally emitting
-    /// the observation (query, output, visible event set) to the attached
-    /// observer — the probe side of the `Φ_ra` witness. Runs under the
-    /// shared read lock.
+    /// Creates branch `to` at `from`'s head (the paper's CREATEBRANCH).
+    ///
+    /// A fork mints nothing and emits nothing: it adds no event, and it
+    /// moves no existing head — the new branch sees exactly the events
+    /// `from` already made visible.
     ///
     /// # Errors
     ///
-    /// [`StoreError::UnknownBranch`] if the branch does not exist.
-    pub fn read_observed(&self, branch: &str, q: &M::Query) -> Result<M::Output, StoreError> {
-        let observer = self.hooks().observer;
-        let store = self.read_store();
-        let out = store.read(branch, q)?;
-        if let Some(obs) = &observer {
-            let visible = store.visible_mints(store.head(branch)?);
-            obs.observed(&self.name, q, &out, &visible);
+    /// [`StoreError::UnknownBranch`] if `from` does not exist;
+    /// [`StoreError::BranchExists`] if `to` does.
+    pub fn fork(&self, from: &str, to: &str) -> Result<(), StoreError> {
+        self.write_store().branch_mut(from)?.fork(to)?;
+        Ok(())
+    }
+
+    /// Merges branch `from` into branch `into` (the paper's MERGE). When
+    /// the head of `into` moves and an observer is attached, its new
+    /// visible set is emitted under the same write lock as the merge.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::UnknownBranch`] if either branch does not exist;
+    /// merge-time store errors.
+    pub fn merge(&self, into: &str, from: &str) -> Result<(), StoreError> {
+        let hooks = self.hooks();
+        self.merge_witnessed(&mut self.write_store(), &hooks, into, from)?;
+        Ok(())
+    }
+
+    /// Persists every commit landed so far to stable storage — the
+    /// group-commit point of a coalesced or explicit
+    /// [`FlushPolicy`](peepul_store::FlushPolicy). Changes no head, so it
+    /// emits nothing.
+    ///
+    /// # Errors
+    ///
+    /// Backend I/O errors.
+    pub fn flush(&self) -> Result<(), StoreError> {
+        self.write_store().flush()
+    }
+
+    /// The one MERGE step, under a held write lock: merges `from` into
+    /// `into` and, if the head moved, emits its new visible set. Returns
+    /// whether the head moved. [`Replica::merge`] and a diverged
+    /// [`Replica::pull`] both run it.
+    fn merge_witnessed(
+        &self,
+        store: &mut BranchStore<M, B>,
+        hooks: &Hooks<M>,
+        into: &str,
+        from: &str,
+    ) -> Result<bool, StoreError> {
+        let before = store.head_id(into)?;
+        store.branch_mut(into)?.merge_from(from)?;
+        let moved = store.head_id(into)? != before;
+        if moved {
+            self.witness_head(store, hooks, into)?;
         }
-        Ok(out)
+        Ok(moved)
+    }
+
+    /// Emits `branch`'s current visible set as a head move, if an
+    /// observer is attached.
+    fn witness_head(
+        &self,
+        store: &BranchStore<M, B>,
+        hooks: &Hooks<M>,
+        branch: &str,
+    ) -> Result<(), StoreError> {
+        if let Some(obs) = &hooks.observer {
+            obs.head_advanced(&self.name, &store.visible_mints(store.head(branch)?));
+        }
+        Ok(())
+    }
+
+    /// The one pack ingest, under a held write lock — what a fetch and a
+    /// served push both run. The store verifies every object with one
+    /// hash (and every state with one decode, each delta resolved against
+    /// its base first) and applies the Lamport receive rule itself; a
+    /// corrupt object fails the whole pack before anything is written.
+    /// Then the pack must have led to `head`, and the events it newly
+    /// introduced are emitted (`learned`), in pack order.
+    fn ingest_witnessed<'a>(
+        &self,
+        store: &mut BranchStore<M, B>,
+        hooks: &Hooks<M>,
+        commits: &[PackedObject],
+        states: impl Iterator<Item = PackState<'a>>,
+        head: ObjectId,
+    ) -> Result<IngestReport, NetError> {
+        let mut learned = match hooks.observer {
+            Some(_) => fresh_pack_events(store, commits),
+            None => Vec::new(),
+        };
+        let records: Vec<(ObjectId, &[u8])> =
+            commits.iter().map(|p| (p.id, p.bytes.as_slice())).collect();
+        let counts = store.ingest_pack(&records, &states.collect::<Vec<_>>())?;
+        if !store.has_commit(head) {
+            return Err(NetError::Protocol(format!(
+                "head {} is neither in the pack nor in the store",
+                head.short()
+            )));
+        }
+        if let Some(obs) = &hooks.observer {
+            if hooks.mutation == ReplicationMutation::ReorderedPackIngest {
+                learned.reverse();
+            }
+            if !learned.is_empty() {
+                obs.learned(&self.name, &learned);
+            }
+        }
+        Ok(counts)
     }
 }
 
@@ -393,12 +515,8 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
         remote: &mut Remote<T>,
         branch: &str,
     ) -> Result<FetchStats, NetError> {
-        let Hooks {
-            observer,
-            mutation,
-            metrics,
-        } = self.hooks();
-        let start = metrics.as_ref().map(|_| std::time::Instant::now());
+        let hooks = self.hooks();
+        let start = hooks.metrics.as_ref().map(|_| std::time::Instant::now());
         let rt0 = remote.round_trips;
         let tracking_branch = format!("{TRACKING_PREFIX}{}/{branch}", remote.name());
         let refs = remote.refs()?;
@@ -414,7 +532,7 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
             Ok((haves, s.has_commit(head)))
         })?;
         if up_to_date {
-            self.with_store(|s| s.force_track(&tracking_branch, head))?;
+            self.write_store().force_track(&tracking_branch, head)?;
             let stats = FetchStats {
                 round_trips: remote.round_trips - rt0,
                 commits_received: 0,
@@ -424,7 +542,7 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
                 tracking_branch,
                 up_to_date: true,
             };
-            if let (Some(m), Some(start)) = (&metrics, start) {
+            if let (Some(m), Some(start)) = (&hooks.metrics, start) {
                 m.fetches_total.inc();
                 m.round_trips_total.add(stats.round_trips);
                 m.fetch_micros.observe_since(start);
@@ -461,13 +579,9 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
 
         // Phase 5 (local lock only): verify + ingest + land the tracking
         // branch.
-        let counts = self.with_store(|s| -> Result<IngestReport, NetError> {
-            let pre_tick = s.tick();
-            let mut learned = if observer.is_some() {
-                fresh_pack_events(s, &commits)
-            } else {
-                Vec::new()
-            };
+        let counts = {
+            let store = &mut *self.write_store();
+            let pre_tick = store.tick();
             let transfers = states.iter().map(|t| match t {
                 StateTransfer::Full { state } => PackState::Full {
                     id: state.id,
@@ -479,28 +593,14 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
                     delta,
                 },
             });
-            let counts = ingest_pack(s, &commits, transfers)?;
-            if !s.has_commit(head) {
-                return Err(NetError::Protocol(format!(
-                    "peer advertised head {} but did not send it",
-                    head.short()
-                )));
-            }
-            s.force_track(&tracking_branch, head)?;
-            if mutation == ReplicationMutation::BrokenReceiveRule {
+            let counts = self.ingest_witnessed(store, &hooks, &commits, transfers, head)?;
+            store.force_track(&tracking_branch, head)?;
+            if hooks.mutation == ReplicationMutation::BrokenReceiveRule {
                 // Pretend the ingested events never advanced our clock.
-                s.force_clock(pre_tick);
+                store.force_clock(pre_tick);
             }
-            if let Some(obs) = &observer {
-                if mutation == ReplicationMutation::ReorderedPackIngest {
-                    learned.reverse();
-                }
-                if !learned.is_empty() {
-                    obs.learned(&self.name, &learned);
-                }
-            }
-            Ok(counts)
-        })?;
+            counts
+        };
         let state_bytes: u64 = states
             .iter()
             .map(|t| match t {
@@ -517,7 +617,7 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
             tracking_branch,
             up_to_date: false,
         };
-        if let (Some(m), Some(start)) = (&metrics, start) {
+        if let (Some(m), Some(start)) = (&hooks.metrics, start) {
             let micros = start.elapsed().as_micros() as u64;
             let bytes: u64 =
                 commits.iter().map(|o| o.bytes.len() as u64).sum::<u64>() + state_bytes;
@@ -549,40 +649,33 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
         branch: &str,
     ) -> Result<PullReport, NetError> {
         let fetch = self.fetch(remote, branch)?;
-        let Hooks {
-            observer, mutation, ..
-        } = self.hooks();
-        let outcome = self.with_store(|s| -> Result<PullOutcome, StoreError> {
-            let target = s.head_id(&fetch.tracking_branch)?;
-            let outcome = match s.track(branch, target)? {
-                TrackOutcome::Created => PullOutcome::Created,
-                TrackOutcome::Unchanged => PullOutcome::UpToDate,
-                TrackOutcome::FastForwarded => PullOutcome::FastForwarded,
-                TrackOutcome::Diverged if mutation == ReplicationMutation::SkipDivergenceCheck => {
-                    // Skip the three-way merge: jump straight to the remote
-                    // head, silently discarding local unmerged events.
-                    s.force_track(branch, target)?;
-                    PullOutcome::FastForwarded
-                }
-                TrackOutcome::Diverged => {
-                    let before = s.head_id(branch)?;
-                    let tracking = fetch.tracking_branch.clone();
-                    s.branch_mut(branch)?.merge_from(tracking)?;
-                    if s.head_id(branch)? == before {
-                        PullOutcome::UpToDate // remote history already contained
-                    } else {
-                        PullOutcome::Merged
-                    }
-                }
-            };
-            if let Some(obs) = &observer {
-                if !matches!(outcome, PullOutcome::UpToDate) {
-                    let visible = s.visible_mints(s.head(branch)?);
-                    obs.head_advanced(&self.name, &visible);
+        let hooks = self.hooks();
+        let store = &mut *self.write_store();
+        let target = store.head_id(&fetch.tracking_branch)?;
+        let outcome = match store.track(branch, target)? {
+            TrackOutcome::Created => PullOutcome::Created,
+            TrackOutcome::Unchanged => PullOutcome::UpToDate,
+            TrackOutcome::FastForwarded => PullOutcome::FastForwarded,
+            TrackOutcome::Diverged
+                if hooks.mutation == ReplicationMutation::SkipDivergenceCheck =>
+            {
+                // Skip the three-way merge: jump straight to the remote
+                // head, silently discarding local unmerged events.
+                store.force_track(branch, target)?;
+                PullOutcome::FastForwarded
+            }
+            TrackOutcome::Diverged => {
+                let tracking = &fetch.tracking_branch;
+                if self.merge_witnessed(store, &hooks, branch, tracking)? {
+                    PullOutcome::Merged
+                } else {
+                    PullOutcome::UpToDate // remote history already contained
                 }
             }
-            Ok(outcome)
-        })?;
+        };
+        if matches!(outcome, PullOutcome::Created | PullOutcome::FastForwarded) {
+            self.witness_head(store, &hooks, branch)?;
+        }
         Ok(PullReport { fetch, outcome })
     }
 
@@ -958,30 +1051,6 @@ fn unexpected(wanted: &str, got: &Response) -> NetError {
     NetError::Protocol(format!("expected {wanted} response, got {kind}"))
 }
 
-/// Verifies and lands a pack of commit records + state objects by
-/// delegating to the store's single ingest path
-/// ([`BranchStore::ingest_pack`]) — the one adapter both directions use:
-/// a fetch maps its delta-aware [`StateTransfer`]s onto [`PackState`], a
-/// push its full [`PackedObject`]s.
-///
-/// Since the codec unification there is nothing format-specific left to
-/// do here: the bytes on the wire *are* the canonical storage bytes, so
-/// the store verifies each object with one hash (and each state with one
-/// decode, resolving every delta against its base first), publishes the
-/// verified bytes without re-hashing, and applies the Lamport receive
-/// rule itself. A corrupt object fails the whole pack before anything is
-/// written.
-fn ingest_pack<'a, M: Mrdt, B: Backend>(
-    store: &mut BranchStore<M, B>,
-    commits: &[PackedObject],
-    states: impl Iterator<Item = PackState<'a>>,
-) -> Result<IngestReport, NetError> {
-    let commits: Vec<(ObjectId, &[u8])> =
-        commits.iter().map(|p| (p.id, p.bytes.as_slice())).collect();
-    let states: Vec<PackState<'a>> = states.collect();
-    Ok(store.ingest_pack(&commits, &states)?)
-}
-
 /// The read-only server side of [`Replica::handle`] — everything a peer
 /// can ask without changing this store, served from `&BranchStore` so any
 /// number of these run concurrently under the shared read lock.
@@ -1121,50 +1190,26 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
         else {
             return serve_read(&self.read_store(), req, self.hooks().metrics.as_ref());
         };
-        let Hooks {
-            observer,
-            mutation,
-            metrics,
-        } = self.hooks();
+        let hooks = self.hooks();
         let store = &mut *self.write_store();
         // Refuse a diverged push *before* ingesting its objects, or
         // every denied push leaks its pack into the backend.
         if push_would_diverge(store, &branch, head, &commits)? {
-            if let Some(m) = &metrics {
+            if let Some(m) = &hooks.metrics {
                 m.push_denied_total.inc();
             }
             return Ok(Response::PushDenied);
         }
-        let mut learned = if observer.is_some() {
-            fresh_pack_events(store, &commits)
-        } else {
-            Vec::new()
-        };
         let full = states.iter().map(|p| PackState::Full {
             id: p.id,
             bytes: &p.bytes,
         });
-        ingest_pack(store, &commits, full)?;
-        if !store.has_commit(head) {
-            return Err(NetError::Protocol(format!(
-                "pushed head {} not contained in pack or store",
-                head.short()
-            )));
-        }
+        self.ingest_witnessed(store, &hooks, &commits, full, head)?;
         let outcome = store.track(&branch, head)?;
-        if let Some(obs) = &observer {
-            if mutation == ReplicationMutation::ReorderedPackIngest {
-                learned.reverse();
-            }
-            if !learned.is_empty() {
-                obs.learned(&self.name, &learned);
-            }
-            if matches!(outcome, TrackOutcome::Created | TrackOutcome::FastForwarded) {
-                let visible = store.visible_mints(store.head(&branch)?);
-                obs.head_advanced(&self.name, &visible);
-            }
+        if matches!(outcome, TrackOutcome::Created | TrackOutcome::FastForwarded) {
+            self.witness_head(store, &hooks, &branch)?;
         }
-        if let Some(m) = &metrics {
+        if let Some(m) = &hooks.metrics {
             let bytes: u64 = commits.iter().map(|o| o.bytes.len() as u64).sum::<u64>()
                 + states.iter().map(|o| o.bytes.len() as u64).sum::<u64>();
             match outcome {
@@ -1227,14 +1272,12 @@ mod tests {
         let a: Replica<Counter, _> = Replica::open("a", "main", MemoryBackend::new()).unwrap();
         let b: Replica<Counter, _> = Replica::open("b", "main", MemoryBackend::new()).unwrap();
         let base = |r: &Replica<Counter, MemoryBackend>| {
-            r.with_store(|s| s.replica_of("main").unwrap().as_u32())
+            r.with_store_read(|s| s.replica_of("main").unwrap().as_u32())
         };
         assert_ne!(base(&a), base(&b), "name-derived bases must differ");
 
-        a.with_store(|s| s.branch_mut("main").unwrap().apply(&CounterOp::Increment))
-            .unwrap();
-        b.with_store(|s| s.branch_mut("main").unwrap().apply(&CounterOp::Increment))
-            .unwrap();
+        a.apply("main", &CounterOp::Increment).unwrap();
+        b.apply("main", &CounterOp::Increment).unwrap();
         assert_ne!(
             a.head_id("main").unwrap(),
             b.head_id("main").unwrap(),
@@ -1255,8 +1298,7 @@ mod tests {
         let b: Replica<Counter, _> = Replica::open("b", "main", MemoryBackend::new()).unwrap();
         a.apply("main", &CounterOp::Increment).unwrap();
         b.apply("main", &CounterOp::Increment).unwrap();
-        b.with_store(|s| s.branch_mut("main")?.fork("feature"))
-            .unwrap();
+        b.fork("main", "feature").unwrap();
         b.apply("feature", &CounterOp::Increment).unwrap();
 
         let mut to_b = Remote::new("b", ChannelTransport::connect(b.clone()));
@@ -1287,8 +1329,7 @@ mod tests {
         use std::time::{Duration, Instant};
 
         let r: Replica<Counter, _> = Replica::open("a", "main", MemoryBackend::new()).unwrap();
-        r.with_store(|s| s.branch_mut("main").unwrap().apply(&CounterOp::Increment))
-            .unwrap();
+        r.apply("main", &CounterOp::Increment).unwrap();
 
         let holding = std::sync::Arc::new(AtomicBool::new(false));
         let held = std::sync::Arc::clone(&holding);
@@ -1323,7 +1364,8 @@ mod tests {
         r.apply("main", &CounterOp::Increment).unwrap();
         let holder = r.clone();
         let panicked = std::thread::spawn(move || {
-            holder.with_store(|_| panic!("handler bug under the write lock"))
+            let _store = holder.write_store();
+            panic!("handler bug under the write lock")
         })
         .join();
         assert!(panicked.is_err(), "the holder thread must have panicked");

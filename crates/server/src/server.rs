@@ -11,11 +11,14 @@
 //!
 //! ## Concurrency model
 //!
-//! The store sits behind the replica's `RwLock`. `Get`/`Query`/`Status`/
-//! `Branches` and the read-only replication requests take the shared read
-//! lock and run concurrently across any number of sessions — the store's
-//! query path is commit-free and needs only `&self`. `Put`/`Fork`/`Merge`
-//! and pushed packs take the write lock and serialize. Backpressure is
+//! Every handler goes through a [`Replica`] method, so an attached
+//! history observer witnesses every write and every `Get`. `Get`/`Query`/
+//! `Status`/`Branches` and the read-only replication requests take the
+//! shared read lock and run concurrently across any number of sessions —
+//! the store's query path is commit-free and needs only `&self`.
+//! `Put` ([`Replica::apply`]), `Fork` ([`Replica::fork`]), `Merge`
+//! ([`Replica::merge`]), flushes and pushed packs take the write lock and
+//! serialize. Backpressure is
 //! layered: past `max_connections` the acceptor stops accepting (clients
 //! queue in the OS listen backlog), and within a connection the
 //! one-frame-at-a-time request/response discipline bounds in-flight work
@@ -148,8 +151,10 @@ impl<B: Backend + Send + Sync + 'static> Server<B> {
         // handles; a disabled spine attaches nothing, so the hot paths
         // pay only a `None` check.
         let obs = Obs::new(config.obs.clone());
-        replica.with_store(|s| s.set_metrics(obs.attach(StoreMetrics::register)));
-        replica.set_net_metrics(obs.attach(NetMetrics::register));
+        replica.set_metrics(
+            obs.attach(StoreMetrics::register),
+            obs.attach(NetMetrics::register),
+        );
         let metrics = obs.attach(ServerMetrics::register);
         let started = Instant::now();
         if obs.enabled() {
@@ -161,9 +166,6 @@ impl<B: Backend + Send + Sync + 'static> Server<B> {
 
         let stats = ConnStats::default();
         if obs.enabled() {
-            // Satellite fix: the connection counters used to be reachable
-            // only through the handle returned at construction — publish
-            // them in the shared exposition too.
             stats.register_gauges(obs.registry());
         }
         let service = Arc::new(KvService {
@@ -200,7 +202,7 @@ impl<B: Backend + Send + Sync + 'static> Server<B> {
             spawn_periodic(interval, &sync_shutdown, move || {
                 // One sync covers every commit any session landed since
                 // the last pass — group commit across sessions.
-                let _ = replica.with_store(|s| s.flush());
+                let _ = replica.flush();
             })
         });
 
@@ -272,7 +274,7 @@ impl<B: Backend + Send + Sync + 'static> Server<B> {
             let _ = t.join();
             // A clean shutdown persists everything the flusher was
             // amortizing, whatever the backend's policy.
-            let _ = self.replica.with_store(|s| s.flush());
+            let _ = self.replica.flush();
         }
         self.frames.shutdown();
         if let Some(path) = &self.trace_dump {
@@ -444,6 +446,15 @@ fn store_err(e: StoreError) -> String {
     e.to_string()
 }
 
+/// A read that treats an unknown branch as empty — tenants see a uniform
+/// keyspace before their first put.
+fn or_empty<T: Default>(read: Result<T, StoreError>) -> Result<T, String> {
+    match read {
+        Err(StoreError::UnknownBranch(_)) => Ok(T::default()),
+        read => read.map_err(store_err),
+    }
+}
+
 impl<B: Backend + Send + Sync + 'static> KvService<B> {
     fn serve(&self, req: ServiceRequest, session: &mut Session) -> Result<ServiceResponse, String> {
         match req {
@@ -458,68 +469,49 @@ impl<B: Backend + Send + Sync + 'static> KvService<B> {
             ServiceRequest::Get { branch, key } => {
                 let branch = session.resolve(&branch)?;
                 // Commit-free and under the shared read lock: concurrent
-                // with every other reader. An unknown branch reads as
-                // empty — tenants see a uniform keyspace before their
-                // first put.
-                let value = match self
-                    .replica
-                    .read(&branch, &MapQuery::Get(key, LwwQuery::Read))
-                {
-                    Ok(v) => v,
-                    Err(StoreError::UnknownBranch(_)) => None,
-                    Err(e) => return Err(store_err(e)),
-                };
+                // with every other reader.
+                let q = MapQuery::Get(key, LwwQuery::Read);
+                let value = or_empty(self.replica.read(&branch, &q))?;
                 Ok(ServiceResponse::Value { value })
             }
             ServiceRequest::Put { branch, key, value } => {
                 let branch = session.resolve(&branch)?;
-                let root = &self.root_branch;
-                self.replica
-                    .with_store(|s| -> Result<(), StoreError> {
-                        if !s.has_branch(&branch) {
-                            // First put to a fresh namespace: fork the
-                            // root branch so every tenant branch shares
-                            // the common ancestor.
-                            s.branch_mut(root)?.fork(branch.clone())?;
+                let op = MapOp::Set(key, LwwOp::Write(value));
+                match self.replica.apply(&branch, &op) {
+                    Err(StoreError::UnknownBranch(_)) => {
+                        // First put to a fresh namespace: fork the root
+                        // branch so every tenant branch shares the common
+                        // ancestor. A concurrent first put may have forked
+                        // it first.
+                        match self.replica.fork(&self.root_branch, &branch) {
+                            Ok(()) | Err(StoreError::BranchExists(_)) => {}
+                            Err(e) => return Err(store_err(e)),
                         }
-                        s.branch_mut(&branch)?
-                            .apply(&MapOp::Set(key, LwwOp::Write(value)))?;
-                        Ok(())
-                    })
-                    .map_err(store_err)?;
+                        self.replica.apply(&branch, &op).map_err(store_err)?;
+                    }
+                    applied => applied.map_err(store_err)?,
+                }
                 Ok(ServiceResponse::Ok)
             }
             ServiceRequest::Query { branch } => {
                 let branch = session.resolve(&branch)?;
-                let entries = self.replica.with_store_read(|s| match s.state(&branch) {
-                    Ok(state) => Ok(state
-                        .keys()
-                        .filter_map(|k| {
-                            state
-                                .get(k)
-                                .and_then(|reg| reg.get().cloned())
-                                .map(|v| (k.to_owned(), v))
-                        })
-                        .collect()),
-                    Err(StoreError::UnknownBranch(_)) => Ok(Vec::new()),
-                    Err(e) => Err(store_err(e)),
-                })?;
+                let state = or_empty(self.replica.state(&branch))?;
+                let entries = state
+                    .keys()
+                    .filter_map(|k| Some((k.to_owned(), state.get(k)?.get()?.clone())))
+                    .collect();
                 Ok(ServiceResponse::Table { entries })
             }
             ServiceRequest::Fork { from, to } => {
                 let from = session.resolve(&from)?;
                 let to = session.resolve(&to)?;
-                self.replica
-                    .with_store(|s| s.branch_mut(&from).and_then(|mut b| b.fork(to)))
-                    .map_err(store_err)?;
+                self.replica.fork(&from, &to).map_err(store_err)?;
                 Ok(ServiceResponse::Ok)
             }
             ServiceRequest::Merge { into, from } => {
                 let into = session.resolve(&into)?;
                 let from = session.resolve(&from)?;
-                self.replica
-                    .with_store(|s| s.branch_mut(&into).and_then(|mut b| b.merge_from(&from)))
-                    .map_err(store_err)?;
+                self.replica.merge(&into, &from).map_err(store_err)?;
                 Ok(ServiceResponse::Ok)
             }
             ServiceRequest::Branches => {

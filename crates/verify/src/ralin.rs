@@ -854,10 +854,8 @@ fn mutant_scenario(
             r1.pull(&mut to_r0, "main").expect("pull");
         }
     }
-    r0.read_observed("main", &CounterQuery::Value)
-        .expect("read r0");
-    r1.read_observed("main", &CounterQuery::Value)
-        .expect("read r1");
+    r0.read("main", &CounterQuery::Value).expect("read r0");
+    r1.read("main", &CounterQuery::Value).expect("read r1");
     let s0 = r0.state("main").expect("state r0");
     let s1 = r1.state("main").expect("state r1");
     let converged = s0.observably_equal(&s1);

@@ -12,7 +12,8 @@
 # previously started ones (each peer round pulls every branch, then
 # pushes every branch, so a chain suffices to connect the fleet). n3
 # runs a coalesced flush policy, so its background flusher runs too. Writes, forks and merges land on
-# *different* nodes; the test then polls `peepul-cli serve-status` until
+# *different* nodes, and two first puts to a fresh tenant race on one
+# node; the test then polls `peepul-cli serve-status` until
 # every node reports identical heads for every non-tracking branch, and
 # finally asserts each node serves every write. The whole run is bounded
 # by a hard timeout and always tears the fleet down.
@@ -114,6 +115,20 @@ done
 "$CLI" --addr "$B" merge main feature
 # Tenant traffic rides the same fleet.
 "$CLI" --addr "$C" --tenant acme put main secret s3cret
+# Two first puts race into one fresh tenant on one node: each forks the
+# tenant's branch from the root (or finds it already forked), then
+# applies. Both must be acknowledged.
+"$CLI" --addr "$A" --tenant fresh put main k1 one &
+RACE1=$!
+"$CLI" --addr "$A" --tenant fresh put main k2 two &
+RACE2=$!
+race_ok=1
+wait "$RACE1" || race_ok=0
+wait "$RACE2" || race_ok=0
+if [ "$race_ok" -ne 1 ]; then
+  echo "service_smoke: FAIL — a racing first put to a fresh tenant was refused" >&2
+  exit 1
+fi
 
 echo "== waiting for convergence (identical non-tracking heads on every node)"
 heads() { # addr -> sorted "branch name head state" lines, tracking branches excluded
@@ -141,6 +156,8 @@ for addr in "$A" "$B" "$C"; do
   [ "$("$CLI" --addr "$addr" get main country)" = "france" ]
   [ "$("$CLI" --addr "$addr" get main dish)" = "quenelle" ]   # merged from the fork
   [ "$("$CLI" --addr "$addr" --tenant acme get main secret)" = "s3cret" ]
+  [ "$("$CLI" --addr "$addr" --tenant fresh get main k1)" = "one" ]
+  [ "$("$CLI" --addr "$addr" --tenant fresh get main k2)" = "two" ]
 done
 
 echo "== metrics exposition covers every subsystem"

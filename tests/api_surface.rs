@@ -141,7 +141,7 @@ fn prelude_surface_matches_golden() {
 #[test]
 fn pinned_signatures_still_hold() {
     use peepul::prelude::*;
-    use peepul::types::counter::{Counter, CounterQuery};
+    use peepul::types::counter::{Counter, CounterOp, CounterQuery};
 
     // read and lca_state take &self.
     let _read: fn(&BranchStore<Counter>, &str, &CounterQuery) -> Result<u64, StoreError> =
@@ -176,4 +176,13 @@ fn pinned_signatures_still_hold() {
     fn _open_based(b: MemoryBackend) -> Result<BranchStore<Counter>, StoreError> {
         BranchStore::open_with_base(b, 7)
     }
+    // A replica's DO, CREATEBRANCH, MERGE, flush and witnessed read all
+    // take &self: one handle, shared by every clone, is the only writer.
+    type R = Replica<Counter, MemoryBackend>;
+    let _apply: fn(&R, &str, &CounterOp) -> Result<(), StoreError> = |r, b, op| r.apply(b, op);
+    let _fork: fn(&R, &str, &str) -> Result<(), StoreError> = |r, from, to| r.fork(from, to);
+    let _merge: fn(&R, &str, &str) -> Result<(), StoreError> = |r, into, from| r.merge(into, from);
+    let _flush: fn(&R) -> Result<(), StoreError> = |r| r.flush();
+    let _replica_read: fn(&R, &str, &CounterQuery) -> Result<u64, StoreError> =
+        |r, b, q| r.read(b, q);
 }

@@ -60,26 +60,19 @@ fn replica<B: Backend>(name: &str, backend: B, base: u32) -> Replica<OrSetSpace<
 fn tcp_pair_exchanges_only_missing_objects() {
     // Server replica with real history: adds, a fork, a merge.
     let origin = replica("origin", MemoryBackend::new(), 0);
-    origin
-        .with_store(|s| -> Result<(), StoreError> {
-            for x in 0..5u32 {
-                s.branch_mut("main")?.apply(&OrSetOp::Add(x))?;
-            }
-            s.branch_mut("main")?.fork("feature")?;
-            s.branch_mut("feature")?.apply(&OrSetOp::Add(100))?;
-            s.branch_mut("main")?.apply(&OrSetOp::Remove(0))?;
-            s.branch_mut("main")?.merge_from("feature")?;
-            Ok(())
-        })
-        .unwrap();
+    for x in 0..5u32 {
+        origin.apply("main", &OrSetOp::Add(x)).unwrap();
+    }
+    origin.fork("main", "feature").unwrap();
+    origin.apply("feature", &OrSetOp::Add(100)).unwrap();
+    origin.apply("main", &OrSetOp::Remove(0)).unwrap();
+    origin.merge("main", "feature").unwrap();
     let origin_objects = origin.object_count();
     let server = TcpServer::spawn(origin.clone()).unwrap();
 
     // Independent client store with divergent local history.
     let laptop = replica("laptop", MemoryBackend::new(), 1);
-    laptop
-        .with_store(|s| s.branch_mut("main").unwrap().apply(&OrSetOp::Add(777)))
-        .unwrap();
+    laptop.apply("main", &OrSetOp::Add(777)).unwrap();
 
     let mut remote = Remote::new("origin", TcpTransport::connect(server.addr()).unwrap());
     let before = laptop.object_count();
@@ -145,20 +138,14 @@ fn delta_storing_origin_ships_under_half_the_state_bytes() {
     // every state ships as its full canonical bytes) and from a
     // delta-storing origin (the default interval).
     let cold_fetch = |snapshot_interval: u32| {
-        let origin: Replica<MergeableLog<String>, _> =
-            Replica::open("origin", "main", MemoryBackend::new()).unwrap();
-        origin
-            .with_store(|s| -> Result<(), StoreError> {
-                s.set_snapshot_interval(snapshot_interval);
-                let mut main = s.branch_mut("main")?;
-                for i in 0..256 {
-                    main.apply(&LogOp::Append(format!(
-                        "chat message number {i:08} from origin"
-                    )))?;
-                }
-                Ok(())
-            })
-            .unwrap();
+        let mut store = BranchStore::with_backend_and_base("main", MemoryBackend::new(), 0)
+            .expect("store construction");
+        store.set_snapshot_interval(snapshot_interval);
+        let origin: Replica<MergeableLog<String>, _> = Replica::new("origin", store);
+        for i in 0..256 {
+            let msg = format!("chat message number {i:08} from origin");
+            origin.apply("main", &LogOp::Append(msg)).unwrap();
+        }
         let client: Replica<MergeableLog<String>, _> =
             Replica::open("client", "main", MemoryBackend::new()).unwrap();
         let mut remote = Remote::new("origin", ChannelTransport::connect(origin));
@@ -187,12 +174,8 @@ fn push_to_diverged_peer_is_rejected() {
     let laptop = replica("laptop", MemoryBackend::new(), 1);
 
     // Both sides commit concurrently.
-    origin
-        .with_store(|s| s.branch_mut("main").unwrap().apply(&OrSetOp::Add(1)))
-        .unwrap();
-    laptop
-        .with_store(|s| s.branch_mut("main").unwrap().apply(&OrSetOp::Add(2)))
-        .unwrap();
+    origin.apply("main", &OrSetOp::Add(1)).unwrap();
+    laptop.apply("main", &OrSetOp::Add(2)).unwrap();
 
     let mut remote = Remote::new("origin", TcpTransport::connect(server.addr()).unwrap());
     let err = laptop.push(&mut remote, "main").unwrap_err();
@@ -218,19 +201,12 @@ fn rejected_push_lands_no_objects_and_gc_finds_no_garbage() {
     let server = TcpServer::spawn(origin.clone()).unwrap();
     let laptop = replica("laptop", MemoryBackend::new(), 1);
 
-    origin
-        .with_store(|s| s.branch_mut("main").unwrap().apply(&OrSetOp::Add(1)))
-        .unwrap();
+    origin.apply("main", &OrSetOp::Add(1)).unwrap();
     // Give the diverged client some weight: several commits that would
     // all have been transferred (and stranded) by the old code.
-    laptop
-        .with_store(|s| -> Result<(), StoreError> {
-            for x in 10..20u32 {
-                s.branch_mut("main")?.apply(&OrSetOp::Add(x))?;
-            }
-            Ok(())
-        })
-        .unwrap();
+    for x in 10..20u32 {
+        laptop.apply("main", &OrSetOp::Add(x)).unwrap();
+    }
 
     let before = origin.object_count();
     let mut remote = Remote::new("origin", TcpTransport::connect(server.addr()).unwrap());
@@ -248,8 +224,8 @@ fn rejected_push_lands_no_objects_and_gc_finds_no_garbage() {
     // And the server's own GC agrees there is nothing to reclaim: every
     // stored object is still reachable from a ref.
     let swept = origin
-        .with_store(|s| s.collect_garbage())
-        .expect("gc over the server store");
+        .with_store_read(|s| s.sweep_stats())
+        .expect("gc sweep over the server store");
     assert_eq!(swept.dead_objects, 0, "rejected pushes left garbage");
     assert_eq!(origin.object_count(), before);
 }
@@ -368,23 +344,15 @@ fn or_set_spacetime_replicates_across_stores() {
         Replica::open("a", "main", MemoryBackend::new()).unwrap();
     let b: Replica<OrSetSpacetime<u32>, _> =
         Replica::open("b", "main", MemoryBackend::new()).unwrap();
-    a.with_store(|s| -> Result<(), StoreError> {
-        for x in 0..40u32 {
-            s.branch_mut("main")?.apply(&OrSetOp::Add(x))?;
-        }
-        s.branch_mut("main")?.apply(&OrSetOp::Remove(7))?;
-        Ok(())
-    })
-    .unwrap();
-    b.with_store(|s| -> Result<(), StoreError> {
-        for x in 30..60u32 {
-            s.branch_mut("main")?.apply(&OrSetOp::Add(x))?;
-        }
-        // Concurrent with a's remove of 7: add-wins must keep it.
-        s.branch_mut("main")?.apply(&OrSetOp::Add(7))?;
-        Ok(())
-    })
-    .unwrap();
+    for x in 0..40u32 {
+        a.apply("main", &OrSetOp::Add(x)).unwrap();
+    }
+    a.apply("main", &OrSetOp::Remove(7)).unwrap();
+    for x in 30..60u32 {
+        b.apply("main", &OrSetOp::Add(x)).unwrap();
+    }
+    // Concurrent with a's remove of 7: add-wins must keep it.
+    b.apply("main", &OrSetOp::Add(7)).unwrap();
     sync_pair(&a, &b);
     let OrSetOutput::Elements(ea) = a.read("main", &OrSetQuery::Read).unwrap() else {
         panic!("read returns elements")
@@ -405,22 +373,14 @@ fn g_map_of_counters_replicates_across_stores() {
     let a: Replica<MrdtMap<Counter>, _> = Replica::open("a", "main", MemoryBackend::new()).unwrap();
     let b: Replica<MrdtMap<Counter>, _> = Replica::open("b", "main", MemoryBackend::new()).unwrap();
     let bump = |key: &str| MapOp::Set(key.to_owned(), CounterOp::Increment);
-    a.with_store(|s| -> Result<(), StoreError> {
-        for _ in 0..3 {
-            s.branch_mut("main")?.apply(&bump("shared"))?;
-        }
-        s.branch_mut("main")?.apply(&bump("only-a"))?;
-        Ok(())
-    })
-    .unwrap();
-    b.with_store(|s| -> Result<(), StoreError> {
-        for _ in 0..2 {
-            s.branch_mut("main")?.apply(&bump("shared"))?;
-        }
-        s.branch_mut("main")?.apply(&bump("only-b"))?;
-        Ok(())
-    })
-    .unwrap();
+    for _ in 0..3 {
+        a.apply("main", &bump("shared")).unwrap();
+    }
+    a.apply("main", &bump("only-a")).unwrap();
+    for _ in 0..2 {
+        b.apply("main", &bump("shared")).unwrap();
+    }
+    b.apply("main", &bump("only-b")).unwrap();
     sync_pair(&a, &b);
     for (key, want) in [("shared", 5), ("only-a", 1), ("only-b", 1), ("ghost", 0)] {
         let q = MapQuery::Get(key.to_owned(), CounterQuery::Value);
@@ -436,19 +396,9 @@ fn chat_replicates_across_stores() {
     let a: Replica<Chat, _> = Replica::open("a", "main", MemoryBackend::new()).unwrap();
     let b: Replica<Chat, _> = Replica::open("b", "main", MemoryBackend::new()).unwrap();
     let send = |ch: &str, m: &str| ChatOp::Send(ch.to_owned(), m.to_owned());
-    a.with_store(|s| -> Result<(), StoreError> {
-        s.branch_mut("main")?
-            .apply(&send("#rust", "hello from a"))?;
-        s.branch_mut("main")?.apply(&send("#a-only", "private"))?;
-        Ok(())
-    })
-    .unwrap();
-    b.with_store(|s| -> Result<(), StoreError> {
-        s.branch_mut("main")?
-            .apply(&send("#rust", "hello from b"))?;
-        Ok(())
-    })
-    .unwrap();
+    a.apply("main", &send("#rust", "hello from a")).unwrap();
+    a.apply("main", &send("#a-only", "private")).unwrap();
+    b.apply("main", &send("#rust", "hello from b")).unwrap();
     sync_pair(&a, &b);
     let msgs_a = a.read("main", &ChatQuery::Read("#rust".into())).unwrap();
     let msgs_b = b.read("main", &ChatQuery::Read("#rust".into())).unwrap();
@@ -489,16 +439,12 @@ fn replica_open_survives_a_process_restart_on_disk() {
     let (head, tick) = {
         let a: Replica<OrSetSpace<u32>, _> =
             Replica::open("durable", "main", open_backend().unwrap()).unwrap();
-        a.with_store(|s| -> Result<(), StoreError> {
-            for x in 0..10u32 {
-                s.branch_mut("main")?.apply(&OrSetOp::Add(x))?;
-            }
-            s.branch_mut("main")?.apply(&OrSetOp::Remove(3))?;
-            Ok(())
-        })
-        .unwrap();
-        a.with_store(|s| s.flush()).unwrap();
-        (a.head_id("main").unwrap(), a.with_store(|s| s.tick()))
+        for x in 0..10u32 {
+            a.apply("main", &OrSetOp::Add(x)).unwrap();
+        }
+        a.apply("main", &OrSetOp::Remove(3)).unwrap();
+        a.flush().unwrap();
+        (a.head_id("main").unwrap(), a.with_store_read(|s| s.tick()))
     };
 
     // Second life: the same call site reopens the typed store instead of
@@ -510,7 +456,7 @@ fn replica_open_survives_a_process_restart_on_disk() {
         head,
         "head survived the restart"
     );
-    assert_eq!(a.with_store(|s| s.tick()), tick, "clock survived");
+    assert_eq!(a.with_store_read(|s| s.tick()), tick, "clock survived");
     let OrSetOutput::Elements(elems) = a.read("main", &OrSetQuery::Read).unwrap() else {
         panic!("read returns elements")
     };
@@ -571,18 +517,13 @@ impl<T: Transport> Transport for CorruptingTransport<T> {
 #[test]
 fn corrupted_transfers_are_rejected_and_change_nothing() {
     let origin = replica("origin", MemoryBackend::new(), 0);
-    origin
-        .with_store(|s| -> Result<(), StoreError> {
-            for x in 0..4u32 {
-                s.branch_mut("main")?.apply(&OrSetOp::Add(x))?;
-            }
-            Ok(())
-        })
-        .unwrap();
+    for x in 0..4u32 {
+        origin.apply("main", &OrSetOp::Add(x)).unwrap();
+    }
 
     let laptop = replica("laptop", MemoryBackend::new(), 1);
     let objects_before = laptop.object_count();
-    let branches_before = laptop.with_store(|s| s.branch_names().len());
+    let branches_before = laptop.with_store_read(|s| s.branch_names().len());
 
     let mut evil = Remote::new(
         "origin",
@@ -600,7 +541,7 @@ fn corrupted_transfers_are_rejected_and_change_nothing() {
     );
     assert_eq!(laptop.object_count(), objects_before, "nothing ingested");
     assert_eq!(
-        laptop.with_store(|s| s.branch_names().len()),
+        laptop.with_store_read(|s| s.branch_names().len()),
         branches_before,
         "no tracking branch landed"
     );
@@ -667,9 +608,7 @@ proptest! {
                 match ev {
                     Event::Op(r, op) => {
                         let r = *r as usize % FLEET;
-                        replicas[r]
-                            .with_store(|s| s.branch_mut("main").unwrap().apply(op))
-                            .unwrap();
+                        replicas[r].apply("main", op).unwrap();
                     }
                     Event::Pull(a, b) => {
                         let (a, b) = (*a as usize % FLEET, *b as usize % FLEET);

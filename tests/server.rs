@@ -12,6 +12,10 @@
 //!   deadline out if reads were exclusive);
 //! * tenant sessions are namespaced — one tenant's writes are invisible
 //!   to another tenant addressing the same branch name;
+//! * eight sessions racing their first put into one fresh tenant all
+//!   land, on one auto-forked branch;
+//! * every served write reaches an attached history observer, and the
+//!   witnessed run is replication-aware linearizable;
 //! * forked/merged client branches converge to the mainline answer;
 //! * one `Server::sync_with` round pulls every peer branch and pushes
 //!   every local one, so two diverged nodes serve every key, and a second
@@ -27,7 +31,9 @@ mod common;
 
 use common::Scratch;
 use peepul::store::{MemoryBackend, SegmentBackend};
-use peepul_server::{Server, ServerConfig, ServiceClient, SyncRoundReport};
+use peepul::verify::{check_ra_lin, HistoryRecorder, RaLinOptions};
+use peepul_server::{Kv, Server, ServerConfig, ServiceClient, SyncRoundReport};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn memory_server(name: &str) -> Server<MemoryBackend> {
@@ -158,6 +164,87 @@ fn tenants_are_namespaced_end_to_end() {
         Some("red")
     );
     assert!(acme.get("zebra/main", "color").is_err());
+}
+
+/// A first put forks the tenant's branch from the root, then applies.
+/// When eight sessions race that first put, all but one may find the
+/// fork already made; each must still land its write on the one branch.
+/// The test holds the store's read lock while the puts are sent, so they
+/// queue on the write lock together and several find the branch missing;
+/// the race is run for sixteen fresh tenants.
+#[test]
+fn concurrent_first_puts_to_a_fresh_tenant_all_land() {
+    let server = memory_server("first-puts");
+    let addr = server.addr();
+    const SESSIONS: usize = 8;
+    const TENANTS: usize = 16;
+    for round in 0..TENANTS {
+        let tenant = format!("fresh{round}");
+        let barrier = Arc::new(Barrier::new(SESSIONS + 1));
+        let workers: Vec<_> = (0..SESSIONS)
+            .map(|i| {
+                let (barrier, tenant) = (Arc::clone(&barrier), tenant.clone());
+                std::thread::spawn(move || {
+                    let mut client = ServiceClient::connect(addr).unwrap();
+                    client.hello(tenant).unwrap();
+                    barrier.wait();
+                    client.put("main", format!("k{i}"), format!("v{i}"))
+                })
+            })
+            .collect();
+        server.replica().with_store_read(|_| {
+            barrier.wait();
+            std::thread::sleep(Duration::from_millis(20));
+        });
+        for (i, w) in workers.into_iter().enumerate() {
+            if let Err(e) = w.join().unwrap() {
+                panic!("{tenant}, session {i}: first put refused: {e}");
+            }
+        }
+    }
+
+    let want: Vec<(String, String)> = (0..SESSIONS)
+        .map(|i| (format!("k{i}"), format!("v{i}")))
+        .collect();
+    for round in 0..TENANTS {
+        let tenant = format!("fresh{round}");
+        let mut client = ServiceClient::connect(addr).unwrap();
+        client.hello(tenant.as_str()).unwrap();
+        let mut table = client.query("main").unwrap();
+        table.sort();
+        assert_eq!(table, want, "{tenant}");
+        assert_eq!(client.branches().unwrap(), ["main"], "{tenant}");
+    }
+}
+
+/// The daemon's handlers write through the witnessed `Replica` methods:
+/// three puts over the wire are three recorded events, and the run with
+/// its two gets is replication-aware linearizable.
+#[test]
+fn served_writes_are_witnessed_and_ra_linearizable() {
+    let server = memory_server("witnessed");
+    let recorder = Arc::new(HistoryRecorder::<Kv>::new());
+    server.replica().set_observer(recorder.clone());
+
+    let mut client = ServiceClient::connect(server.addr()).unwrap();
+    for (key, value) in [("city", "lyon"), ("river", "rhone"), ("dish", "quenelle")] {
+        client.put("main", key, value).unwrap();
+    }
+    assert_eq!(client.get("main", "city").unwrap().as_deref(), Some("lyon"));
+    assert_eq!(
+        client.get("main", "dish").unwrap().as_deref(),
+        Some("quenelle")
+    );
+
+    let snapshot = recorder.snapshot();
+    assert_eq!(
+        snapshot.events(),
+        3,
+        "every served put is a witnessed event"
+    );
+    if let Err(e) = check_ra_lin(&snapshot, &RaLinOptions::default()) {
+        panic!("served run is not RA-linearizable: {e}");
+    }
 }
 
 #[test]
