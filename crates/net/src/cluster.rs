@@ -19,8 +19,10 @@ use peepul_store::{Backend, BranchStore, MemoryBackend, StoreError};
 use std::fmt;
 use std::sync::Arc;
 
-/// The branch each node applies its local operations to.
-const LOCAL_BRANCH: &str = "main";
+/// The branch each node applies its local operations to: branch 0, named
+/// `b0`, as the one schedule vocabulary (`peepul_verify::Step`) numbers
+/// branches.
+const LOCAL_BRANCH: &str = "b0";
 
 /// The round bound of [`Cluster::converge`]: a healthy fleet of any size
 /// converges in two rounds and confirms it in a third; the margin is
@@ -71,7 +73,7 @@ pub struct Cluster<M: Mrdt, B: Backend = MemoryBackend> {
     faults: Vec<FaultInjector>,
 }
 
-impl<M: Mrdt + Send + Sync + 'static> Cluster<M> {
+impl<M: Mrdt> Cluster<M> {
     /// An in-memory cluster: `replicas` independent stores, each over its
     /// own fresh [`MemoryBackend`].
     ///
@@ -83,29 +85,41 @@ impl<M: Mrdt + Send + Sync + 'static> Cluster<M> {
     }
 }
 
-impl<M: Mrdt + Send + Sync + 'static, B: Backend + Send + Sync + 'static> Cluster<M, B> {
+impl<M: Mrdt, B: Backend> Cluster<M, B> {
     /// A cluster with one backend **per replica** — including mixed
     /// fleets when `B` is `Box<dyn Backend + Send + Sync>` (some replicas
     /// in memory, some on disk). Replica `i` is named `replica-i`, holds
-    /// its operations on branch `"main"`, and mints replica ids from a
+    /// its operations on branch `"b0"`, and mints replica ids from a
     /// disjoint range (`i · 2^16`).
     ///
     /// # Errors
     ///
     /// Propagates [`StoreError`] from store construction.
     pub fn replicated(backends: Vec<B>) -> Result<Self, NetError> {
-        assert!(!backends.is_empty(), "a cluster needs at least one replica");
-        let mut nodes = Vec::with_capacity(backends.len());
-        for (i, backend) in backends.into_iter().enumerate() {
-            let store = BranchStore::with_backend_and_base(
-                LOCAL_BRANCH,
-                backend,
-                (i as u32) * REPLICA_ID_STRIDE,
-            )?;
-            nodes.push(Replica::new(replica_name(i), store));
-        }
+        let stores = backends
+            .into_iter()
+            .enumerate()
+            .map(|(i, backend)| {
+                let base = (i as u32) * REPLICA_ID_STRIDE;
+                BranchStore::with_backend_and_base(LOCAL_BRANCH, backend, base)
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(Cluster::from_stores(stores))
+    }
+
+    /// A cluster over stores the caller built, each holding branch `"b0"`
+    /// — replica `i` is `stores[i]`, named `replica-i`. **The caller owns
+    /// replica-id disjointness**, as for [`Replica::new`]; a fleet of one
+    /// owes nothing.
+    pub fn from_stores(stores: Vec<BranchStore<M, B>>) -> Self {
+        assert!(!stores.is_empty(), "a cluster needs at least one replica");
+        let nodes: Vec<_> = stores
+            .into_iter()
+            .enumerate()
+            .map(|(i, store)| Replica::new(replica_name(i), store))
+            .collect();
         let faults = nodes.iter().map(|_| FaultInjector::new()).collect();
-        Ok(Cluster { nodes, faults })
+        Cluster { nodes, faults }
     }
 
     /// Number of replicas.
@@ -113,15 +127,28 @@ impl<M: Mrdt + Send + Sync + 'static, B: Backend + Send + Sync + 'static> Cluste
         self.nodes.len()
     }
 
-    /// Replica `i`, if in range.
-    pub fn node(&self, i: usize) -> Option<&Replica<M, B>> {
-        self.nodes.get(i)
+    /// Replica `i`.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::UnknownBranch`] naming `replica-i` if `i` is out of
+    /// range.
+    pub fn node(&self, i: usize) -> Result<&Replica<M, B>, StoreError> {
+        self.nodes
+            .get(i)
+            .ok_or_else(|| StoreError::UnknownBranch(replica_name(i)))
     }
 
     /// The fault plan of replica `i`'s outgoing gossip link — partition
     /// it, heal it, make it lossy.
-    pub fn faults(&self, i: usize) -> Option<&FaultInjector> {
-        self.faults.get(i)
+    ///
+    /// # Errors
+    ///
+    /// As [`Cluster::node`].
+    pub fn faults(&self, i: usize) -> Result<&FaultInjector, StoreError> {
+        self.faults
+            .get(i)
+            .ok_or_else(|| StoreError::UnknownBranch(replica_name(i)))
     }
 
     /// Answers a pure query against one replica's current head — the
@@ -132,10 +159,7 @@ impl<M: Mrdt + Send + Sync + 'static, B: Backend + Send + Sync + 'static> Cluste
     ///
     /// [`StoreError::UnknownBranch`] if `replica >= self.replicas()`.
     pub fn read(&self, replica: usize, q: &M::Query) -> Result<M::Output, NetError> {
-        match self.nodes.get(replica) {
-            Some(node) => Ok(node.read(LOCAL_BRANCH, q)?),
-            None => Err(StoreError::UnknownBranch(replica_name(replica)).into()),
-        }
+        Ok(self.node(replica)?.read(LOCAL_BRANCH, q)?)
     }
 
     /// Attaches one [`HistoryObserver`] to **every** node, so a whole-fleet
@@ -176,6 +200,8 @@ impl<M: Mrdt + Send + Sync + 'static, B: Backend + Send + Sync + 'static> Cluste
         op_of: F,
     ) -> Result<(), NetError>
     where
+        M: Send + Sync + 'static,
+        B: Send + Sync + 'static,
         F: Fn(usize, usize) -> M::Op + Send + Sync,
     {
         let op_of = &op_of;
@@ -216,58 +242,6 @@ impl<M: Mrdt + Send + Sync + 'static, B: Backend + Send + Sync + 'static> Cluste
                 .collect()
         });
         results.into_iter().collect()
-    }
-
-    /// Runs the same workload as [`Cluster::run`] in **deterministic
-    /// lockstep**: a single driver thread applies round `k`'s operation on
-    /// every replica in index order, then (on gossip rounds) performs the
-    /// ring pulls in index order.
-    ///
-    /// With seeded fault plans, the entire execution — operations, gossip
-    /// outcomes, message loss — is a pure function of the configuration,
-    /// which is what makes `PEEPUL_REPLAY`-style failure replay exact.
-    /// Use [`Cluster::run`] when genuine thread interleaving is the point.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first store/verification error any replica hit.
-    pub fn run_lockstep<F>(
-        &self,
-        ops_per_replica: usize,
-        gossip_every: usize,
-        op_of: F,
-    ) -> Result<(), NetError>
-    where
-        F: Fn(usize, usize) -> M::Op,
-    {
-        let n = self.nodes.len();
-        let mut remotes: Vec<_> = (0..n)
-            .map(|i| {
-                let peer = self.nodes[(i + 1) % n].clone();
-                let name = peer.name().to_string();
-                Remote::new(
-                    name,
-                    ChannelTransport::with_faults(peer, self.faults[i].clone()),
-                )
-            })
-            .collect();
-        for round in 0..ops_per_replica {
-            for (i, node) in self.nodes.iter().enumerate() {
-                node.apply(LOCAL_BRANCH, &op_of(i, round))?;
-            }
-            if gossip_every > 0 && round % gossip_every == gossip_every - 1 {
-                for (i, node) in self.nodes.iter().enumerate() {
-                    if self.faults[(i + 1) % n].is_partitioned() {
-                        continue;
-                    }
-                    match node.pull(&mut remotes[i], LOCAL_BRANCH) {
-                        Ok(_) | Err(NetError::Dropped) | Err(NetError::Partitioned) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Brings every replica to the same head and returns the per-replica

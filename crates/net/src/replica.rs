@@ -59,7 +59,7 @@ use peepul_core::{Mrdt, ReplicaId, Timestamp, Wire};
 use peepul_store::sha256::Sha256;
 use peepul_store::{
     parse_commit_record, Backend, BranchStore, IngestReport, ObjectId, PackState, StoreError,
-    StoreMetrics, TrackOutcome,
+    StoreMetrics, SweepStats, TrackOutcome,
 };
 use std::collections::HashSet;
 use std::fmt;
@@ -385,6 +385,54 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
     /// Backend I/O errors.
     pub fn flush(&self) -> Result<(), StoreError> {
         self.write_store().flush()
+    }
+
+    /// Points `branch` at `target`, a commit the store holds, like
+    /// `git reset` (creating the branch if it is absent). Not a transition
+    /// of the paper's store: the commits only the old head reached are
+    /// stranded until [`Replica::collect_garbage`]. An attached observer
+    /// sees the new visible set as a head move.
+    ///
+    /// # Errors
+    ///
+    /// As [`BranchStore::force_track`]: [`StoreError::Corrupt`] when
+    /// `target` is not a commit of this store.
+    pub fn reset(&self, branch: &str, target: ObjectId) -> Result<(), StoreError> {
+        let hooks = self.hooks();
+        let store = &mut *self.write_store();
+        store.force_track(branch, target)?;
+        self.witness_head(store, &hooks, branch)
+    }
+
+    /// Reference-tracing garbage collection
+    /// ([`BranchStore::collect_garbage`]). Changes no head, so it emits
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// Backend I/O errors.
+    pub fn collect_garbage(&self) -> Result<SweepStats, StoreError> {
+        self.write_store().collect_garbage()
+    }
+
+    /// Folds sealed storage into packs ([`BranchStore::compact_storage`]).
+    /// Changes no head, so it emits nothing.
+    ///
+    /// # Errors
+    ///
+    /// Backend I/O errors.
+    pub fn compact_storage(&self) -> Result<(), StoreError> {
+        self.write_store().compact_storage()
+    }
+
+    /// Seals the backend's active storage file ([`Backend::rotate`]).
+    /// Changes no head, so it emits nothing.
+    ///
+    /// # Errors
+    ///
+    /// Backend I/O errors.
+    pub fn rotate(&self) -> Result<(), StoreError> {
+        self.write_store().backend_mut().rotate()
     }
 
     /// The one MERGE step, under a held write lock: merges `from` into

@@ -91,7 +91,8 @@ impl FaultState {
 ///
 /// All decisions are reproducible: probabilistic loss runs on a seeded
 /// xorshift64* stream, so the same schedule of requests sees the same
-/// drops on every run — which is what lets the partition proptests shrink.
+/// drops on every run — which is what makes a failing partition proptest
+/// case, printed as generated from its fixed seed, come back on every run.
 ///
 /// # Example
 ///

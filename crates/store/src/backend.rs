@@ -243,6 +243,17 @@ pub trait Backend: fmt::Debug {
         Ok(())
     }
 
+    /// Seals the storage file being appended to and starts a fresh one
+    /// (for [`SegmentBackend`](crate::SegmentBackend): a new segment).
+    /// Backends without files no-op.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] on persistence failure.
+    fn rotate(&mut self) -> Result<(), StoreError> {
+        Ok(())
+    }
+
     /// A short human-readable backend name (`"memory"`, `"segment"`).
     fn kind(&self) -> &'static str;
 
@@ -312,6 +323,10 @@ impl<B: Backend + ?Sized> Backend for Box<B> {
 
     fn compact(&mut self) -> Result<(), StoreError> {
         (**self).compact()
+    }
+
+    fn rotate(&mut self) -> Result<(), StoreError> {
+        (**self).rotate()
     }
 
     fn kind(&self) -> &'static str {

@@ -605,26 +605,6 @@ impl SegmentBackend {
         Ok(())
     }
 
-    /// Seals the active segment and opens a fresh one: fsync the old,
-    /// create `segment-NNNN.seg`, publish the extended file list by
-    /// manifest swap. A crash anywhere in between recovers to a valid
-    /// store (the unlisted new file is deleted at open). No-op when the
-    /// active segment is empty.
-    ///
-    /// Called automatically when an append would overflow
-    /// [`SegmentOptions::max_segment_bytes`]; public for tests and
-    /// benchmarks that want to force the multi-segment layout.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on filesystem failure.
-    pub fn rotate(&mut self) -> Result<(), StoreError> {
-        if self.active().len <= MAGIC.len() as u64 {
-            return Ok(());
-        }
-        self.rotate_inner(true)
-    }
-
     fn rotate_inner(&mut self, publish: bool) -> Result<(), StoreError> {
         // Seal durably: everything in the old segment must be on disk
         // before the manifest promotes a successor.
@@ -1124,6 +1104,25 @@ impl Backend for SegmentBackend {
 
     fn compact(&mut self) -> Result<(), StoreError> {
         self.compact_inner(None, None)
+    }
+
+    /// Seals the active segment and opens a fresh one: fsync the old,
+    /// create `segment-NNNN.seg`, publish the extended file list by
+    /// manifest swap. A crash anywhere in between recovers to a valid
+    /// store (the unlisted new file is deleted at open). No-op when the
+    /// active segment is empty.
+    ///
+    /// Called automatically when an append would overflow
+    /// [`SegmentOptions::max_segment_bytes`].
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] on filesystem failure.
+    fn rotate(&mut self) -> Result<(), StoreError> {
+        if self.active().len <= MAGIC.len() as u64 {
+            return Ok(());
+        }
+        self.rotate_inner(true)
     }
 
     fn kind(&self) -> &'static str {

@@ -101,6 +101,7 @@ where
         for b in 0..branches {
             for op in &self.config.alphabet {
                 steps.push(Step::Do {
+                    node: 0,
                     branch: b,
                     op: op.clone(),
                 });
@@ -109,13 +110,17 @@ where
         for into in 0..branches {
             for from in 0..branches {
                 if into != from {
-                    steps.push(Step::Merge { into, from });
+                    steps.push(Step::Merge {
+                        node: 0,
+                        into,
+                        from,
+                    });
                 }
             }
         }
         if branches < self.config.max_branches {
             for from in 0..branches {
-                steps.push(Step::CreateBranch { from });
+                steps.push(Step::CreateBranch { node: 0, from });
             }
         }
         steps

@@ -56,7 +56,7 @@ impl ScheduleGenerator {
             let roll: f64 = self.rng.gen();
             if branches < self.config.max_branches && roll < self.config.create_probability {
                 let from = self.rng.gen_range(0..branches);
-                steps.push(Step::CreateBranch { from });
+                steps.push(Step::CreateBranch { node: 0, from });
                 branches += 1;
             } else if branches >= 2
                 && roll < self.config.create_probability + self.config.merge_probability
@@ -66,10 +66,15 @@ impl ScheduleGenerator {
                 if from >= into {
                     from += 1; // uniform over branches ≠ into
                 }
-                steps.push(Step::Merge { into, from });
+                steps.push(Step::Merge {
+                    node: 0,
+                    into,
+                    from,
+                });
             } else {
                 let branch = self.rng.gen_range(0..branches);
                 steps.push(Step::Do {
+                    node: 0,
                     branch,
                     op: op_of(&mut self.rng),
                 });
@@ -93,8 +98,12 @@ mod tests {
         for _ in 0..10 {
             let s = gen.generate(|rng| rng.gen_range(0..10u32));
             assert_eq!(s.len(), 500);
-            assert!(s.is_well_formed());
-            assert!(s.branch_count() <= 5);
+            assert!(s.is_well_formed(1));
+            let forks = s
+                .steps
+                .iter()
+                .filter(|x| matches!(x, Step::CreateBranch { .. }));
+            assert!(forks.count() < 5);
         }
     }
 
@@ -135,7 +144,7 @@ mod tests {
         assert_eq!(creates, 3);
         // Self-merges are never generated.
         assert!(s.steps.iter().all(|x| match x {
-            Step::Merge { into, from } => into != from,
+            Step::Merge { into, from, .. } => into != from,
             _ => true,
         }));
     }

@@ -13,9 +13,10 @@
 //!
 //! Both drive the store that serves traffic
 //! ([`peepul_store::BranchStore`], whose `fork`/`apply`/`merge_from` are
-//! the `CREATEBRANCH`/`DO`/`MERGE` transitions of the paper's Fig. 3) and
-//! check every obligation at every transition, so a falsified obligation
-//! produces a concrete counterexample trace. The [`suite`] module packages a certification run
+//! the `CREATEBRANCH`/`DO`/`MERGE` transitions of the paper's Fig. 3)
+//! through the one schedule interpreter ([`Step::run_on`], see
+//! [`schedule`]) and check every obligation at every transition, so a
+//! falsified obligation produces a concrete counterexample trace. The [`suite`] module packages a certification run
 //! for each data type of `peepul-types`; the `table3` benchmark binary
 //! prints the resulting effort/cost table, this workspace's analogue of
 //! the paper's Table 3.

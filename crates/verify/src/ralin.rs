@@ -57,12 +57,11 @@
 //! kill-gate CI runs.
 
 use crate::generator::RandomConfig;
+use crate::schedule::{Schedule, Step};
 use peepul_core::obligations::{Certified, Obligation, ObligationError};
 use peepul_core::{AbstractOf, Mrdt, Specification, Timestamp};
-use peepul_net::{
-    ChannelTransport, Cluster, HistoryObserver, Remote, Replica, ReplicationMutation,
-};
-use peepul_store::{Backend, MemoryBackend};
+use peepul_net::{Cluster, HistoryObserver, ReplicationMutation};
+use peepul_store::Backend;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -684,11 +683,14 @@ where
 ///    [`ReplicationMutation`], if any);
 /// 2. seed the fault plans: per-link loss, optionally a partition of
 ///    replica 0's link;
-/// 3. run `ops_per_replica` operations per replica with ring gossip, in
-///    deterministic lockstep ([`Cluster::run_lockstep`]): with the
-///    [`fleet_entropy`]-derived operation stream and seeded fault plans,
-///    the entire execution is a pure function of the seed — which is
-///    what makes `PEEPUL_REPLAY` failure replay exact;
+/// 3. run the lockstep [`Schedule`] of the configuration through the one
+///    schedule interpreter ([`Step::run_on`]): each round is one `DO` per
+///    replica on its root branch, in replica order, and every
+///    `gossip_every` rounds one ring `SYNC` per replica (replica `i`
+///    pulls `i + 1`), in replica order. With the [`fleet_entropy`]-derived
+///    operation stream and seeded fault plans, the entire execution is a
+///    pure function of the seed — which is what makes `PEEPUL_REPLAY`
+///    failure replay exact;
 /// 4. heal all links and converge by anti-entropy, requiring all final
 ///    states observably equal (the *conventional* check);
 /// 5. probe every replica with every query in `probes` (each probe is
@@ -729,12 +731,8 @@ where
             faults.partition();
         }
     }
-    cluster
-        .run_lockstep(
-            config.ops_per_replica,
-            config.gossip_every,
-            |replica, round| op_of(fleet_entropy(config.seed, replica as u64, round as u64)),
-        )
+    lockstep(cluster.replicas(), config, op_of)
+        .run_on(cluster)
         .map_err(|e| format!("fleet run: {e}"))?;
     for i in 0..cluster.replicas() {
         let faults = cluster
@@ -759,6 +757,26 @@ where
         }
     }
     check_ra_lin(&recorder.snapshot(), &config.options).map_err(|e| e.to_string())
+}
+
+/// The lockstep schedule of a fleet run over `n` replicas: see
+/// [`check_fleet_on`], step 3.
+fn lockstep<Op>(n: usize, config: &FleetConfig, op_of: impl Fn(u64) -> Op) -> Schedule<Op> {
+    let mut steps = Vec::new();
+    for round in 0..config.ops_per_replica {
+        steps.extend((0..n).map(|node| Step::Do {
+            node,
+            branch: 0,
+            op: op_of(fleet_entropy(config.seed, node as u64, round as u64)),
+        }));
+        if config.gossip_every > 0 && round % config.gossip_every == config.gossip_every - 1 {
+            steps.extend((0..n).map(|to| Step::Sync {
+                from: (to + 1) % n,
+                to,
+            }));
+        }
+    }
+    Schedule { steps }
 }
 
 /// What happened to one deliberately broken replication layer under the
@@ -790,75 +808,60 @@ impl MutantOutcome {
 }
 
 /// One deterministic two-replica scenario shaped for `mutation`, run with
-/// the fault enacted or not. Single-threaded: every apply/pull is
-/// explicit, so the witness (and hence the verdict) is reproducible.
+/// the fault enacted on replica 0 or not. A [`Schedule`] run by the one
+/// interpreter, so the witness (and hence the verdict) is reproducible.
 fn mutant_scenario(
     mutation: ReplicationMutation,
     enact: bool,
 ) -> (Result<RaLinStats, ObligationError>, bool) {
     use peepul_types::counter::{Counter, CounterOp, CounterQuery};
-    let r0: Replica<Counter, MemoryBackend> =
-        Replica::open("mutant-r0", "main", MemoryBackend::new()).expect("open r0");
-    let r1: Replica<Counter, MemoryBackend> =
-        Replica::open("mutant-r1", "main", MemoryBackend::new()).expect("open r1");
+    let fleet: Cluster<Counter> = Cluster::new(2).expect("two replicas");
     let recorder = Arc::new(HistoryRecorder::<Counter>::new());
-    r0.set_observer(recorder.clone());
-    r1.set_observer(recorder.clone());
+    fleet.set_observer(recorder.clone());
     if enact {
-        r0.set_replication_mutation(mutation);
+        fleet
+            .node(0)
+            .expect("r0")
+            .set_replication_mutation(mutation);
     }
-    let mut to_r1 = Remote::new("mutant-r1", ChannelTransport::connect(r1.clone()));
-    let mut to_r0 = Remote::new("mutant-r0", ChannelTransport::connect(r0.clone()));
-    let inc = CounterOp::Increment;
-    match mutation {
-        ReplicationMutation::None | ReplicationMutation::BrokenReceiveRule => {
-            // r0 is behind r1 in ticks; after pulling r1's longer history,
-            // its next mint must order after everything it ingested. The
-            // mutant rewinds the clock at ingest, so that mint lands *under*
-            // the observed events.
-            for _ in 0..2 {
-                r0.apply("main", &inc).expect("apply");
-            }
-            for _ in 0..8 {
-                r1.apply("main", &inc).expect("apply");
-            }
-            r0.pull(&mut to_r1, "main").expect("pull");
-            r0.apply("main", &inc).expect("apply");
-            r1.pull(&mut to_r0, "main").expect("pull");
-        }
+    let inc = |node| Step::Do {
+        node,
+        branch: 0,
+        op: CounterOp::Increment,
+    };
+    let (r0_pulls, r1_pulls) = (Step::Sync { from: 1, to: 0 }, Step::Sync { from: 0, to: 1 });
+    let steps = match mutation {
+        // r0 is behind r1 in ticks; after pulling r1's longer history, its
+        // next mint must order after everything it ingested. The mutant
+        // rewinds the clock at ingest, so that mint lands *under* the
+        // observed events.
+        ReplicationMutation::None | ReplicationMutation::BrokenReceiveRule => [
+            vec![inc(0); 2],
+            vec![inc(1); 8],
+            vec![r0_pulls, inc(0), r1_pulls],
+        ]
+        .concat(),
+        // A three-deep chain crosses in one pack; the mutant witnesses
+        // children before parents.
         ReplicationMutation::ReorderedPackIngest => {
-            // A three-deep chain crosses in one pack; the mutant witnesses
-            // children before parents.
-            for _ in 0..3 {
-                r1.apply("main", &inc).expect("apply");
-            }
-            r0.pull(&mut to_r1, "main").expect("pull");
-            r0.apply("main", &inc).expect("apply");
-            r1.pull(&mut to_r0, "main").expect("pull");
+            [vec![inc(1); 3], vec![r0_pulls, inc(0), r1_pulls]].concat()
         }
-        ReplicationMutation::SkipDivergenceCheck => {
-            // Both sides have unmerged work; the mutant force-tracks the
-            // remote head, silently discarding r0's own event from its
-            // visible set — the heads still agree afterwards.
-            r0.apply("main", &inc).expect("apply");
-            r1.apply("main", &inc).expect("apply");
-            r0.pull(&mut to_r1, "main").expect("pull");
-            r1.pull(&mut to_r0, "main").expect("pull");
-        }
-        ReplicationMutation::DropVisibilityEdge => {
-            // r0's first own operation after pulling r1 must witness the
-            // pulled event; the mutant drops that edge from its record.
-            r1.apply("main", &inc).expect("apply");
-            r0.pull(&mut to_r1, "main").expect("pull");
-            r0.apply("main", &inc).expect("apply");
-            r1.pull(&mut to_r0, "main").expect("pull");
-        }
-    }
-    r0.read("main", &CounterQuery::Value).expect("read r0");
-    r1.read("main", &CounterQuery::Value).expect("read r1");
-    let s0 = r0.state("main").expect("state r0");
-    let s1 = r1.state("main").expect("state r1");
-    let converged = s0.observably_equal(&s1);
+        // Both sides have unmerged work; the mutant force-tracks the
+        // remote head, silently discarding r0's own event from its
+        // visible set — the heads still agree afterwards.
+        ReplicationMutation::SkipDivergenceCheck => vec![inc(0), inc(1), r0_pulls, r1_pulls],
+        // r0's first own operation after pulling r1 must witness the
+        // pulled event; the mutant drops that edge from its record.
+        ReplicationMutation::DropVisibilityEdge => vec![inc(1), r0_pulls, inc(0), r1_pulls],
+    };
+    Schedule { steps }.run_on(&fleet).expect("scenario runs");
+    let states: Vec<_> = (0..2)
+        .map(|i| {
+            fleet.read(i, &CounterQuery::Value).expect("read");
+            fleet.node(i).and_then(|n| n.state("b0")).expect("state")
+        })
+        .collect();
+    let converged = states[0].observably_equal(&states[1]);
     (
         check_ra_lin(&recorder.snapshot(), &RaLinOptions::default()),
         converged,

@@ -4,11 +4,14 @@
 //! This is the executable counterpart of the paper's soundness argument
 //! (Theorem 4.2): the proof is an induction over the transitions of the
 //! store `M_Dτ` (Fig. 3), and the runner performs that induction concretely
-//! on the store that serves traffic — a [`BranchStore`] over the in-memory
-//! backend, merge memo and delta storage on. The store carries the
+//! on the store that serves traffic — a [`BranchStore`] over any backend
+//! (memory by default), merge memo and delta storage on, run as replica 0
+//! of a fleet of one by the one schedule interpreter ([`Step::run_on`]).
+//! The store carries the
 //! concrete half `φ` of each LTS state; the runner keeps the abstract half
-//! `δ` as a *shadow*: one abstract execution `I` per commit, pushed in
-//! lockstep with the store's commits by `do#`/`merge#`. At each `DO` it
+//! `δ` as a *shadow*: one abstract execution `I` per commit, keyed by the
+//! commit's address and recorded by `do#`/`merge#` as the store mints the
+//! commit. At each `DO` it
 //! checks `Φ_spec` and `Φ_do`, at each `MERGE` it checks `Ψ_lca` and
 //! `Φ_merge` on the three states the store's own LCA path
 //! ([`BranchStore::lca_state`]: recursive virtual merges, memoized)
@@ -22,7 +25,7 @@
 //! Any violation is reported with the failing step and a counterexample
 //! description.
 
-use crate::schedule::{Schedule, Step};
+use crate::schedule::{branch_count, branch_name, Schedule, Step};
 use peepul_core::obligations::{
     check_codec, check_con, check_do, check_merge, check_op_delta, check_queries, Certified,
 };
@@ -30,7 +33,9 @@ use peepul_core::store_props::psi_lca_paper;
 use peepul_core::{
     AbstractOf, Mrdt, Obligation, ObligationError, ObligationReport, SimulationRelation,
 };
-use peepul_store::{BranchStore, CommitId, StoreError};
+use peepul_net::{Cluster, NetError, Replica};
+use peepul_store::{Backend, BranchStore, MemoryBackend, ObjectId, StoreError};
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -93,8 +98,9 @@ pub enum CertificationError {
         /// The falsified obligation with its counterexample.
         error: ObligationError,
     },
-    /// The schedule was ill-formed for the store (unknown branch, …).
-    Store(StoreError),
+    /// The schedule was ill-formed for the store (unknown replica or
+    /// branch, a replica syncing with itself, …).
+    Store(NetError),
     /// The store installed a state other than the one the checker derived
     /// from the same inputs, yet `R_sim` still holds on it — a store or
     /// harness bug, never a data type bug.
@@ -117,21 +123,28 @@ impl fmt::Display for CertificationError {
 
 impl Error for CertificationError {}
 
-impl From<StoreError> for CertificationError {
-    fn from(e: StoreError) -> Self {
+impl From<NetError> for CertificationError {
+    fn from(e: NetError) -> Self {
         CertificationError::Store(e)
     }
 }
 
+impl From<StoreError> for CertificationError {
+    fn from(e: StoreError) -> Self {
+        CertificationError::Store(e.into())
+    }
+}
+
 /// Stateful runner over one execution.
-pub struct Runner<M: Certified>
+pub struct Runner<M: Certified, B: Backend = MemoryBackend>
 where
     M::Op: PartialEq,
 {
-    store: BranchStore<M>,
-    /// The abstract execution `I` of every commit, indexed by
-    /// [`CommitId::index`] and pushed in lockstep with the store's commits.
-    shadow: Vec<Arc<AbstractOf<M>>>,
+    /// The store under certification, as replica 0 of a fleet of one.
+    fleet: Cluster<M, B>,
+    /// The abstract execution `I` of every commit, keyed by the commit's
+    /// address and recorded as the store mints it.
+    shadow: HashMap<ObjectId, Arc<AbstractOf<M>>>,
     report: ObligationReport,
     steps_run: usize,
     policy: MergePolicy,
@@ -143,28 +156,49 @@ where
     probes: Vec<M::Query>,
 }
 
-fn branch_name(i: usize) -> String {
-    format!("b{i}")
-}
-
 impl<M: Certified> Runner<M>
 where
     M::Op: PartialEq,
 {
-    /// A fresh runner: one root branch `b0` in the initial state, allowing
-    /// every merge ([`MergePolicy::General`]).
+    /// A fresh in-memory runner: one root branch `b0` in the initial
+    /// state, allowing every merge ([`MergePolicy::General`]).
     pub fn new() -> Self {
         Runner::with_policy(MergePolicy::General)
     }
 
-    /// A fresh runner with an explicit merge policy.
+    /// A fresh in-memory runner with an explicit merge policy.
     pub fn with_policy(policy: MergePolicy) -> Self {
+        let mut runner = Runner::on(BranchStore::new(branch_name(0)));
+        runner.policy = policy;
+        runner
+    }
+}
+
+impl<M: Certified, B: Backend> Runner<M, B>
+where
+    M::Op: PartialEq,
+{
+    /// A fresh runner over `backend`: one root branch `b0` in the initial
+    /// state, allowing every merge ([`MergePolicy::General`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`BranchStore::with_backend`].
+    pub fn with_backend(backend: B) -> Result<Self, StoreError> {
+        Ok(Runner::on(BranchStore::with_backend(
+            branch_name(0),
+            backend,
+        )?))
+    }
+
+    fn on(store: BranchStore<M, B>) -> Self {
+        let root = store.head_id(&branch_name(0)).expect("a new store has b0");
         Runner {
-            store: BranchStore::new(branch_name(0)),
-            shadow: vec![Arc::new(AbstractOf::<M>::new())],
+            fleet: Cluster::from_stores(vec![store]),
+            shadow: HashMap::from([(root, Arc::new(AbstractOf::<M>::new()))]),
             report: ObligationReport::default(),
             steps_run: 0,
-            policy,
+            policy: MergePolicy::General,
             skipped_merges: 0,
             probes: Vec::new(),
         }
@@ -188,7 +222,7 @@ where
 
     /// Number of branches currently alive.
     pub fn branch_count(&self) -> usize {
-        self.store.branch_names().len()
+        branch_count(self.node())
     }
 
     /// The obligation tally so far.
@@ -201,36 +235,42 @@ where
         self.steps_run
     }
 
+    fn node(&self) -> &Replica<M, B> {
+        self.fleet.node(0).expect("a fleet of one has replica 0")
+    }
+
+    /// Runs `f` on the store under certification.
+    fn store<R>(&self, f: impl FnOnce(&BranchStore<M, B>) -> R) -> R {
+        self.node().with_store_read(f)
+    }
+
     /// The per-branch snapshots, sorted by branch name (for data-type
     /// specific post-hoc checks such as the queue axioms).
     pub fn snapshots(&self) -> Vec<(String, Snapshot<M>)> {
-        self.store
-            .branch_names()
+        let names: Vec<String> =
+            self.store(|s| s.branch_names().into_iter().map(str::to_owned).collect());
+        names
             .into_iter()
             .map(|name| {
-                let snapshot = self.snapshot(name).expect("listed branches exist");
-                (name.to_owned(), snapshot)
+                let snapshot = self.snapshot(&name).expect("listed branches exist");
+                (name, snapshot)
             })
             .collect()
     }
 
     /// The concrete head state of `branch` beside its commit's shadow.
     fn snapshot(&self, branch: &str) -> Result<Snapshot<M>, StoreError> {
-        let head = self.store.head(branch)?;
+        let head = self.node().head_id(branch)?;
         Ok(Snapshot {
-            concrete: self.store.state(branch)?,
-            abstract_state: Arc::clone(&self.shadow[head.index()]),
+            concrete: self.node().state(branch)?,
+            abstract_state: Arc::clone(&self.shadow[&head]),
         })
     }
 
-    /// Records `I` for the commit the store just appended.
-    fn push_shadow(&mut self, commit: CommitId, abs: AbstractOf<M>) {
-        assert_eq!(
-            commit.index(),
-            self.shadow.len(),
-            "the shadow advances in lockstep with the store's commits"
-        );
-        self.shadow.push(Arc::new(abs));
+    /// Records `I` for the commit the store just minted.
+    fn push_shadow(&mut self, commit: ObjectId, abs: AbstractOf<M>) {
+        let fresh = self.shadow.insert(commit, Arc::new(abs)).is_none();
+        assert!(fresh, "each commit's shadow is recorded once");
     }
 
     fn obligation_error(&self, step: &Step<M::Op>, error: ObligationError) -> CertificationError {
@@ -311,7 +351,10 @@ where
         Ok(())
     }
 
-    /// Executes one step, checking every obligation it triggers.
+    /// Executes one step through the schedule interpreter
+    /// ([`Step::run_on`]), checking every obligation it triggers. Steps
+    /// other than `DO` and `MERGE` owe only `Φ_con`; a `SYNC` always fails,
+    /// since a fleet of one has no peer.
     ///
     /// # Errors
     ///
@@ -319,30 +362,24 @@ where
     /// discarded afterwards.
     pub fn apply_step(&mut self, step: &Step<M::Op>) -> Result<(), CertificationError> {
         match step {
-            Step::CreateBranch { from } => {
-                let new = branch_name(self.branch_count());
-                self.store.branch_mut(&branch_name(*from))?.fork(new)?;
-            }
-            Step::Do { branch, op } => {
+            Step::Do { branch, op, .. } => {
                 let branch = branch_name(*branch);
                 let pre = self.snapshot(&branch)?;
-                self.store.branch_mut(&branch)?.apply(op)?;
-                let head = self.store.head(&branch)?;
+                step.run_on(&self.fleet)?;
+                let (head, mint) = self.store(|s| {
+                    let head = s.head(&branch)?;
+                    Ok::<_, StoreError>((s.commit_oid(head), s.commit_mint(head)))
+                })?;
                 let (abs_next, conc_next) = check_do::<M>(
                     &pre.abstract_state,
                     &pre.concrete,
                     op,
-                    self.store.commit_mint(head),
+                    mint,
                     &mut self.report,
                 )
                 .map_err(|e| self.obligation_error(step, e))?;
-                self.check_installed(
-                    step,
-                    Obligation::PhiDo,
-                    &abs_next,
-                    &conc_next,
-                    &*self.store.state(&branch)?,
-                )?;
+                let installed = self.node().state(&branch)?;
+                self.check_installed(step, Obligation::PhiDo, &abs_next, &conc_next, &installed)?;
                 check_op_delta::<M>(&pre.concrete, op, &conc_next, &mut self.report)
                     .map_err(|e| self.obligation_error(step, e))?;
                 self.push_shadow(head, abs_next);
@@ -350,7 +387,7 @@ where
                 self.check_state(&post)
                     .map_err(|e| self.obligation_error(step, e))?;
             }
-            Step::Merge { into, from } => {
+            Step::Merge { into, from, .. } => {
                 let (into, from) = (branch_name(*into), branch_name(*from));
                 let pre_into = self.snapshot(&into)?;
                 let pre_from = self.snapshot(&from)?;
@@ -364,7 +401,7 @@ where
                         return Ok(());
                     }
                 }
-                let lca = self.store.lca_state(&into, &from)?;
+                let lca = self.store(|s| s.lca_state(&into, &from))?;
                 let (abs_next, conc_next) = check_merge::<M>(
                     &pre_into.abstract_state,
                     &pre_into.concrete,
@@ -374,19 +411,19 @@ where
                     &mut self.report,
                 )
                 .map_err(|e| self.obligation_error(step, e))?;
-                let commits = self.store.commit_count();
-                self.store.branch_mut(&into)?.merge_from(&from)?;
-                let head = self.store.head(&into)?;
+                step.run_on(&self.fleet)?;
+                let head = self.node().head_id(&into)?;
                 // A contained history (`from` ⊆ `into`) mints no commit:
                 // `I_into ∪ I_from = I_into` already stands in the shadow,
                 // and Φ_merge was discharged above on the real states.
-                if self.store.commit_count() > commits {
+                if !self.shadow.contains_key(&head) {
+                    let installed = self.node().state(&into)?;
                     self.check_installed(
                         step,
                         Obligation::PhiMerge,
                         &abs_next,
                         &conc_next,
-                        &*self.store.state(&into)?,
+                        &installed,
                     )?;
                     self.push_shadow(head, abs_next);
                 }
@@ -394,6 +431,7 @@ where
                 self.check_state(&post)
                     .map_err(|e| self.obligation_error(step, e))?;
             }
+            _ => step.run_on(&self.fleet)?,
         }
 
         // Φ_con: branches that have observed the same events must be
@@ -445,10 +483,11 @@ where
     M::Op: PartialEq,
 {
     /// Forks the whole world — the bounded-exhaustive checker branches its
-    /// depth-first search this way. Cheap: states are `Arc`-shared.
+    /// depth-first search this way. A deep copy of the in-memory store;
+    /// states are `Arc`-shared.
     fn clone(&self) -> Self {
         Runner {
-            store: self.store.clone(),
+            fleet: Cluster::from_stores(vec![self.store(BranchStore::clone)]),
             shadow: self.shadow.clone(),
             report: self.report,
             steps_run: self.steps_run,
@@ -459,7 +498,7 @@ where
     }
 }
 
-impl<M: Certified> fmt::Debug for Runner<M>
+impl<M: Certified, B: Backend> fmt::Debug for Runner<M, B>
 where
     M::Op: PartialEq,
 {
@@ -482,15 +521,23 @@ mod tests {
     use peepul_types::or_set_space::{OrSetOp, OrSetQuery, OrSetSpace};
 
     fn fork<Op>(from: usize) -> Step<Op> {
-        Step::CreateBranch { from }
+        Step::CreateBranch { node: 0, from }
     }
 
     fn op<Op>(branch: usize, op: Op) -> Step<Op> {
-        Step::Do { branch, op }
+        Step::Do {
+            node: 0,
+            branch,
+            op,
+        }
     }
 
     fn merge<Op>(into: usize, from: usize) -> Step<Op> {
-        Step::Merge { into, from }
+        Step::Merge {
+            node: 0,
+            into,
+            from,
+        }
     }
 
     fn run<M: Certified>(steps: impl IntoIterator<Item = Step<M::Op>>) -> Runner<M>
@@ -513,8 +560,8 @@ mod tests {
         assert_eq!(pre.abstract_state.len(), 0);
         assert_eq!(post.abstract_state.len(), 1);
         assert!(post.concrete.contains(&1));
-        assert_eq!(runner.store.tick(), 1);
-        assert_eq!(runner.shadow.len(), runner.store.commit_count());
+        assert_eq!(runner.store(|s| s.tick()), 1);
+        assert_eq!(runner.shadow.len(), runner.store(|s| s.commit_count()));
     }
 
     #[test]
@@ -528,7 +575,7 @@ mod tests {
         let post = runner.snapshot("b0").unwrap();
         assert_eq!(post.abstract_state.len(), 2);
         assert!(post.concrete.contains(&1) && post.concrete.contains(&2));
-        assert_eq!(runner.shadow.len(), runner.store.commit_count());
+        assert_eq!(runner.shadow.len(), runner.store(|s| s.commit_count()));
     }
 
     #[test]
@@ -540,7 +587,7 @@ mod tests {
             merge(0, 1),
         ]);
         // Now b1's history ⊆ b0's: the LCA of (b0, b1) is b1's head.
-        let lca = runner.store.lca_state("b0", "b1").unwrap();
+        let lca = runner.store(|s| s.lca_state("b0", "b1")).unwrap();
         assert_eq!(*lca, *runner.snapshot("b1").unwrap().concrete);
     }
 
@@ -561,13 +608,13 @@ mod tests {
             op(0, OrSetOp::Add(3)),
             op(1, OrSetOp::Add(4)),
         ]);
-        let (h0, h1) = (
-            runner.store.head("b0").unwrap(),
-            runner.store.head("b1").unwrap(),
-        );
-        assert_eq!(runner.store.graph().merge_bases(h0, h1).len(), 2);
+        let bases = runner.store(|s| {
+            let (h0, h1) = (s.head("b0").unwrap(), s.head("b1").unwrap());
+            s.graph().merge_bases(h0, h1).len()
+        });
+        assert_eq!(bases, 2);
         // The store's virtual LCA simulates I_a ∩ I_b: events {0, 1, 2}.
-        let lca = runner.store.lca_state("b0", "b1").unwrap();
+        let lca = runner.store(|s| s.lca_state("b0", "b1")).unwrap();
         let ia = runner.snapshot("b0").unwrap().abstract_state;
         let ib = runner.snapshot("b1").unwrap().abstract_state;
         assert!(<OrSetSpace<u32> as Certified>::Sim::holds(
@@ -597,13 +644,13 @@ mod tests {
             op(1, GSetOp::Add(2)),
             op(0, GSetOp::Add(3)),
         ]);
-        let mints: Vec<Timestamp> = runner
-            .store
-            .graph()
-            .ids()
-            .map(|c| runner.store.commit_mint(c))
-            .filter(|t| t.tick() > 0)
-            .collect();
+        let mints: Vec<Timestamp> = runner.store(|s| {
+            s.graph()
+                .ids()
+                .map(|c| s.commit_mint(c))
+                .filter(|t| t.tick() > 0)
+                .collect()
+        });
         assert_eq!(mints.len(), 3);
         assert!(mints[0] < mints[1] && mints[1] < mints[2]);
     }
@@ -616,11 +663,14 @@ mod tests {
             op(1, GSetOp::Add(2)),
             merge(0, 1),
         ]);
-        let (commits, phi_merge) = (runner.store.commit_count(), runner.report().phi_merge);
+        let (commits, phi_merge) = (
+            runner.store(|s| s.commit_count()),
+            runner.report().phi_merge,
+        );
         // b1's history is already contained in b0's: the store mints no
         // commit, the obligation is checked all the same.
         runner.apply_step(&merge(0, 1)).unwrap();
-        assert_eq!(runner.store.commit_count(), commits);
+        assert_eq!(runner.store(|s| s.commit_count()), commits);
         assert_eq!(runner.report().phi_merge, phi_merge + 1);
         assert_eq!(runner.shadow.len(), commits);
     }
@@ -629,20 +679,31 @@ mod tests {
     fn or_set_space_schedule_certifies() {
         let schedule: Schedule<OrSetOp<u32>> = [
             Step::Do {
+                node: 0,
                 branch: 0,
                 op: OrSetOp::Add(1),
             },
-            Step::CreateBranch { from: 0 },
+            Step::CreateBranch { node: 0, from: 0 },
             Step::Do {
+                node: 0,
                 branch: 0,
                 op: OrSetOp::Add(1), // refresh
             },
             Step::Do {
+                node: 0,
                 branch: 1,
                 op: OrSetOp::Remove(1),
             },
-            Step::Merge { into: 0, from: 1 },
-            Step::Merge { into: 1, from: 0 },
+            Step::Merge {
+                node: 0,
+                into: 0,
+                from: 1,
+            },
+            Step::Merge {
+                node: 0,
+                into: 1,
+                from: 0,
+            },
         ]
         .into_iter()
         .collect();
@@ -664,6 +725,7 @@ mod tests {
         let mut runner: Runner<OrSetSpace<u32>> = Runner::new();
         let err = runner
             .apply_step(&Step::Do {
+                node: 0,
                 branch: 5,
                 op: OrSetOp::Add(1),
             })
@@ -795,6 +857,7 @@ mod tests {
     #[test]
     fn lying_query_is_caught_by_probes_only() {
         let schedule: Schedule<Bump> = [Step::Do {
+            node: 0,
             branch: 0,
             op: Bump,
         }]
@@ -875,6 +938,7 @@ mod tests {
     #[test]
     fn initial_state_query_lie_is_caught_before_any_step() {
         let schedule: Schedule<Bump> = [Step::Do {
+            node: 0,
             branch: 0,
             op: Bump,
         }]
@@ -894,16 +958,22 @@ mod tests {
     #[test]
     fn lossy_merge_is_caught_at_the_merge_step() {
         let schedule: Schedule<Add> = [
-            Step::CreateBranch { from: 0 },
+            Step::CreateBranch { node: 0, from: 0 },
             Step::Do {
+                node: 0,
                 branch: 0,
                 op: Add(1),
             },
             Step::Do {
+                node: 0,
                 branch: 1,
                 op: Add(2),
             },
-            Step::Merge { into: 0, from: 1 },
+            Step::Merge {
+                node: 0,
+                into: 0,
+                from: 1,
+            },
         ]
         .into_iter()
         .collect();

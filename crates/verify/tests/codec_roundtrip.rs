@@ -4,10 +4,11 @@
 //!
 //! The certification runner already checks the same round-trip at every
 //! state a bounded or randomized pass explores; this suite is the
-//! shrinking, adversarially-seeded version — it drives each data type
-//! through random divergence and a three-way merge, checking the codec at
-//! *every* intermediate state, and minimises any failing operation
-//! sequence. Because the canonical encoding is the storage format, the
+//! adversarially-seeded version — it drives each data type through random
+//! divergence and a three-way merge, checking the codec at *every*
+//! intermediate state. The vendored proptest does not shrink: a failing
+//! operation sequence is printed as generated, drawn from a fixed
+//! per-test seed, so it comes back on every run. Because the canonical encoding is the storage format, the
 //! wire format and the content-address preimage all at once, a failure
 //! here means stores could not reopen and replicas could not verify — the
 //! highest-stakes property in the workspace.

@@ -1,8 +1,10 @@
 //! Property test: the choice of persistence backend — and the merge
 //! cache — is *unobservable*.
 //!
-//! Any fork/apply/merge schedule replayed on the in-memory backend and on
-//! the on-disk segment backend must produce byte-identical branch heads:
+//! Any fork/apply/merge schedule (drawn by `proptest_support::schedules_with`
+//! and run by the one schedule interpreter, `Step::run_on`) on the
+//! in-memory backend and on the on-disk segment backend must produce
+//! byte-identical branch heads:
 //! the same Merkle commit address, the same state address, and the same
 //! backend ref table. Likewise a schedule replayed with merge memoization
 //! on and off must produce identical addresses — the cache may only ever
@@ -10,129 +12,65 @@
 
 mod common;
 
-use common::Scratch;
+use common::{observe, or_set_schedules, Observation, Scratch};
 use peepul::prelude::*;
-use peepul::store::{
-    Backend, MemoryBackend, ObjectId, SegmentBackend, SegmentOptions, DEFAULT_SNAPSHOT_INTERVAL,
-};
-use peepul::types::or_set_space::{OrSetOp, OrSetOutput, OrSetQuery, OrSetSpace};
+use peepul::store::{SegmentOptions, DEFAULT_SNAPSHOT_INTERVAL};
+use peepul::types::or_set_space::{OrSetOp, OrSetSpace};
+use peepul::verify::proptest_support::Arms;
+use peepul::verify::{Schedule, Step};
 use proptest::prelude::*;
 
-/// One step of a randomized schedule, interpreted over a growing set of
-/// branches (`branch % live-branch-count` picks the target, so every
-/// generated schedule is valid by construction).
-#[derive(Clone, Debug)]
-enum Step {
-    Fork { from: u8 },
-    Add { branch: u8, value: u8 },
-    Remove { branch: u8, value: u8 },
-    Merge { into: u8, from: u8 },
-}
+/// Fork/apply/merge schedules at this suite's weights.
+const ARMS: Arms = Arms {
+    merge: 3,
+    apply: 6,
+    ..Arms::STORE
+};
 
-fn step_strategy() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        1 => (any::<u8>(),).prop_map(|(from,)| Step::Fork { from }),
-        4 => (any::<u8>(), 0u8..16).prop_map(|(branch, value)| Step::Add { branch, value }),
-        2 => (any::<u8>(), 0u8..16).prop_map(|(branch, value)| Step::Remove { branch, value }),
-        3 => (any::<u8>(), any::<u8>()).prop_map(|(into, from)| Step::Merge { into, from }),
-    ]
-}
-
-/// Per-branch `(name, head commit address, head state address, elements)`.
-type BranchHeads = Vec<(String, ObjectId, ObjectId, Vec<u8>)>;
-/// The backend's final ref table.
-type RefTable = Vec<(String, ObjectId)>;
-
-/// Replays `schedule` on a store over `backend`, returning every branch's
-/// head addresses and query answer, the backend's final ref table, and
-/// the store's Lamport tick.
-fn replay<B: Backend>(schedule: &[Step], backend: B, cache: bool) -> (BranchHeads, RefTable, u64) {
-    replay_at_interval(schedule, backend, cache, DEFAULT_SNAPSHOT_INTERVAL)
-}
-
-/// [`replay`] with an explicit delta snapshot interval (`0` stores every
-/// state full).
-fn replay_at_interval<B: Backend>(
-    schedule: &[Step],
+/// A fresh store over `backend` with the merge cache on or off and an
+/// explicit delta snapshot interval (`0` stores every state full).
+fn store<B: Backend>(
     backend: B,
     cache: bool,
     snapshot_interval: u32,
-) -> (BranchHeads, RefTable, u64) {
-    let mut db: BranchStore<OrSetSpace<u8>, B> =
-        BranchStore::with_backend("b0", backend).expect("open store");
+) -> BranchStore<OrSetSpace<u8>, B> {
+    let mut db = BranchStore::with_backend("b0", backend).expect("open store");
     db.set_merge_cache(cache);
     db.set_snapshot_interval(snapshot_interval);
-    let mut branches = vec!["b0".to_owned()];
-    let pick = |branches: &[String], i: u8| branches[i as usize % branches.len()].clone();
-    for (n, step) in schedule.iter().enumerate() {
-        match step {
-            Step::Fork { from } => {
-                let name = format!("b{}", n + 1);
-                db.branch_mut(&pick(&branches, *from))
-                    .unwrap()
-                    .fork(&name)
-                    .unwrap();
-                branches.push(name);
-            }
-            Step::Add { branch, value } => {
-                db.branch_mut(&pick(&branches, *branch))
-                    .unwrap()
-                    .apply(&OrSetOp::Add(*value))
-                    .unwrap();
-            }
-            Step::Remove { branch, value } => {
-                db.branch_mut(&pick(&branches, *branch))
-                    .unwrap()
-                    .apply(&OrSetOp::Remove(*value))
-                    .unwrap();
-            }
-            Step::Merge { into, from } => {
-                let (into, from) = (pick(&branches, *into), pick(&branches, *from));
-                if into != from {
-                    db.branch_mut(&into).unwrap().merge_from(&from).unwrap();
-                }
-            }
-        }
-    }
-    let heads = branches
-        .iter()
-        .map(|b| {
-            let OrSetOutput::Elements(e) = db.read(b, &OrSetQuery::Read).unwrap() else {
-                panic!("read returns elements")
-            };
-            (
-                b.clone(),
-                db.head_id(b).unwrap(),
-                db.state_id(b).unwrap(),
-                e,
-            )
-        })
-        .collect();
-    (heads, db.backend().refs().unwrap(), db.tick())
+    db
+}
+
+/// Runs `schedule` on `db` as replica 0 of a fleet of one and reads
+/// what it left observable.
+fn outcome<B: Backend>(
+    schedule: &Schedule<OrSetOp<u8>>,
+    db: BranchStore<OrSetSpace<u8>, B>,
+) -> Observation {
+    let fleet = Cluster::from_stores(vec![db]);
+    schedule.run_on(&fleet).unwrap();
+    fleet.node(0).unwrap().with_store_read(observe)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// In-memory and on-disk replays of the same schedule are
+    /// In-memory and on-disk runs of the same schedule are
     /// byte-identical: same Merkle head per branch, same state address,
     /// same ref table.
     #[test]
-    fn backends_produce_byte_identical_heads(
-        schedule in proptest::collection::vec(step_strategy(), 1..40),
-    ) {
+    fn backends_produce_byte_identical_heads(schedule in or_set_schedules(ARMS, 1..40)) {
         let scratch = Scratch::new("equivalence");
-        let mem = replay(&schedule, MemoryBackend::new(), true);
+        let mem = outcome(&schedule, store(MemoryBackend::new(), true, DEFAULT_SNAPSHOT_INTERVAL));
         let seg_backend = SegmentBackend::open_with(
             scratch.path().join("replay"),
             SegmentOptions { durable: false, ..SegmentOptions::default() },
         ).unwrap();
-        let seg = replay(&schedule, seg_backend, true);
+        let seg = outcome(&schedule, store(seg_backend, true, DEFAULT_SNAPSHOT_INTERVAL));
         prop_assert_eq!(&mem, &seg);
     }
 
-    /// Delta-record storage is unobservable: the same schedule replayed
-    /// on a full-snapshot store (`set_snapshot_interval(0)`, every state
+    /// Delta-record storage is unobservable: the same schedule run on a
+    /// full-snapshot store (`set_snapshot_interval(0)`, every state
     /// persisted as its full canonical bytes) and on a delta-storing
     /// store (the default interval) produces identical heads, state
     /// addresses, ref tables, query answers and Lamport tick — the delta
@@ -140,57 +78,59 @@ proptest! {
     /// *means*, and the content address stays the hash of the full
     /// canonical bytes either way.
     #[test]
-    fn delta_stored_equals_full_stored(
-        schedule in proptest::collection::vec(step_strategy(), 1..40),
-    ) {
-        let full = replay_at_interval(&schedule, MemoryBackend::new(), true, 0);
-        let delta = replay(&schedule, MemoryBackend::new(), true);
+    fn delta_stored_equals_full_stored(schedule in or_set_schedules(ARMS, 1..40)) {
+        let full = outcome(&schedule, store(MemoryBackend::new(), true, 0));
+        let delta = outcome(&schedule, store(MemoryBackend::new(), true, DEFAULT_SNAPSHOT_INTERVAL));
         prop_assert_eq!(&full, &delta);
     }
 
-    /// Memoized and uncached replays of the same schedule are identical —
+    /// Memoized and uncached runs of the same schedule are identical —
     /// the merge cache must never change what a schedule produces.
     #[test]
-    fn memoized_merges_equal_uncached_merges(
-        schedule in proptest::collection::vec(step_strategy(), 1..40),
-    ) {
-        let cached = replay(&schedule, MemoryBackend::new(), true);
-        let uncached = replay(&schedule, MemoryBackend::new(), false);
+    fn memoized_merges_equal_uncached_merges(schedule in or_set_schedules(ARMS, 1..40)) {
+        let cached = outcome(&schedule, store(MemoryBackend::new(), true, DEFAULT_SNAPSHOT_INTERVAL));
+        let uncached = outcome(&schedule, store(MemoryBackend::new(), false, DEFAULT_SNAPSHOT_INTERVAL));
         prop_assert_eq!(&cached, &uncached);
     }
 }
 
-/// The segment replay also survives a close/reopen: reopening the same
+/// The segment run also survives a close/reopen: reopening the same
 /// directory finds every head object and ref the first process published.
 #[test]
 fn segment_replay_survives_reopen() {
     let scratch = Scratch::new("replay-reopen");
     let dir = scratch.path().join("db");
-    let schedule: Vec<Step> = (0..12u8)
-        .map(|i| match i % 4 {
-            0 => Step::Fork { from: i },
-            1 | 2 => Step::Add {
-                branch: i,
-                value: i,
-            },
-            _ => Step::Merge {
-                into: i,
-                from: i.wrapping_add(1),
-            },
+    // Rounds of four: a fork, two adds, a merge, over the live branches.
+    let schedule: Schedule<OrSetOp<u8>> = (0..12usize)
+        .map(|i| {
+            let n = 2 + i / 4; // branches once this round's fork ran
+            match i % 4 {
+                0 => Step::CreateBranch {
+                    node: 0,
+                    from: i % (n - 1),
+                },
+                1 | 2 => Step::Do {
+                    node: 0,
+                    branch: i % n,
+                    op: OrSetOp::Add(i as u8),
+                },
+                _ => Step::Merge {
+                    node: 0,
+                    into: i % n,
+                    from: (i + 1) % n,
+                },
+            }
         })
         .collect();
-    let (heads, refs, _) = replay(
-        &schedule,
-        SegmentBackend::open_with(
-            &dir,
-            SegmentOptions {
-                durable: false,
-                ..SegmentOptions::default()
-            },
-        )
-        .unwrap(),
-        true,
-    );
+    let backend = SegmentBackend::open_with(
+        &dir,
+        SegmentOptions {
+            durable: false,
+            ..SegmentOptions::default()
+        },
+    )
+    .unwrap();
+    let (heads, refs, _) = outcome(&schedule, store(backend, true, DEFAULT_SNAPSHOT_INTERVAL));
     // A fresh process reopens the directory: all published objects and
     // refs are there, integrity-checked.
     let reopened = SegmentBackend::open(&dir).unwrap();

@@ -10,7 +10,14 @@
 // Each test binary compiles this module separately and uses a subset.
 #![allow(dead_code)]
 
-use peepul::store::{Backend, MemoryBackend, SegmentBackend, SegmentOptions};
+use peepul::store::{
+    Backend, BranchStore, MemoryBackend, ObjectId, SegmentBackend, SegmentOptions,
+};
+use peepul::types::or_set_space::{OrSetOp, OrSetOutput, OrSetQuery, OrSetSpace};
+use peepul::verify::proptest_support::{schedules_with, Arms};
+use peepul::verify::Schedule;
+use proptest::prelude::*;
+use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -78,4 +85,47 @@ pub fn for_each_backend(tag: &str, mut test: impl FnMut(&str, &mut BackendFactor
         });
         test("segment", &mut *make);
     }
+}
+
+/// Schedules of `draws` draws at `arms`' weights for one store of
+/// [`OrSetSpace<u8>`], adds twice as likely as removes, with no cap on
+/// the branch count — the storage property tests' workload.
+pub fn or_set_schedules(
+    arms: Arms,
+    draws: Range<usize>,
+) -> impl Strategy<Value = Schedule<OrSetOp<u8>>> {
+    let op = (0u8..3, 0u8..16).prop_map(|(k, x)| match k {
+        0 | 1 => OrSetOp::Add(x),
+        _ => OrSetOp::Remove(x),
+    });
+    schedules_with(arms, op, draws, usize::MAX)
+}
+
+/// Everything observable about a store of [`OrSetSpace<u8>`] after a
+/// run: per-branch `(name, head address, state address, elements)`, the
+/// backend ref table, and the Lamport tick.
+pub type Observation = (
+    Vec<(String, ObjectId, ObjectId, Vec<u8>)>,
+    Vec<(String, ObjectId)>,
+    u64,
+);
+
+/// Reads the [`Observation`] of `db`.
+pub fn observe<B: Backend>(db: &BranchStore<OrSetSpace<u8>, B>) -> Observation {
+    let branches = db
+        .branch_names()
+        .iter()
+        .map(|b| {
+            let OrSetOutput::Elements(e) = db.read(b, &OrSetQuery::Read).unwrap() else {
+                panic!("read returns elements")
+            };
+            (
+                b.to_string(),
+                db.head_id(b).unwrap(),
+                db.state_id(b).unwrap(),
+                e,
+            )
+        })
+        .collect();
+    (branches, db.backend().refs().unwrap(), db.tick())
 }

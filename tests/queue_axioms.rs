@@ -13,12 +13,11 @@ proptest! {
 
     #[test]
     fn queue_axioms_hold_on_arbitrary_executions(
-        s in schedules((0u8..3, 0u8..50), 30, 3)
-    ) {
-        let schedule = s.map_ops(|(k, v)| match k {
+        schedule in schedules((0u8..3, 0u8..50).prop_map(|(k, v)| match k {
             0 | 1 => QueueOp::Enqueue(v),
             _ => QueueOp::Dequeue,
-        });
+        }), 30, 3)
+    ) {
         let mut runner: Runner<Queue<u8>> = Runner::new();
         // Certification already checks Φ_do/Φ_merge/Φ_spec/Φ_con…
         prop_assert!(runner.run_schedule(&schedule).is_ok());

@@ -265,12 +265,12 @@ fn eight_replica_fleet_converges_after_partition_heal() {
         }
         // Identical heads: byte-identical canonical states *and* equal
         // Merkle histories on every replica.
-        let head0 = cluster.node(0).unwrap().head_id("main").unwrap();
-        let state0 = cluster.node(0).unwrap().state_id("main").unwrap();
+        let head0 = cluster.node(0).unwrap().head_id("b0").unwrap();
+        let state0 = cluster.node(0).unwrap().state_id("b0").unwrap();
         for i in 1..8 {
             let node = cluster.node(i).unwrap();
-            assert_eq!(node.head_id("main").unwrap(), head0, "{kind}");
-            assert_eq!(node.state_id("main").unwrap(), state0, "{kind}");
+            assert_eq!(node.head_id("b0").unwrap(), head0, "{kind}");
+            assert_eq!(node.state_id("b0").unwrap(), state0, "{kind}");
         }
     });
 }
@@ -303,9 +303,9 @@ fn mixed_memory_segment_fleet_converges() {
     }
     // The on-disk replicas persisted the same canonical bytes the
     // in-memory ones hold.
-    let id0 = cluster.node(0).unwrap().state_id("main").unwrap();
+    let id0 = cluster.node(0).unwrap().state_id("b0").unwrap();
     for i in 1..4 {
-        assert_eq!(cluster.node(i).unwrap().state_id("main").unwrap(), id0);
+        assert_eq!(cluster.node(i).unwrap().state_id("b0").unwrap(), id0);
     }
 }
 
@@ -608,7 +608,7 @@ proptest! {
                 match ev {
                     Event::Op(r, op) => {
                         let r = *r as usize % FLEET;
-                        replicas[r].apply("main", op).unwrap();
+                        replicas[r].apply("b0", op).unwrap();
                     }
                     Event::Pull(a, b) => {
                         let (a, b) = (*a as usize % FLEET, *b as usize % FLEET);
@@ -620,7 +620,7 @@ proptest! {
                             faults[a].clone(),
                         );
                         let mut remote = Remote::new(replicas[b].name(), transport);
-                        match replicas[a].pull(&mut remote, "main") {
+                        match replicas[a].pull(&mut remote, "b0") {
                             Ok(_) | Err(NetError::Dropped | NetError::Partitioned) => {}
                             Err(e) => panic!("{kind}: pull failed: {e}"),
                         }
@@ -637,16 +637,16 @@ proptest! {
             if let Err(e) = cluster.converge() {
                 panic!("{kind}: {e}");
             }
-            let head0 = replicas[0].head_id("main").unwrap();
-            let state0 = replicas[0].state_id("main").unwrap();
+            let head0 = replicas[0].head_id("b0").unwrap();
+            let state0 = replicas[0].state_id("b0").unwrap();
             for r in &replicas[1..] {
-                assert_eq!(r.head_id("main").unwrap(), head0, "{kind}");
-                assert_eq!(r.state_id("main").unwrap(), state0, "{kind}");
+                assert_eq!(r.head_id("b0").unwrap(), head0, "{kind}");
+                assert_eq!(r.state_id("b0").unwrap(), state0, "{kind}");
                 assert!(
                     replicas[0]
-                        .state("main")
+                        .state("b0")
                         .unwrap()
-                        .observably_equal(&r.state("main").unwrap()),
+                        .observably_equal(&r.state("b0").unwrap()),
                     "{kind}"
                 );
             }
