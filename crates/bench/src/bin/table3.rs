@@ -12,7 +12,7 @@
 //! Run: `cargo run --release -p peepul-bench --bin table3`
 
 use peepul_verify::suite::{certify_all, SuiteConfig};
-use peepul_verify::{MergePolicy, RandomConfig};
+use peepul_verify::MergePolicy;
 
 /// Source text of each data type module, captured at compile time so the
 /// line accounting can never drift from the code being certified.
@@ -82,11 +82,9 @@ fn main() {
         bounded_steps: 4,
         bounded_branches: 2,
         random_runs: 20,
-        random: RandomConfig {
-            steps: 150,
-            max_branches: 4,
-            ..RandomConfig::default()
-        },
+        random_steps: 150,
+        random_branches: 4,
+        ..SuiteConfig::default()
     };
     println!("# Table 3 analogue: certification effort per MRDT");
     println!(

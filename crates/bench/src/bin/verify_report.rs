@@ -13,7 +13,7 @@
 use std::fmt::Write as _;
 
 use peepul_verify::{
-    certify_replication, run_codec_mutants, run_replication_mutants, RaLinSuiteConfig,
+    certify_replication, run_codec_mutants, run_replication_mutants, FleetConfig, MergePolicy,
 };
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -45,26 +45,25 @@ fn main() {
     let quick = args.iter().any(|a| a == "--quick");
     let out_path = flag_value(&args, "--out").unwrap_or_else(|| "VERIFY_report.json".into());
 
-    let config = if quick {
-        RaLinSuiteConfig {
-            runs: 2,
+    let (config, runs) = if quick {
+        let fleet = FleetConfig {
             replicas: 4,
             ops_per_replica: 6,
             gossip_every: 2,
-            ..RaLinSuiteConfig::default()
-        }
+            ..FleetConfig::default()
+        };
+        (fleet, 2)
     } else {
-        RaLinSuiteConfig::default()
+        (FleetConfig::default(), 5)
     };
 
     println!(
-        "Φ_ra suites: {} runs × {} replicas × {} ops each{}",
-        config.runs,
+        "Φ_ra suites: {runs} runs × {} replicas × {} ops each{}",
         config.replicas,
         config.ops_per_replica,
         if quick { " (quick)" } else { "" }
     );
-    let suites = certify_replication(&config);
+    let suites = certify_replication(&config, runs);
     for s in &suites {
         println!(
             "  {:<22} {:>3} runs  {:>5} events  {:>6} linearization checks  {}{}",
@@ -73,7 +72,11 @@ fn main() {
             s.stats.events,
             s.stats.linearizations,
             if s.passed() { "ok" } else { "FAILED" },
-            if s.structural { " (structural)" } else { "" },
+            if s.policy == MergePolicy::PaperEnvelope {
+                " (structural)"
+            } else {
+                ""
+            },
         );
         if let Some(f) = &s.failure {
             println!("    {f}");
@@ -116,9 +119,8 @@ fn main() {
     let _ = writeln!(out, "  \"quick\": {quick},");
     let _ = writeln!(
         out,
-        "  \"fleet\": {{ \"runs\": {}, \"replicas\": {}, \"ops_per_replica\": {}, \
+        "  \"fleet\": {{ \"runs\": {runs}, \"replicas\": {}, \"ops_per_replica\": {}, \
          \"gossip_every\": {}, \"loss_per_mille\": {}, \"partition_one\": {} }},",
-        config.runs,
         config.replicas,
         config.ops_per_replica,
         config.gossip_every,
@@ -139,7 +141,7 @@ fn main() {
             s.stats.records,
             s.stats.observations,
             s.stats.linearizations,
-            s.structural,
+            s.policy == MergePolicy::PaperEnvelope,
             s.passed(),
             s.time.as_secs_f64(),
             match &s.failure {

@@ -8,8 +8,9 @@
 //!   up to a configurable number of steps, over a small operation
 //!   alphabet and branch budget (the decidable fragment where RDT bugs
 //!   live: a couple of branches, a handful of conflicting operations);
-//! * [`generator`] + [`runner`] — **randomized**: long seeded executions
-//!   with many branches, operations and merges.
+//! * [`suite`] + [`runner`] — **randomized**: long seeded executions
+//!   with many branches, operations and merges, drawn by the property
+//!   tests' schedule drawer ([`proptest_support::schedules_with`]).
 //!
 //! Both drive the store that serves traffic
 //! ([`peepul_store::BranchStore`], whose `fork`/`apply`/`merge_from` are
@@ -46,7 +47,6 @@
 
 pub mod bounded;
 pub mod codec_mutants;
-pub mod generator;
 pub mod proptest_support;
 pub mod ralin;
 pub mod runner;
@@ -55,14 +55,12 @@ pub mod suite;
 
 pub use bounded::{BoundedChecker, BoundedConfig, BoundedStats};
 pub use codec_mutants::{run_codec_mutants, CodecMutantOutcome};
-pub use generator::{RandomConfig, ScheduleGenerator};
 pub use ralin::{
     check_fleet, check_fleet_on, check_ra_lin, run_replication_mutants, FleetConfig,
-    HistoryRecorder, MutantOutcome, RaLinOptions, RaLinStats, WitnessHistory,
+    HistoryRecorder, MutantOutcome, RaLinStats, WitnessHistory,
 };
 pub use runner::{CertificationError, MergePolicy, Runner, Snapshot};
 pub use schedule::{Schedule, Step};
 pub use suite::{
-    certify_all, certify_replication, CertificationSummary, RaLinSuiteConfig, RaLinSummary,
-    SuiteConfig,
+    certify_all, certify_replication, CertificationSummary, RaLinSummary, SuiteConfig,
 };

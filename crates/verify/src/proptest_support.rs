@@ -1,11 +1,13 @@
-//! `proptest` strategies for schedules.
+//! `proptest` strategies for schedules — the one random schedule drawer.
 //!
-//! Randomized certification in [`crate::generator`] uses fixed seeds and is
-//! replayable; the strategies here feed the same [`Schedule`]s to property
-//! tests. The vendored proptest does not shrink: a failing case is printed
-//! as generated, and every property draws its cases from a fixed per-test
-//! seed, so a failure comes back on every run. Used by the workspace's
-//! property tests and available to downstream data type authors.
+//! The property tests draw their cases from these strategies, and so does
+//! the certified random pass of [`crate::suite`]: it draws run `i` with
+//! [`schedules_with`] over [`Arms::STORE`] from an `StdRng` seeded with
+//! the run's seed, so every random schedule goes through one
+//! `normalize`. The vendored proptest does not shrink: a failing case is
+//! printed as generated, and every property draws its cases from a fixed
+//! per-test seed, so a failure comes back on every run. Available to
+//! downstream data type authors too.
 
 use crate::schedule::{Schedule, Step};
 use proptest::collection::SizeRange;
@@ -177,8 +179,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1))]
 
-        /// 64 schedules per case: each is well-formed, and some fork from
-        /// a branch other than the root.
+        /// 64 schedules per case: each is well-formed, merges occur but
+        /// never a self-merge, and some fork from a branch other than
+        /// the root.
         #[test]
         fn generated_schedules_are_well_formed(
             batch in proptest::collection::vec(schedules(0u32..4, 40, 4), 64),
@@ -188,7 +191,14 @@ mod tests {
         ) {
             for s in batch.iter().chain(&lifecycle) {
                 prop_assert!(s.is_well_formed(1));
+                prop_assert!(s.steps.iter().all(|step| match step {
+                    Step::Merge { into, from, .. } => into != from,
+                    _ => true,
+                }));
             }
+            prop_assert!(batch
+                .iter()
+                .any(|s| s.steps.iter().any(|step| matches!(step, Step::Merge { .. }))));
             prop_assert!(batch.iter().all(|s| s
                 .steps
                 .iter()

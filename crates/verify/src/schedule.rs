@@ -3,7 +3,8 @@
 //! A schedule is the syntactic side of an execution `χ` (Definition 3.1)
 //! over a fleet of stores. Its store arms are the `CREATEBRANCH`/`DO`/
 //! `MERGE` labels of the store LTS, each naming the replica it runs on;
-//! `SYNC` moves history between two replicas; and the lifecycle arms
+//! `SYNC` moves history between two replicas, `PARTITION` and `HEAL` cut
+//! and restore a replica's link; and the lifecycle arms
 //! (`FLUSH`, `STRAND`, `COLLECT`, `ROTATE`, `COMPACT`) change how a store
 //! keeps its history, never what it holds. A single store is replica 0 of
 //! a fleet of one. Replicas are numbered as the fleet numbers them;
@@ -60,6 +61,17 @@ pub enum Step<Op> {
         /// The replica that pulls.
         to: usize,
     },
+    /// Cut `node`'s link: its pulls fail, and pulls from it are skipped,
+    /// until a `HEAL`.
+    Partition {
+        /// The replica.
+        node: usize,
+    },
+    /// Restore `node`'s link.
+    Heal {
+        /// The replica.
+        node: usize,
+    },
     /// Persist every commit landed so far (the group-commit point).
     Flush {
         /// The replica.
@@ -99,6 +111,8 @@ impl<Op: fmt::Debug> fmt::Display for Step<Op> {
             Step::Do { node, branch, op } => write!(f, "DO({op:?}, r{node}: b{branch})"),
             Step::Merge { node, into, from } => write!(f, "MERGE(r{node}: b{into} ← b{from})"),
             Step::Sync { from, to } => write!(f, "SYNC(r{to} ← r{from})"),
+            Step::Partition { node } => write!(f, "PARTITION(r{node})"),
+            Step::Heal { node } => write!(f, "HEAL(r{node})"),
             Step::Flush { node } => write!(f, "FLUSH(r{node})"),
             Step::Strand { node, from, op } => write!(f, "STRAND({op:?}, r{node}: b{from} → new)"),
             Step::Collect { node } => write!(f, "COLLECT(r{node})"),
@@ -169,6 +183,8 @@ impl<Op> Step<Op> {
                     Err(e) => return Err(e),
                 }
             }
+            Step::Partition { node } => fleet.faults(*node)?.partition(),
+            Step::Heal { node } => fleet.faults(*node)?.heal(),
             Step::Flush { node } => fleet.node(*node)?.flush()?,
             Step::Strand { node: i, from, op } => {
                 let node = fleet.node(*i)?;
@@ -242,7 +258,9 @@ impl<Op> Schedule<Op> {
                 branches.get(node).is_some_and(|&n| into.max(from) < n)
             }
             Step::Sync { from, to } => from != to && from.max(to) < replicas,
-            Step::Flush { node }
+            Step::Partition { node }
+            | Step::Heal { node }
+            | Step::Flush { node }
             | Step::Collect { node }
             | Step::Rotate { node }
             | Step::Compact { node } => node < replicas,
@@ -350,7 +368,9 @@ mod tests {
                 branch: 1,
                 op: 1,
             },
+            Step::Partition { node: 0 },
             Step::Sync { from: 1, to: 0 },
+            Step::Heal { node: 0 },
         ]);
         assert!(fleet.is_well_formed(2));
         assert_eq!((branches(&fleet, 0), branches(&fleet, 1)), (1, 2));
@@ -369,6 +389,8 @@ mod tests {
         assert!(!one([Step::Sync { from: 0, to: 0 }]).is_well_formed(2));
         for missing in [
             Step::Sync { from: 0, to: 2 },
+            Step::Partition { node: 2 },
+            Step::Heal { node: 2 },
             Step::Flush { node: 2 },
             Step::Collect { node: 2 },
             Step::Rotate { node: 2 },
@@ -395,6 +417,8 @@ mod tests {
             },
             Step::Sync { from: 1, to: 0 },
             Step::Sync { from: 0, to: 0 },
+            Step::Partition { node: 1 },
+            Step::Heal { node: 2 },
             Step::Flush { node: 0 },
             Step::Strand {
                 node: 0,
@@ -412,6 +436,8 @@ mod tests {
             "MERGE(r0: b0 ← b1)",
             "SYNC(r0 ← r1)",
             "SYNC(r0 ← r0)",
+            "PARTITION(r1)",
+            "HEAL(r2)",
             "FLUSH(r0)",
             "STRAND(7, r0: b1 → new)",
             "COLLECT(r0)",

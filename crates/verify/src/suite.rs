@@ -7,14 +7,22 @@
 //! random executions, counting how many obligation instances were checked
 //! and how long certification took. The queue additionally re-checks the
 //! declarative queue axioms of §6.2 on every final abstract state.
+//!
+//! Each data type declares one merge policy and one operation source, a
+//! `fn(u64) -> Op`. The random pass draws its schedules with the property
+//! tests' drawer ([`schedules_with`] over [`Arms::STORE`], operations
+//! from `op_of` of a uniform `u64`), seeded per run, so a run is a pure
+//! function of its seed. The `Φ_ra` fleet runs of
+//! [`certify_replication`] feed the same function a seeded `u64` stream
+//! and check under the same policy. A failure names its seed, and
+//! `PEEPUL_REPLAY=<seed>` re-runs exactly that execution, on either path.
 
 use crate::bounded::{BoundedChecker, BoundedConfig};
-use crate::generator::{RandomConfig, ScheduleGenerator};
-use crate::ralin::{check_fleet, replay_seed, FleetConfig, RaLinOptions, RaLinStats};
+use crate::proptest_support::{schedules_with, Arms};
+use crate::ralin::{check_fleet, replay_seed, FleetConfig, RaLinStats};
 use crate::runner::{MergePolicy, Runner, Snapshot};
 use peepul_core::obligations::Certified;
 use peepul_core::ObligationReport;
-use peepul_net::ReplicationMutation;
 use peepul_types::chat::{Chat, ChatOp, ChatQuery};
 use peepul_types::counter::{Counter, CounterOp, CounterQuery};
 use peepul_types::ew_flag::{EwFlag, EwFlagOp, EwFlagQuery, EwFlagSpace};
@@ -27,8 +35,9 @@ use peepul_types::or_set_space::OrSetSpace;
 use peepul_types::or_set_spacetime::OrSetSpacetime;
 use peepul_types::pn_counter::{PnCounter, PnCounterOp, PnCounterQuery};
 use peepul_types::queue::{self, Queue, QueueOp, QueueQuery};
+use proptest::prelude::{any, Strategy};
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::SeedableRng;
 use std::time::{Duration, Instant};
 
 /// Suite-wide configuration.
@@ -40,8 +49,13 @@ pub struct SuiteConfig {
     pub bounded_branches: usize,
     /// Number of random executions per data type.
     pub random_runs: usize,
-    /// Shape of each random execution.
-    pub random: RandomConfig,
+    /// Steps drawn per random execution (a self-merge, or a fork over the
+    /// branch budget, is dropped from the schedule).
+    pub random_steps: usize,
+    /// Branch budget of each random execution (root included).
+    pub random_branches: usize,
+    /// Base seed: random run `i` uses `seed + i`.
+    pub seed: u64,
 }
 
 impl Default for SuiteConfig {
@@ -50,11 +64,9 @@ impl Default for SuiteConfig {
             bounded_steps: 4,
             bounded_branches: 2,
             random_runs: 20,
-            random: RandomConfig {
-                steps: 150,
-                max_branches: 4,
-                ..RandomConfig::default()
-            },
+            random_steps: 150,
+            random_branches: 4,
+            seed: 0xBADC0FFE,
         }
     }
 }
@@ -104,25 +116,27 @@ impl CertificationSummary {
 
 /// Certifies one data type: a bounded-exhaustive pass over the **update**
 /// `alphabet` followed by `config.random_runs` random executions drawing
-/// operations from `random_op`. The `queries` probe set is checked
+/// operations from `op_of`. The `queries` probe set is checked
 /// (`Φ_spec`) against the post-state of every transition in both passes —
 /// queries no longer appear as schedule steps, so the probes are what
 /// certifies the observation side of the query/update split. `final_check`
 /// runs against the final snapshots of every random execution (used for
 /// the queue axioms); pass `|_| Ok(())` when not needed.
-pub fn certify_type<M, F, G>(
+///
+/// A random-pass failure names its run's seed; with `PEEPUL_REPLAY=<seed>`
+/// set, the pass runs that one schedule instead of its sweep.
+pub fn certify_type<M, G>(
     name: &'static str,
     config: &SuiteConfig,
     policy: MergePolicy,
     alphabet: Vec<M::Op>,
     queries: Vec<M::Query>,
-    mut random_op: F,
+    op_of: fn(u64) -> M::Op,
     final_check: G,
 ) -> CertificationSummary
 where
     M: Certified,
-    M::Op: PartialEq,
-    F: FnMut(&mut StdRng) -> M::Op,
+    M::Op: PartialEq + 'static,
     G: Fn(&[(String, Snapshot<M>)]) -> Result<(), String>,
 {
     let mut obligations = ObligationReport::default();
@@ -155,22 +169,22 @@ where
     let mut random_transitions = 0u64;
     let mut runs_done = 0u64;
     if failure.is_none() {
-        // A failure names its seed; PEEPUL_REPLAY=<seed> re-runs exactly
-        // that schedule (and only it).
+        let schedules = schedules_with(
+            Arms::STORE,
+            any::<u64>().prop_map(op_of),
+            config.random_steps,
+            config.random_branches,
+        );
         let replay = replay_seed();
-        'runs: for run in 0..config.random_runs {
-            let seed = replay.unwrap_or_else(|| config.random.seed.wrapping_add(run as u64));
-            let mut gen = ScheduleGenerator::new(RandomConfig {
-                seed,
-                ..config.random.clone()
-            });
-            let schedule = gen.generate(&mut random_op);
+        for run in 0..config.random_runs {
+            let seed = replay.unwrap_or_else(|| config.seed.wrapping_add(run as u64));
+            let schedule = schedules.generate(&mut StdRng::seed_from_u64(seed));
             let mut runner: Runner<M> = Runner::with_policy(policy).with_queries(queries.clone());
             if let Err(e) = runner.run_schedule(&schedule) {
                 failure = Some(format!(
                     "random run {run} (seed {seed}): {e} — re-run with PEEPUL_REPLAY={seed}"
                 ));
-                break 'runs;
+                break;
             }
             random_transitions += runner.steps_run() as u64;
             skipped_merges += runner.skipped_merges() as u64;
@@ -181,10 +195,10 @@ where
                     "random run {run} (seed {seed}), final check: {e} — re-run with \
                      PEEPUL_REPLAY={seed}"
                 ));
-                break 'runs;
+                break;
             }
             if replay.is_some() {
-                break 'runs;
+                break;
             }
         }
     }
@@ -205,107 +219,163 @@ where
     }
 }
 
+/// The final check of every type but the queue: none.
 fn no_final_check<M: Certified>(_: &[(String, Snapshot<M>)]) -> Result<(), String> {
     Ok(())
 }
 
-/// Certifies the increment-only counter.
-pub fn certify_counter(config: &SuiteConfig) -> CertificationSummary {
-    certify_type::<Counter, _, _>(
+/// The queue's final check: the declarative queue axioms (`AddRem`,
+/// `Empty`, `FIFO_1`, `FIFO_2`) on the abstract state of every branch.
+fn queue_axioms(snapshots: &[(String, Snapshot<Queue<u32>>)]) -> Result<(), String> {
+    match snapshots
+        .iter()
+        .find(|(_, snap)| !queue::axioms::all(&snap.abstract_state))
+    {
+        Some((branch, _)) => Err(format!("queue axioms violated on branch {branch}")),
+        None => Ok(()),
+    }
+}
+
+/// One data type's certification inputs, shared by its Table-2 pass and
+/// its `Φ_ra` fleet runs.
+struct TypeSuite<M: Certified> {
+    name: &'static str,
+    policy: MergePolicy,
+    /// The bounded pass's update alphabet.
+    alphabet: Vec<M::Op>,
+    /// Query probes, checked in both passes and on every fleet replica.
+    queries: Vec<M::Query>,
+    /// The type's one operation source.
+    op_of: fn(u64) -> M::Op,
+    final_check: FinalCheck<M>,
+}
+
+/// A check of the final snapshots of a random execution.
+type FinalCheck<M> = fn(&[(String, Snapshot<M>)]) -> Result<(), String>;
+
+impl<M> TypeSuite<M>
+where
+    M: Certified + Send + Sync + 'static,
+    M::Op: PartialEq + Send,
+    M::Value: Send,
+    M::Query: Send,
+    M::Output: Send,
+{
+    fn new(
+        name: &'static str,
+        policy: MergePolicy,
+        alphabet: Vec<M::Op>,
+        queries: Vec<M::Query>,
+        op_of: fn(u64) -> M::Op,
+    ) -> Self {
+        TypeSuite {
+            name,
+            policy,
+            alphabet,
+            queries,
+            op_of,
+            final_check: no_final_check,
+        }
+    }
+
+    fn certify(self, config: &SuiteConfig) -> CertificationSummary {
+        certify_type::<M, _>(
+            self.name,
+            config,
+            self.policy,
+            self.alphabet,
+            self.queries,
+            self.op_of,
+            self.final_check,
+        )
+    }
+
+    fn ra_lin(self, fleet: &FleetConfig, runs: usize) -> RaLinSummary {
+        let fleet = FleetConfig {
+            policy: self.policy,
+            ..fleet.clone()
+        };
+        ra_lin_type::<M>(self.name, &fleet, runs, self.op_of, &self.queries)
+    }
+}
+
+fn counter() -> TypeSuite<Counter> {
+    TypeSuite::new(
         "Increment-only counter",
-        config,
         MergePolicy::General,
         vec![CounterOp::Increment],
         vec![CounterQuery::Value],
-        |_rng| CounterOp::Increment,
-        no_final_check,
+        |_| CounterOp::Increment,
     )
 }
 
-/// Certifies the PN counter.
-pub fn certify_pn_counter(config: &SuiteConfig) -> CertificationSummary {
-    certify_type::<PnCounter, _, _>(
+fn pn_counter() -> TypeSuite<PnCounter> {
+    TypeSuite::new(
         "PN counter",
-        config,
         MergePolicy::General,
         vec![PnCounterOp::Increment, PnCounterOp::Decrement],
         vec![PnCounterQuery::Value],
-        |rng| {
-            if rng.gen_bool(0.5) {
+        |s| {
+            if s % 2 == 0 {
                 PnCounterOp::Increment
             } else {
                 PnCounterOp::Decrement
             }
         },
-        no_final_check,
     )
 }
 
-fn random_flag_op(rng: &mut StdRng) -> EwFlagOp {
-    if rng.gen_bool(0.5) {
+fn flag_op(s: u64) -> EwFlagOp {
+    if s % 2 == 0 {
         EwFlagOp::Enable
     } else {
         EwFlagOp::Disable
     }
 }
 
-/// Certifies the token-set enable-wins flag.
-pub fn certify_ew_flag(config: &SuiteConfig) -> CertificationSummary {
-    certify_type::<EwFlag, _, _>(
+fn ew_flag() -> TypeSuite<EwFlag> {
+    TypeSuite::new(
         "Enable-wins flag",
-        config,
         MergePolicy::General,
         vec![EwFlagOp::Enable, EwFlagOp::Disable],
         vec![EwFlagQuery::Read],
-        random_flag_op,
-        no_final_check,
+        flag_op,
     )
 }
 
-/// Certifies the space-efficient enable-wins flag.
-pub fn certify_ew_flag_space(config: &SuiteConfig) -> CertificationSummary {
-    certify_type::<EwFlagSpace, _, _>(
+fn ew_flag_space() -> TypeSuite<EwFlagSpace> {
+    TypeSuite::new(
         "Enable-wins flag (space)",
-        config,
         MergePolicy::PaperEnvelope,
         vec![EwFlagOp::Enable, EwFlagOp::Disable],
         vec![EwFlagQuery::Read],
-        random_flag_op,
-        no_final_check,
+        flag_op,
     )
 }
 
-/// Certifies the last-writer-wins register.
-pub fn certify_lww_register(config: &SuiteConfig) -> CertificationSummary {
-    certify_type::<LwwRegister<u32>, _, _>(
+fn lww_register() -> TypeSuite<LwwRegister<u32>> {
+    TypeSuite::new(
         "LWW register",
-        config,
         MergePolicy::General,
         vec![LwwOp::Write(1), LwwOp::Write(2)],
         vec![LwwQuery::Read],
-        |rng| LwwOp::Write(rng.gen_range(0..100)),
-        no_final_check,
+        |s| LwwOp::Write((s % 100) as u32),
     )
 }
 
-/// Certifies the grow-only set.
-pub fn certify_g_set(config: &SuiteConfig) -> CertificationSummary {
-    certify_type::<GSet<u32>, _, _>(
+fn g_set() -> TypeSuite<GSet<u32>> {
+    TypeSuite::new(
         "G-set",
-        config,
         MergePolicy::General,
         vec![GSetOp::Add(1), GSetOp::Add(2)],
         vec![GSetQuery::Lookup(1), GSetQuery::Lookup(19), GSetQuery::Read],
-        |rng| GSetOp::Add(rng.gen_range(0..20)),
-        no_final_check,
+        |s| GSetOp::Add((s % 20) as u32),
     )
 }
 
-/// Certifies the grow-only map of counters (α-map composition).
-pub fn certify_g_map(config: &SuiteConfig) -> CertificationSummary {
-    certify_type::<MrdtMap<Counter>, _, _>(
+fn g_map() -> TypeSuite<MrdtMap<Counter>> {
+    TypeSuite::new(
         "G-map (α-map of counters)",
-        config,
         MergePolicy::General,
         vec![
             MapOp::Set("k".into(), CounterOp::Increment),
@@ -316,120 +386,89 @@ pub fn certify_g_map(config: &SuiteConfig) -> CertificationSummary {
             MapQuery::Get("j".into(), CounterQuery::Value),
             MapQuery::Get("absent".into(), CounterQuery::Value),
         ],
-        |rng| {
-            let key = if rng.gen_bool(0.5) { "k" } else { "j" };
+        |s| {
+            let key = if s % 2 == 0 { "k" } else { "j" };
             MapOp::Set(key.into(), CounterOp::Increment)
         },
-        no_final_check,
     )
 }
 
-/// Certifies the mergeable log.
-pub fn certify_log(config: &SuiteConfig) -> CertificationSummary {
-    certify_type::<MergeableLog<u32>, _, _>(
+fn log() -> TypeSuite<MergeableLog<u32>> {
+    TypeSuite::new(
         "Mergeable log",
-        config,
         MergePolicy::General,
         vec![LogOp::Append(1), LogOp::Append(2)],
         vec![LogQuery::Read],
-        |rng| LogOp::Append(rng.gen_range(0..100)),
-        no_final_check,
+        |s| LogOp::Append((s % 100) as u32),
     )
 }
 
-fn random_set_op(rng: &mut StdRng) -> OrSetOp<u32> {
-    let x = rng.gen_range(0..10);
-    if rng.gen_bool(2.0 / 3.0) {
+/// Two adds to every remove over ten elements (`s % 3` and `s % 10` are
+/// independent, 3 and 10 being coprime).
+fn set_op(s: u64) -> OrSetOp<u32> {
+    let x = (s % 10) as u32;
+    if s % 3 < 2 {
         OrSetOp::Add(x)
     } else {
         OrSetOp::Remove(x)
     }
 }
 
-fn orset_alphabet() -> Vec<OrSetOp<u32>> {
-    vec![OrSetOp::Add(1), OrSetOp::Remove(1), OrSetOp::Add(2)]
-}
-
-fn orset_probes() -> Vec<OrSetQuery<u32>> {
-    vec![
-        OrSetQuery::Lookup(1),
-        OrSetQuery::Lookup(2),
-        OrSetQuery::Read,
-    ]
-}
-
-/// Certifies the unoptimized OR-set.
-pub fn certify_or_set(config: &SuiteConfig) -> CertificationSummary {
-    certify_type::<OrSet<u32>, _, _>(
-        "OR-set",
-        config,
-        MergePolicy::General,
-        orset_alphabet(),
-        orset_probes(),
-        random_set_op,
-        no_final_check,
+fn or_set_suite<M>(name: &'static str, policy: MergePolicy) -> TypeSuite<M>
+where
+    M: Certified<Op = OrSetOp<u32>, Query = OrSetQuery<u32>> + Send + Sync + 'static,
+    M::Value: Send,
+    M::Output: Send,
+{
+    TypeSuite::new(
+        name,
+        policy,
+        vec![OrSetOp::Add(1), OrSetOp::Remove(1), OrSetOp::Add(2)],
+        vec![
+            OrSetQuery::Lookup(1),
+            OrSetQuery::Lookup(2),
+            OrSetQuery::Read,
+        ],
+        set_op,
     )
 }
 
-/// Certifies the space-efficient OR-set.
-pub fn certify_or_set_space(config: &SuiteConfig) -> CertificationSummary {
-    certify_type::<OrSetSpace<u32>, _, _>(
-        "OR-set-space",
-        config,
-        MergePolicy::PaperEnvelope,
-        orset_alphabet(),
-        orset_probes(),
-        random_set_op,
-        no_final_check,
-    )
+fn or_set() -> TypeSuite<OrSet<u32>> {
+    or_set_suite("OR-set", MergePolicy::General)
 }
 
-/// Certifies the tree-backed OR-set.
-pub fn certify_or_set_spacetime(config: &SuiteConfig) -> CertificationSummary {
-    certify_type::<OrSetSpacetime<u32>, _, _>(
-        "OR-set-spacetime",
-        config,
-        MergePolicy::PaperEnvelope,
-        orset_alphabet(),
-        orset_probes(),
-        random_set_op,
-        no_final_check,
-    )
+fn or_set_space() -> TypeSuite<OrSetSpace<u32>> {
+    or_set_suite("OR-set-space", MergePolicy::PaperEnvelope)
 }
 
-/// Certifies the replicated queue, additionally asserting the declarative
-/// queue axioms (`AddRem`, `Empty`, `FIFO_1`, `FIFO_2`) on the final
-/// abstract state of every branch of every random execution.
-pub fn certify_queue(config: &SuiteConfig) -> CertificationSummary {
-    certify_type::<Queue<u32>, _, _>(
-        "Replicated queue",
-        config,
-        MergePolicy::General,
-        vec![QueueOp::Enqueue(1), QueueOp::Enqueue(2), QueueOp::Dequeue],
-        vec![QueueQuery::Peek],
-        |rng| {
-            if rng.gen_bool(0.6) {
-                QueueOp::Enqueue(rng.gen_range(0..100))
-            } else {
-                QueueOp::Dequeue
-            }
-        },
-        |snapshots| {
-            for (branch, snap) in snapshots {
-                if !queue::axioms::all(&snap.abstract_state) {
-                    return Err(format!("queue axioms violated on branch {branch}"));
+fn or_set_spacetime() -> TypeSuite<OrSetSpacetime<u32>> {
+    or_set_suite("OR-set-spacetime", MergePolicy::PaperEnvelope)
+}
+
+/// The replicated queue, whose random pass also asserts the declarative
+/// queue axioms on every final branch.
+fn replicated_queue() -> TypeSuite<Queue<u32>> {
+    TypeSuite {
+        final_check: queue_axioms,
+        ..TypeSuite::new(
+            "Replicated queue",
+            MergePolicy::General,
+            vec![QueueOp::Enqueue(1), QueueOp::Enqueue(2), QueueOp::Dequeue],
+            vec![QueueQuery::Peek],
+            |s| {
+                if s % 5 < 3 {
+                    QueueOp::Enqueue((s / 5 % 100) as u32)
+                } else {
+                    QueueOp::Dequeue
                 }
-            }
-            Ok(())
-        },
-    )
+            },
+        )
+    }
 }
 
-/// Certifies the IRC-style chat (α-map of mergeable logs).
-pub fn certify_chat(config: &SuiteConfig) -> CertificationSummary {
-    certify_type::<Chat, _, _>(
+fn chat() -> TypeSuite<Chat> {
+    TypeSuite::new(
         "IRC chat (map of logs)",
-        config,
         MergePolicy::General,
         vec![
             ChatOp::Send("#a".into(), "x".into()),
@@ -440,55 +479,11 @@ pub fn certify_chat(config: &SuiteConfig) -> CertificationSummary {
             ChatQuery::Read("#b".into()),
             ChatQuery::Read("#silent".into()),
         ],
-        |rng| {
-            let ch = if rng.gen_bool(0.5) { "#a" } else { "#b" };
-            ChatOp::Send(ch.into(), format!("m{}", rng.gen_range(0..1000)))
+        |s| {
+            let ch = if s % 2 == 0 { "#a" } else { "#b" };
+            ChatOp::Send(ch.into(), format!("m{}", s / 2 % 1000))
         },
-        no_final_check,
     )
-}
-
-/// Shape of a replication-certification (`Φ_ra`) run: how many
-/// fault-injected fleet executions per data type, and the fleet shape of
-/// each. Failures print the failing run's seed; set `PEEPUL_REPLAY=<seed>`
-/// to replay exactly that schedule.
-#[derive(Clone, Debug)]
-pub struct RaLinSuiteConfig {
-    /// Fleet executions per data type.
-    pub runs: usize,
-    /// Independent replicas per fleet.
-    pub replicas: usize,
-    /// Operations per replica per fleet.
-    pub ops_per_replica: usize,
-    /// Ring-gossip period during the run.
-    pub gossip_every: usize,
-    /// Base seed; run `i` uses `seed + i`.
-    pub seed: u64,
-    /// Seeded per-link message loss, in per-mille.
-    pub loss_per_mille: u16,
-    /// Partition one replica for the whole run (healed before
-    /// anti-entropy).
-    pub partition_one: bool,
-    /// Replication-layer mutant to enact during the runs
-    /// ([`ReplicationMutation::None`] for a faithful layer). Non-`None`
-    /// values exist to *fail*: they drive the kill-gate and the
-    /// seed-replay test.
-    pub mutation: ReplicationMutation,
-}
-
-impl Default for RaLinSuiteConfig {
-    fn default() -> Self {
-        RaLinSuiteConfig {
-            runs: 5,
-            replicas: 8,
-            ops_per_replica: 10,
-            gossip_every: 3,
-            seed: RandomConfig::default().seed,
-            loss_per_mille: 100,
-            partition_one: true,
-            mutation: ReplicationMutation::None,
-        }
-    }
 }
 
 /// Outcome of replication-certifying one data type under `Φ_ra`.
@@ -502,11 +497,10 @@ pub struct RaLinSummary {
     pub stats: RaLinStats,
     /// Wall-clock time of all runs.
     pub time: Duration,
-    /// Whether the specification replays were skipped
-    /// ([`RaLinOptions::structural`] — types certified relative to the
-    /// merge envelope, whose spec is not owed over arbitrary fleet
-    /// merges).
-    pub structural: bool,
+    /// The merge policy the runs were checked under: under
+    /// [`MergePolicy::PaperEnvelope`] the specification replays are
+    /// skipped (see [`check_ra_lin`](crate::check_ra_lin)).
+    pub policy: MergePolicy,
     /// `None` when every run certified; the first failure otherwise,
     /// including the seed that replays it.
     pub failure: Option<String>,
@@ -519,19 +513,19 @@ impl RaLinSummary {
     }
 }
 
-/// Replication-certifies one data type: `config.runs` fault-injected
-/// fleet executions, each recorded as a witness history and checked with
-/// `Φ_ra`. `op_of` derives each operation from a
-/// [`fleet_entropy`](crate::ralin::fleet_entropy) value, so a run is a
-/// pure function of its seed; on failure the seed is named in the
-/// failure message and `PEEPUL_REPLAY=<seed>` re-runs exactly that
-/// schedule.
+/// Replication-certifies one data type: `runs` fault-injected executions
+/// of the `fleet` shape, run `i` seeded with `fleet.seed + i`, each
+/// recorded as a witness history and checked with `Φ_ra` under
+/// `fleet.policy`. `op_of` turns the run's seeded `u64` stream into
+/// operations, so a run is a pure function of its seed; on failure the
+/// seed is named in the failure message and `PEEPUL_REPLAY=<seed>` re-runs
+/// exactly that schedule.
 pub fn ra_lin_type<M>(
     name: &'static str,
-    config: &RaLinSuiteConfig,
-    options: RaLinOptions,
-    op_of: impl Fn(u64) -> M::Op + Send + Sync,
-    probes: Vec<M::Query>,
+    fleet: &FleetConfig,
+    runs: usize,
+    op_of: fn(u64) -> M::Op,
+    probes: &[M::Query],
 ) -> RaLinSummary
 where
     M: Certified + Send + Sync + 'static,
@@ -545,19 +539,13 @@ where
     let mut failure = None;
     let mut runs_done = 0u64;
     let replay = replay_seed();
-    for run in 0..config.runs {
-        let seed = replay.unwrap_or_else(|| config.seed.wrapping_add(run as u64));
-        let fleet = FleetConfig {
-            replicas: config.replicas,
-            ops_per_replica: config.ops_per_replica,
-            gossip_every: config.gossip_every,
+    for run in 0..runs {
+        let seed = replay.unwrap_or_else(|| fleet.seed.wrapping_add(run as u64));
+        let config = FleetConfig {
             seed,
-            loss_per_mille: config.loss_per_mille,
-            partition_one: config.partition_one,
-            options,
-            mutation: config.mutation,
+            ..fleet.clone()
         };
-        match check_fleet::<M>(&fleet, &op_of, &probes) {
+        match check_fleet::<M>(&config, op_of, probes) {
             Ok(s) => {
                 stats.absorb(&s);
                 runs_done += 1;
@@ -578,129 +566,44 @@ where
         runs: runs_done,
         stats,
         time: start.elapsed(),
-        structural: !options.replay_rvals && !options.replay_queries,
+        policy: fleet.policy,
         failure,
     }
 }
 
-/// `Φ_ra` for the increment-only counter fleet.
-pub fn ra_lin_counter(config: &RaLinSuiteConfig) -> RaLinSummary {
-    ra_lin_type::<Counter>(
-        "Increment-only counter",
-        config,
-        RaLinOptions::default(),
-        |_| CounterOp::Increment,
-        vec![CounterQuery::Value],
-    )
-}
-
-/// `Φ_ra` for the LWW-register fleet.
-pub fn ra_lin_lww_register(config: &RaLinSuiteConfig) -> RaLinSummary {
-    ra_lin_type::<LwwRegister<u32>>(
-        "LWW register",
-        config,
-        RaLinOptions::default(),
-        |s| LwwOp::Write((s % 100) as u32),
-        vec![LwwQuery::Read],
-    )
-}
-
-/// `Φ_ra` for the replicated-queue fleet.
-pub fn ra_lin_queue(config: &RaLinSuiteConfig) -> RaLinSummary {
-    ra_lin_type::<Queue<u32>>(
-        "Replicated queue",
-        config,
-        RaLinOptions::default(),
-        |s| {
-            if s % 5 < 3 {
-                QueueOp::Enqueue((s % 100) as u32)
-            } else {
-                QueueOp::Dequeue
-            }
-        },
-        vec![QueueQuery::Peek],
-    )
-}
-
-/// `Φ_ra` for the mergeable-log fleet.
-pub fn ra_lin_log(config: &RaLinSuiteConfig) -> RaLinSummary {
-    ra_lin_type::<MergeableLog<u32>>(
-        "Mergeable log",
-        config,
-        RaLinOptions::default(),
-        |s| LogOp::Append((s % 100) as u32),
-        vec![LogQuery::Read],
-    )
-}
-
-/// `Φ_ra` for the α-map-of-counters fleet.
-pub fn ra_lin_g_map(config: &RaLinSuiteConfig) -> RaLinSummary {
-    ra_lin_type::<MrdtMap<Counter>>(
-        "G-map (α-map of counters)",
-        config,
-        RaLinOptions::default(),
-        |s| {
-            let key = if s % 2 == 0 { "k" } else { "j" };
-            MapOp::Set(key.into(), CounterOp::Increment)
-        },
-        vec![
-            MapQuery::Get("k".into(), CounterQuery::Value),
-            MapQuery::Get("j".into(), CounterQuery::Value),
-        ],
-    )
-}
-
-/// `Φ_ra` for the space-efficient OR-set fleet — **structural mode**: the
-/// type is certified relative to the paper's strong-Ψ_lca merge envelope
-/// ([`MergePolicy::PaperEnvelope`]), and a fleet's gossip merges are
-/// arbitrary, so its declarative spec is not owed over them. The
-/// structural axioms (happens-before consistency, causal delivery,
-/// monotonic visibility, session guarantees) are checked in full.
-pub fn ra_lin_or_set_space(config: &RaLinSuiteConfig) -> RaLinSummary {
-    ra_lin_type::<OrSetSpace<u32>>(
-        "OR-set-space",
-        config,
-        RaLinOptions::structural(),
-        |s| {
-            let x = (s % 10) as u32;
-            if s % 3 < 2 {
-                OrSetOp::Add(x)
-            } else {
-                OrSetOp::Remove(x)
-            }
-        },
-        orset_probes(),
-    )
-}
-
-/// Replication-certifies the `Φ_ra` fleet suite: one entry per data type.
-pub fn certify_replication(config: &RaLinSuiteConfig) -> Vec<RaLinSummary> {
+/// Replication-certifies the `Φ_ra` fleet suite: `runs` executions of the
+/// `fleet` shape per data type, each under the type's own merge policy
+/// (which replaces `fleet.policy`). OR-set-space, certified relative to
+/// the paper's strong-Ψ_lca merge envelope, is checked structurally: a
+/// fleet's gossip merges are arbitrary, so its declarative spec is not
+/// owed over them.
+pub fn certify_replication(fleet: &FleetConfig, runs: usize) -> Vec<RaLinSummary> {
     vec![
-        ra_lin_counter(config),
-        ra_lin_lww_register(config),
-        ra_lin_queue(config),
-        ra_lin_log(config),
-        ra_lin_g_map(config),
-        ra_lin_or_set_space(config),
+        counter().ra_lin(fleet, runs),
+        lww_register().ra_lin(fleet, runs),
+        replicated_queue().ra_lin(fleet, runs),
+        log().ra_lin(fleet, runs),
+        g_map().ra_lin(fleet, runs),
+        or_set_space().ra_lin(fleet, runs),
     ]
 }
 
 /// Certifies every data type in `peepul-types`, in Table 3 order.
 pub fn certify_all(config: &SuiteConfig) -> Vec<CertificationSummary> {
     vec![
-        certify_counter(config),
-        certify_pn_counter(config),
-        certify_ew_flag(config),
-        certify_ew_flag_space(config),
-        certify_lww_register(config),
-        certify_g_set(config),
-        certify_g_map(config),
-        certify_log(config),
-        certify_or_set(config),
-        certify_or_set_space(config),
-        certify_or_set_spacetime(config),
-        certify_queue(config),
-        certify_chat(config),
+        counter().certify(config),
+        pn_counter().certify(config),
+        ew_flag().certify(config),
+        ew_flag_space().certify(config),
+        lww_register().certify(config),
+        g_set().certify(config),
+        g_map().certify(config),
+        log().certify(config),
+        or_set().certify(config),
+        or_set_space().certify(config),
+        or_set_spacetime().certify(config),
+        replicated_queue().certify(config),
+        chat().certify(config),
     ]
 }
 
@@ -713,17 +616,15 @@ mod tests {
             bounded_steps: 3,
             bounded_branches: 2,
             random_runs: 3,
-            random: RandomConfig {
-                steps: 60,
-                max_branches: 3,
-                ..RandomConfig::default()
-            },
+            random_steps: 60,
+            random_branches: 3,
+            ..SuiteConfig::default()
         }
     }
 
     #[test]
     fn counter_certifies() {
-        let s = certify_counter(&quick());
+        let s = counter().certify(&quick());
         assert!(s.passed(), "{:?}", s.failure);
         assert!(s.obligations.total() > 0);
     }
@@ -731,9 +632,9 @@ mod tests {
     #[test]
     fn or_sets_certify() {
         for s in [
-            certify_or_set(&quick()),
-            certify_or_set_space(&quick()),
-            certify_or_set_spacetime(&quick()),
+            or_set().certify(&quick()),
+            or_set_space().certify(&quick()),
+            or_set_spacetime().certify(&quick()),
         ] {
             assert!(s.passed(), "{}: {:?}", s.name, s.failure);
         }
@@ -741,13 +642,13 @@ mod tests {
 
     #[test]
     fn queue_certifies_with_axioms() {
-        let s = certify_queue(&quick());
+        let s = replicated_queue().certify(&quick());
         assert!(s.passed(), "{:?}", s.failure);
     }
 
     #[test]
     fn composites_certify() {
-        for s in [certify_g_map(&quick()), certify_chat(&quick())] {
+        for s in [g_map().certify(&quick()), chat().certify(&quick())] {
             assert!(s.passed(), "{}: {:?}", s.name, s.failure);
         }
     }

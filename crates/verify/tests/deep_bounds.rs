@@ -15,7 +15,6 @@
 //! ```
 
 use peepul_verify::suite::{certify_all, SuiteConfig};
-use peepul_verify::RandomConfig;
 
 fn assert_all_pass(config: &SuiteConfig, label: &str) {
     let mut failures = Vec::new();
@@ -46,7 +45,7 @@ fn certify_all_exhaustive_depth_6() {
             bounded_steps: 6,
             bounded_branches: 2,
             random_runs: 0,
-            random: RandomConfig::default(),
+            ..SuiteConfig::default()
         },
         "depth 6 / 2 branches",
     );
@@ -62,7 +61,7 @@ fn certify_all_exhaustive_3_branches() {
             bounded_steps: 5,
             bounded_branches: 3,
             random_runs: 0,
-            random: RandomConfig::default(),
+            ..SuiteConfig::default()
         },
         "depth 5 / 3 branches",
     );
@@ -80,11 +79,9 @@ fn certify_all_random_long_haul() {
             bounded_steps: 3,
             bounded_branches: 2,
             random_runs: 100,
-            random: RandomConfig {
-                steps: 300,
-                max_branches: 5,
-                ..RandomConfig::default()
-            },
+            random_steps: 300,
+            random_branches: 5,
+            ..SuiteConfig::default()
         },
         "random long-haul",
     );

@@ -8,8 +8,7 @@ use peepul_types::counter::{Counter, CounterOp, CounterQuery};
 use peepul_types::queue::{Queue, QueueOp, QueueQuery};
 use peepul_verify::ralin::HistoryRecorder;
 use peepul_verify::{
-    certify_replication, check_fleet, check_fleet_on, check_ra_lin, FleetConfig, RaLinOptions,
-    RaLinSuiteConfig,
+    certify_replication, check_fleet, check_fleet_on, check_ra_lin, FleetConfig, MergePolicy,
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -122,7 +121,7 @@ fn threaded_fleet_with_racing_gossip_certifies() {
     for i in 0..cluster.replicas() {
         cluster.read(i, &CounterQuery::Value).expect("probe");
     }
-    let stats = check_ra_lin(&recorder.snapshot(), &RaLinOptions::default())
+    let stats = check_ra_lin(&recorder.snapshot(), MergePolicy::General)
         .expect("healthy threaded fleet must certify");
     assert_eq!(stats.events, 60);
     assert_eq!(stats.replicas, 6);
@@ -131,16 +130,15 @@ fn threaded_fleet_with_racing_gossip_certifies() {
 /// The packaged per-type RA-lin suites all certify at a quick shape.
 #[test]
 fn replication_suite_certifies_all_types() {
-    let config = RaLinSuiteConfig {
-        runs: 2,
+    let config = FleetConfig {
         replicas: 4,
         ops_per_replica: 6,
         gossip_every: 2,
         loss_per_mille: 100,
         partition_one: true,
-        ..RaLinSuiteConfig::default()
+        ..FleetConfig::default()
     };
-    let summaries = certify_replication(&config);
+    let summaries = certify_replication(&config, 2);
     assert_eq!(summaries.len(), 6);
     for s in &summaries {
         assert!(s.passed(), "{}: {:?}", s.name, s.failure);
@@ -148,7 +146,10 @@ fn replication_suite_certifies_all_types() {
     }
     // Exactly one suite (OR-set-space, certified relative to the merge
     // envelope) runs in structural mode.
-    assert_eq!(summaries.iter().filter(|s| s.structural).count(), 1);
+    let structural = summaries
+        .iter()
+        .filter(|s| s.policy == MergePolicy::PaperEnvelope);
+    assert_eq!(structural.count(), 1);
 }
 
 proptest! {

@@ -8,8 +8,9 @@
 //! process with other tests would race their reads of it.
 
 use peepul_net::ReplicationMutation;
-use peepul_verify::suite::ra_lin_counter;
-use peepul_verify::RaLinSuiteConfig;
+use peepul_types::counter::{Counter, CounterOp, CounterQuery};
+use peepul_verify::suite::{ra_lin_type, RaLinSummary};
+use peepul_verify::FleetConfig;
 
 /// Extracts the `{seed}` out of a "… re-run with PEEPUL_REPLAY={seed}"
 /// failure message.
@@ -34,21 +35,26 @@ fn failure_body(failure: &str) -> &str {
     &failure[start..end]
 }
 
+/// `runs` counter fleet runs of the `fleet` shape, through the suite path.
+fn ra_lin_counter(fleet: &FleetConfig, runs: usize) -> RaLinSummary {
+    let probes = [CounterQuery::Value];
+    ra_lin_type::<Counter>("counter", fleet, runs, |_| CounterOp::Increment, &probes)
+}
+
 #[test]
 fn printed_seed_replays_the_exact_failure() {
     // Force a failure through the real suite path by enacting a
     // replication mutant across the fleet runs.
-    let config = RaLinSuiteConfig {
-        runs: 6,
+    let config = FleetConfig {
         replicas: 4,
         ops_per_replica: 8,
         gossip_every: 2,
         loss_per_mille: 100,
         partition_one: true,
         mutation: ReplicationMutation::DropVisibilityEdge,
-        ..RaLinSuiteConfig::default()
+        ..FleetConfig::default()
     };
-    let first = ra_lin_counter(&config);
+    let first = ra_lin_counter(&config, 6);
     let first_failure = first.failure.expect("mutated fleet must fail Φ_ra");
     assert!(
         first_failure.contains("re-run with PEEPUL_REPLAY="),
@@ -60,11 +66,13 @@ fn printed_seed_replays_the_exact_failure() {
     // the env var can steer the run back to the failing schedule, and
     // give it a single run: replay mode must need no sweep.
     std::env::set_var("PEEPUL_REPLAY", seed.to_string());
-    let replay = ra_lin_counter(&RaLinSuiteConfig {
-        runs: 1,
-        seed: config.seed.wrapping_add(1_000_000),
-        ..config.clone()
-    });
+    let replay = ra_lin_counter(
+        &FleetConfig {
+            seed: config.seed.wrapping_add(1_000_000),
+            ..config.clone()
+        },
+        1,
+    );
     std::env::remove_var("PEEPUL_REPLAY");
 
     let replay_failure = replay.failure.expect("replay must reproduce the failure");
@@ -79,11 +87,13 @@ fn printed_seed_replays_the_exact_failure() {
     // of the same seed certifies, so the failure is the mutant's, not
     // the schedule's.
     std::env::set_var("PEEPUL_REPLAY", seed.to_string());
-    let healthy = ra_lin_counter(&RaLinSuiteConfig {
-        runs: 1,
-        mutation: ReplicationMutation::None,
-        ..config
-    });
+    let healthy = ra_lin_counter(
+        &FleetConfig {
+            mutation: ReplicationMutation::None,
+            ..config
+        },
+        1,
+    );
     std::env::remove_var("PEEPUL_REPLAY");
     assert!(healthy.passed(), "{:?}", healthy.failure);
 }

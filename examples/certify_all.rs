@@ -4,18 +4,15 @@
 //! Run with: `cargo run --release --example certify_all`
 
 use peepul::verify::suite::{certify_all, SuiteConfig};
-use peepul::verify::RandomConfig;
 
 fn main() {
     let config = SuiteConfig {
         bounded_steps: 4,
         bounded_branches: 2,
         random_runs: 10,
-        random: RandomConfig {
-            steps: 120,
-            max_branches: 4,
-            ..RandomConfig::default()
-        },
+        random_steps: 120,
+        random_branches: 4,
+        ..SuiteConfig::default()
     };
     println!(
         "{:<28} {:>10} {:>12} {:>12} {:>10} {:>9} {:>8}",

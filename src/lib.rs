@@ -124,7 +124,6 @@ pub mod prelude {
         OrSetSpace, OrSetSpacetime, PnCounter, Queue,
     };
     pub use peepul_verify::{
-        BoundedChecker, BoundedConfig, FleetConfig, HistoryRecorder, RaLinOptions, Runner,
-        WitnessHistory,
+        BoundedChecker, BoundedConfig, FleetConfig, HistoryRecorder, Runner, WitnessHistory,
     };
 }

@@ -8,20 +8,21 @@ use peepul::store::{SegmentBackend, SegmentOptions};
 use peepul::types::or_set::{OrSet, OrSetOp as SetOp, OrSetQuery as SetQuery};
 use peepul::types::or_set_space::{OrSetOp, OrSetQuery, OrSetSpace};
 use peepul::types::queue::{Queue, QueueOp};
+use peepul::verify::proptest_support::{schedules_with, Arms};
 use peepul::verify::suite::{certify_all, SuiteConfig};
-use peepul::verify::{MergePolicy, RandomConfig, Runner, Schedule, ScheduleGenerator, Step};
-use rand::Rng;
+use peepul::verify::{MergePolicy, Runner, Schedule, Step};
+use proptest::strategy::Strategy;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn quick_config() -> SuiteConfig {
     SuiteConfig {
         bounded_steps: 3,
         bounded_branches: 2,
         random_runs: 4,
-        random: RandomConfig {
-            steps: 80,
-            max_branches: 4,
-            ..RandomConfig::default()
-        },
+        random_steps: 80,
+        random_branches: 4,
+        ..SuiteConfig::default()
     }
 }
 
@@ -181,14 +182,12 @@ fn or_set_certifies_on_a_segment_store() {
     let mut runner: Runner<OrSet<u32>, SegmentBackend> = Runner::with_backend(backend)
         .unwrap()
         .with_queries(vec![SetQuery::Lookup(1), SetQuery::Read]);
-    let schedule = ScheduleGenerator::new(RandomConfig {
-        steps: 120,
-        ..RandomConfig::default()
-    })
-    .generate(|rng| match rng.gen_range(0..3) {
-        0 | 1 => SetOp::Add(rng.gen_range(0..6)),
-        _ => SetOp::Remove(rng.gen_range(0..6)),
+    let op = (0u8..3, 0u32..6).prop_map(|(k, x)| match k {
+        0 | 1 => SetOp::Add(x),
+        _ => SetOp::Remove(x),
     });
+    let schedule = schedules_with(Arms::STORE, op, 120, 4)
+        .generate(&mut StdRng::seed_from_u64(SuiteConfig::default().seed));
     runner
         .run_schedule(&schedule)
         .expect("OR-set certifies on disk");

@@ -28,6 +28,7 @@ use peepul::prelude::*;
 use peepul::store::{SegmentBackend, SegmentOptions, DEFAULT_SNAPSHOT_INTERVAL};
 use peepul::types::counter::CounterOp;
 use peepul::types::or_set_space::{OrSetOp, OrSetSpace};
+use peepul::verify::{Schedule, Step};
 use proptest::prelude::*;
 
 type DynBackend = Box<dyn Backend + Send + Sync>;
@@ -558,19 +559,9 @@ fn corrupted_transfers_are_rejected_and_change_nothing() {
 
 const FLEET: usize = 3;
 
-#[derive(Clone, Debug)]
-enum Event {
-    /// Replica applies a local operation.
-    Op(u8, OrSetOp<u8>),
-    /// Replica a pulls from replica b (skipped while either is cut off).
-    Pull(u8, u8),
-    /// Cut a replica's interface.
-    Partition(u8),
-    /// Restore it.
-    Heal(u8),
-}
-
-fn event_strategy() -> impl Strategy<Value = Event> {
+/// One drawn step over the fleet: an operation, a pull, a partition or a
+/// heal, on replicas wrapped modulo [`FLEET`].
+fn fleet_step() -> impl Strategy<Value = Step<OrSetOp<u8>>> {
     let op = (0u8..8, 0u8..2).prop_map(|(x, kind)| {
         if kind == 0 {
             OrSetOp::Add(x)
@@ -578,11 +569,12 @@ fn event_strategy() -> impl Strategy<Value = Event> {
             OrSetOp::Remove(x)
         }
     });
+    let node = || any::<u8>().prop_map(|r| usize::from(r) % FLEET);
     prop_oneof![
-        4 => (any::<u8>(), op).prop_map(|(r, op)| Event::Op(r, op)),
-        2 => (any::<u8>(), any::<u8>()).prop_map(|(a, b)| Event::Pull(a, b)),
-        1 => any::<u8>().prop_map(Event::Partition),
-        1 => any::<u8>().prop_map(Event::Heal),
+        4 => (node(), op).prop_map(|(node, op)| Step::Do { node, branch: 0, op }),
+        2 => (node(), node()).prop_map(|(to, from)| Step::Sync { from, to }),
+        1 => node().prop_map(|node| Step::Partition { node }),
+        1 => node().prop_map(|node| Step::Heal { node }),
     ]
 }
 
@@ -591,11 +583,17 @@ proptest! {
 
     /// For any interleaving of operations, pulls, partitions and heals:
     /// after healing, anti-entropy drives all replicas to identical heads
-    /// — byte-identical canonical states — on both backends.
+    /// — byte-identical canonical states — on both backends. A pull is
+    /// skipped while its source is cut off (and a replica pulling from
+    /// itself is dropped from the draw); lost gossip is swallowed.
     #[test]
     fn post_heal_anti_entropy_converges(
-        events in proptest::collection::vec(event_strategy(), 1..40),
+        steps in proptest::collection::vec(fleet_step(), 1..40),
     ) {
+        let schedule: Schedule<_> = steps
+            .into_iter()
+            .filter(|step| !matches!(step, Step::Sync { from, to } if from == to))
+            .collect();
         for_each_backend("ae-prop", |kind, make| {
             let cluster: Cluster<OrSetSpace<u8>, DynBackend> =
                 Cluster::replicated((0..FLEET).map(|_| make()).collect()).unwrap();
@@ -603,31 +601,8 @@ proptest! {
                 (0..FLEET).map(|i| cluster.node(i).unwrap()).collect();
             let faults: Vec<&FaultInjector> =
                 (0..FLEET).map(|i| cluster.faults(i).unwrap()).collect();
-
-            for ev in &events {
-                match ev {
-                    Event::Op(r, op) => {
-                        let r = *r as usize % FLEET;
-                        replicas[r].apply("b0", op).unwrap();
-                    }
-                    Event::Pull(a, b) => {
-                        let (a, b) = (*a as usize % FLEET, *b as usize % FLEET);
-                        if a == b || faults[b].is_partitioned() {
-                            continue;
-                        }
-                        let transport = ChannelTransport::with_faults(
-                            replicas[b].clone(),
-                            faults[a].clone(),
-                        );
-                        let mut remote = Remote::new(replicas[b].name(), transport);
-                        match replicas[a].pull(&mut remote, "b0") {
-                            Ok(_) | Err(NetError::Dropped | NetError::Partitioned) => {}
-                            Err(e) => panic!("{kind}: pull failed: {e}"),
-                        }
-                    }
-                    Event::Partition(r) => faults[*r as usize % FLEET].partition(),
-                    Event::Heal(r) => faults[*r as usize % FLEET].heal(),
-                }
+            if let Err(e) = schedule.run_on(&cluster) {
+                panic!("{kind}: {e}");
             }
 
             // Heal the world; anti-entropy must finish the job.

@@ -31,7 +31,7 @@ mod common;
 
 use common::Scratch;
 use peepul::store::{MemoryBackend, SegmentBackend};
-use peepul::verify::{check_ra_lin, HistoryRecorder, RaLinOptions};
+use peepul::verify::{check_ra_lin, HistoryRecorder, MergePolicy};
 use peepul_server::{Kv, Server, ServerConfig, ServiceClient, SyncRoundReport};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -242,7 +242,7 @@ fn served_writes_are_witnessed_and_ra_linearizable() {
         3,
         "every served put is a witnessed event"
     );
-    if let Err(e) = check_ra_lin(&snapshot, &RaLinOptions::default()) {
+    if let Err(e) = check_ra_lin(&snapshot, MergePolicy::General) {
         panic!("served run is not RA-linearizable: {e}");
     }
 }
