@@ -67,7 +67,9 @@ pub mod memo;
 pub mod metrics;
 pub mod object;
 pub mod segment;
-pub mod sha256;
+
+/// SHA-256, the content-address hash: the `peepul-sha256` crate.
+pub use peepul_sha256 as sha256;
 
 pub use backend::{Backend, BackendStats, MemoryBackend, StorageInfo, SweepStats};
 pub use branch::{

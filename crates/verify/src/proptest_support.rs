@@ -96,32 +96,53 @@ fn draw<Op: Debug + Clone + 'static>(
     ]
 }
 
-/// Turns drawn steps into a well-formed schedule: branch references are
-/// wrapped modulo the live branch count, branch creation respects
-/// `max_branches`, and self-merges are dropped.
-fn normalize<Op>(draws: Vec<Vec<Step<Op>>>, max_branches: usize) -> Schedule<Op> {
-    let mut steps: Vec<_> = draws.into_iter().flatten().collect();
+/// Turns drawn steps into a well-formed schedule of as many draws as
+/// `wanted` holds: branch references are wrapped modulo the live branch
+/// count, and a draw [`wrap`] rejects is replaced by the next spare it
+/// accepts. Only when the spares run out is the schedule shorter.
+fn normalize<Op>(
+    wanted: Vec<Vec<Step<Op>>>,
+    spares: Vec<Vec<Step<Op>>>,
+    max_branches: usize,
+) -> Schedule<Op> {
+    let count = wanted.len();
     let mut branches = 1usize;
-    steps.retain_mut(|step| {
-        let n = branches;
-        match step {
-            Step::CreateBranch { from, .. } | Step::Strand { from, .. } => {
-                *from %= n;
-                branches += usize::from(n < max_branches);
-                n < max_branches
-            }
-            Step::Do { branch, .. } => {
-                *branch %= n;
-                true
-            }
-            Step::Merge { into, from, .. } => {
-                (*into, *from) = (*into % n, *from % n);
-                into != from
-            }
-            _ => true,
-        }
-    });
+    let steps = wanted
+        .into_iter()
+        .chain(spares)
+        .filter_map(|mut draw| {
+            let runs = draw
+                .iter_mut()
+                .all(|step| wrap(step, &mut branches, max_branches));
+            runs.then_some(draw)
+        })
+        .take(count)
+        .flatten()
+        .collect();
     Schedule { steps }
+}
+
+/// Wraps `step`'s branch references into the `branches` live ones and
+/// says whether it can run: a branch creation past `max_branches` or a
+/// self-merge cannot.
+fn wrap<Op>(step: &mut Step<Op>, branches: &mut usize, max_branches: usize) -> bool {
+    let n = *branches;
+    match step {
+        Step::CreateBranch { from, .. } | Step::Strand { from, .. } => {
+            *from %= n;
+            *branches += usize::from(n < max_branches);
+            n < max_branches
+        }
+        Step::Do { branch, .. } => {
+            *branch %= n;
+            true
+        }
+        Step::Merge { into, from, .. } => {
+            (*into, *from) = (*into % n, *from % n);
+            into != from
+        }
+        _ => true,
+    }
 }
 
 /// A strategy producing well-formed schedules for one store of up to
@@ -151,15 +172,25 @@ pub fn schedules<Op: Debug + Clone + 'static>(
 }
 
 /// [`schedules`] with explicit arm weights and a range of draws (a batch
-/// is one draw of several steps).
+/// is one draw of several steps). A schedule holds as many draws as the
+/// size taken from `draws`: over the store arms, exactly that many steps.
 pub fn schedules_with<Op: Debug + Clone + 'static>(
     arms: Arms,
     op: impl Strategy<Value = Op> + Clone + 'static,
     draws: impl Into<SizeRange>,
     max_branches: usize,
 ) -> impl Strategy<Value = Schedule<Op>> {
-    proptest::collection::vec(draw(arms, op), draws)
-        .prop_map(move |draws| normalize(draws, max_branches))
+    let draws = draws.into();
+    // Spares stand in for the draws `normalize` rejects. In every arm set
+    // the workspace uses, `DO`, which always runs, is most of the weight,
+    // so a spare per requested draw, plus slack for short schedules, does
+    // not run out in practice.
+    let spares = draws.end_incl() + 16;
+    (
+        proptest::collection::vec(draw(arms, op.clone()), draws),
+        proptest::collection::vec(draw(arms, op), spares),
+    )
+        .prop_map(move |(wanted, spares)| normalize(wanted, spares, max_branches))
 }
 
 #[cfg(test)]
@@ -180,16 +211,21 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(1))]
 
         /// 64 schedules per case: each is well-formed, merges occur but
-        /// never a self-merge, and some fork from a branch other than
-        /// the root.
+        /// never a self-merge, some fork from a branch other than the
+        /// root, and over the store arms a schedule of 40 draws is 40
+        /// steps long: a draw `normalize` rejects is replaced, not lost.
         #[test]
         fn generated_schedules_are_well_formed(
             batch in proptest::collection::vec(schedules(0u32..4, 40, 4), 64),
+            exact in proptest::collection::vec(schedules_with(Arms::STORE, 0u32..4, 40, 4), 64),
             lifecycle in proptest::collection::vec(
                 schedules_with(Arms::LIFECYCLE, 0u32..4, 1..40, 64), 64,
             ),
         ) {
-            for s in batch.iter().chain(&lifecycle) {
+            for s in &exact {
+                prop_assert_eq!(s.steps.len(), 40);
+            }
+            for s in batch.iter().chain(&exact).chain(&lifecycle) {
                 prop_assert!(s.is_well_formed(1));
                 prop_assert!(s.steps.iter().all(|step| match step {
                     Step::Merge { into, from, .. } => into != from,

@@ -326,7 +326,7 @@ fn pn_counter() -> TypeSuite<PnCounter> {
 }
 
 fn flag_op(s: u64) -> EwFlagOp {
-    if s % 2 == 0 {
+    if s.is_multiple_of(2) {
         EwFlagOp::Enable
     } else {
         EwFlagOp::Disable

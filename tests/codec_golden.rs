@@ -49,7 +49,7 @@ fn to_hex(bytes: &[u8]) -> String {
 
 fn from_hex(s: &str) -> Vec<u8> {
     let s = s.trim();
-    assert!(s.len() % 2 == 0, "fixture must be whole bytes");
+    assert!(s.len().is_multiple_of(2), "fixture must be whole bytes");
     (0..s.len())
         .step_by(2)
         .map(|i| u8::from_str_radix(&s[i..i + 2], 16).expect("fixture is hex"))

@@ -784,7 +784,7 @@ fn a_merge_whose_base_left_the_cache_resolves_it() {
 /// Interprets a byte as an OR-set update, covering add/remove conflicts.
 fn or_set_op_of(byte: u8) -> or_set::OrSetOp<u8> {
     let x = byte % 8;
-    if byte % 3 == 0 {
+    if byte.is_multiple_of(3) {
         or_set::OrSetOp::Remove(x)
     } else {
         or_set::OrSetOp::Add(x)
