@@ -153,7 +153,10 @@ pub trait Mrdt: Clone + PartialEq + Wire + fmt::Debug {
     /// length prefix and its far end re-inserts that whole vector. Relational
     /// set/map/log-shaped types override it with a structural item differ
     /// ([`crate::wire::diff_item_lists`]) so mid-stream edits also cost
-    /// O(changed items) delta bytes.
+    /// O(changed items) delta bytes. That differ encodes each state once
+    /// and runs in time linear in the two encodings: a new item that
+    /// follows the last one copied is copied without hashing, and only
+    /// the others are looked up in an index of the old items.
     ///
     /// The branch store calls `diff` for merge and root commits, whose
     /// change no single operation describes; an update commit uses

@@ -589,37 +589,83 @@ impl Wire for Delta {
 
 /// The structural differ for the workspace's dominant encoding shape: a
 /// `u64` length prefix followed by the items' encodings back to back
-/// (every `Vec`/`VecDeque`/`BTreeSet`/`BTreeMap` impl above). Each
-/// argument is the per-item encodings of one state; the result resolves
-/// against the *old* state's full encoding to the *new* state's full
-/// encoding, copying every item the old encoding already contains (found
-/// by exact bytes, wherever it moved) and inserting only genuinely new
-/// items — so an insertion or removal in the middle of a set or map costs
-/// O(changed items) delta bytes, where a plain [`Delta::splice`] would
-/// re-insert everything downstream of the edit.
-pub fn diff_item_lists(old_items: &[Vec<u8>], new_items: &[Vec<u8>]) -> Delta {
-    let mut index: std::collections::HashMap<&[u8], u64> =
-        std::collections::HashMap::with_capacity(old_items.len());
-    let mut offset = 8u64; // the u64 length prefix of the old encoding
-    for item in old_items {
-        index.entry(item.as_slice()).or_insert(offset);
-        offset += item.len() as u64;
-    }
+/// (every `Vec`/`VecDeque`/`BTreeSet`/`BTreeMap` impl above). `old` and
+/// `new` are the items of two states and `encode` writes one item's
+/// encoding; the result resolves against the *old* state's full encoding
+/// to the *new* state's full encoding, copying every item the old
+/// encoding already contains (found by exact bytes, wherever it moved)
+/// and inserting only genuinely new items — so an insertion or removal in
+/// the middle of a set or map costs O(changed items) delta bytes, where a
+/// plain [`Delta::splice`] would re-insert everything downstream of the
+/// edit.
+///
+/// Each side is encoded once into one buffer. The walk over the new items
+/// keeps a cursor, the old item after the last one copied, and copies an
+/// item that equals it without hashing anything; only a miss looks the
+/// item up in a SipHash index over the old items (they hold peer-supplied
+/// bytes), built on the first miss. A copy takes the cursor's occurrence when the cursor matches
+/// and otherwise the *first* old occurrence of those bytes. In a
+/// duplicate-free old list every item has one offset, so the script is the
+/// same whichever way the item was found; with repeated items both
+/// choices copy equal bytes, so the resolution law holds either way.
+pub fn diff_item_lists<I>(
+    old: impl IntoIterator<Item = I>,
+    new: impl IntoIterator<Item = I>,
+    mut encode: impl FnMut(I, &mut Vec<u8>),
+) -> Delta {
+    let (old_bytes, old_bounds) = encode_items(old, &mut encode);
+    let (new_bytes, new_bounds) = encode_items(new, &mut encode);
+    let old_len = old_bounds.len() - 1;
+    let new_len = new_bounds.len() - 1;
+    let old_item = |i: usize| &old_bytes[old_bounds[i]..old_bounds[i + 1]];
     let mut delta = Delta::default();
-    let mut prefix = Vec::new();
-    encode_len(new_items.len(), &mut prefix);
-    if old_items.len() == new_items.len() {
+    if old_len == new_len {
         delta.push_copy(0, 8);
     } else {
+        let mut prefix = Vec::new();
+        encode_len(new_len, &mut prefix);
         delta.push_insert(prefix);
     }
-    for item in new_items {
-        match index.get(item.as_slice()) {
-            Some(&item_offset) => delta.push_copy(item_offset, item.len() as u64),
-            None => delta.push_insert(item.clone()),
+    let mut index: Option<std::collections::HashMap<&[u8], usize>> = None;
+    let mut cursor = 0;
+    for item in new_bounds.windows(2).map(|w| &new_bytes[w[0]..w[1]]) {
+        let found = if cursor < old_len && old_item(cursor) == item {
+            Some(cursor)
+        } else {
+            let index = index.get_or_insert_with(|| {
+                let mut index = std::collections::HashMap::with_capacity(old_len);
+                for i in 0..old_len {
+                    index.entry(old_item(i)).or_insert(i);
+                }
+                index
+            });
+            index.get(item).copied()
+        };
+        match found {
+            Some(i) => {
+                // `+ 8`: the u64 length prefix of the old encoding.
+                delta.push_copy(old_bounds[i] as u64 + 8, item.len() as u64);
+                cursor = i + 1;
+            }
+            None => delta.push_insert(item.to_vec()),
         }
     }
     delta
+}
+
+/// One side of [`diff_item_lists`]: its items encoded back to back, and
+/// the item boundaries (`bounds[i]..bounds[i + 1]` is item `i`).
+fn encode_items<I>(
+    items: impl IntoIterator<Item = I>,
+    encode: &mut impl FnMut(I, &mut Vec<u8>),
+) -> (Vec<u8>, Vec<usize>) {
+    let mut bytes = Vec::new();
+    let mut bounds = vec![0];
+    for item in items {
+        encode(item, &mut bytes);
+        bounds.push(bytes.len());
+    }
+    (bytes, bounds)
 }
 
 impl Wire for ReplicaId {
@@ -808,9 +854,7 @@ mod tests {
         // item, keep the rest, add one — everything surviving is copied.
         let old: Vec<u64> = vec![10, 20, 30, 40];
         let new: Vec<u64> = vec![20, 30, 40, 99];
-        let old_items: Vec<Vec<u8>> = old.iter().map(|v| v.to_wire()).collect();
-        let new_items: Vec<Vec<u8>> = new.iter().map(|v| v.to_wire()).collect();
-        let delta = diff_item_lists(&old_items, &new_items);
+        let delta = diff_item_lists(&old, &new, Wire::encode);
         assert_eq!(delta.apply(&old.to_wire()), Some(new.to_wire()));
         // The three surviving items are contiguous in the old encoding, so
         // they coalesce into a single copy; only the new item is inserted.
@@ -834,9 +878,119 @@ mod tests {
             (vec![5; 4], vec![5; 7]),
         ];
         for (old, new) in cases {
-            let old_items: Vec<Vec<u8>> = old.iter().map(|v| v.to_wire()).collect();
-            let new_items: Vec<Vec<u8>> = new.iter().map(|v| v.to_wire()).collect();
-            let delta = diff_item_lists(&old_items, &new_items);
+            let delta = diff_item_lists(&old, &new, Wire::encode);
+            assert_eq!(
+                delta.apply(&old.to_wire()),
+                Some(new.to_wire()),
+                "old={old:?} new={new:?}"
+            );
+        }
+    }
+
+    /// The differ [`diff_item_lists`] replaced: one allocation and one
+    /// hash per item on each side. Kept as the oracle its scripts must
+    /// equal byte for byte on duplicate-free lists.
+    fn diff_item_lists_oracle(old_items: &[Vec<u8>], new_items: &[Vec<u8>]) -> Delta {
+        let mut index: std::collections::HashMap<&[u8], u64> =
+            std::collections::HashMap::with_capacity(old_items.len());
+        let mut offset = 8u64;
+        for item in old_items {
+            index.entry(item.as_slice()).or_insert(offset);
+            offset += item.len() as u64;
+        }
+        let mut delta = Delta::default();
+        let mut prefix = Vec::new();
+        encode_len(new_items.len(), &mut prefix);
+        if old_items.len() == new_items.len() {
+            delta.push_copy(0, 8);
+        } else {
+            delta.push_insert(prefix);
+        }
+        for item in new_items {
+            match index.get(item.as_slice()) {
+                Some(&item_offset) => delta.push_copy(item_offset, item.len() as u64),
+                None => delta.push_insert(item.clone()),
+            }
+        }
+        delta
+    }
+
+    /// A seeded linear congruential stream: enough to shuffle test lists
+    /// without a dependency.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (self.0 >> 33) % n
+        }
+    }
+
+    /// An edited copy of `old`: some items removed, some moved, some new
+    /// ones (drawn from `fresh`) inserted anywhere.
+    fn edit(
+        rng: &mut Lcg,
+        old: &[String],
+        fresh: &mut impl Iterator<Item = String>,
+    ) -> Vec<String> {
+        let mut new: Vec<String> = old.iter().filter(|_| rng.below(6) != 0).cloned().collect();
+        for _ in 0..rng.below(3) {
+            if new.len() > 1 {
+                let from = rng.below(new.len() as u64) as usize;
+                let item = new.remove(from);
+                let to = rng.below(new.len() as u64 + 1) as usize;
+                new.insert(to, item);
+            }
+        }
+        for _ in 0..rng.below(4) {
+            let at = rng.below(new.len() as u64 + 1) as usize;
+            new.insert(at, fresh.next().unwrap());
+        }
+        new
+    }
+
+    #[test]
+    fn diff_item_lists_matches_the_oracle_on_duplicate_free_lists() {
+        let mut rng = Lcg(7);
+        // Distinct strings of varying length, so item offsets are uneven.
+        let mut fresh = (0u64..).map(|i| "x".repeat((i % 5) as usize) + &i.to_string());
+        for case in 0..500usize {
+            let old: Vec<String> = (0..rng.below(12)).map(|_| fresh.next().unwrap()).collect();
+            let new = match case % 5 {
+                0 => Vec::new(),
+                1 => old.clone(),
+                _ => edit(&mut rng, &old, &mut fresh),
+            };
+            let (old, new) = if case.is_multiple_of(7) {
+                (new, old)
+            } else {
+                (old, new)
+            };
+            let items = |v: &[String]| v.iter().map(Wire::to_wire).collect::<Vec<_>>();
+            let delta = diff_item_lists(&old, &new, Wire::encode);
+            assert_eq!(
+                delta,
+                diff_item_lists_oracle(&items(&old), &items(&new)),
+                "old={old:?} new={new:?}"
+            );
+            assert_eq!(delta.apply(&old.to_wire()), Some(new.to_wire()));
+        }
+    }
+
+    #[test]
+    fn diff_item_lists_resolves_lists_with_repeated_items() {
+        // Off the cursor, a repeated item is copied from its first
+        // occurrence: the `5` at old offset 8 + 8.
+        let delta = diff_item_lists(&[1u64, 5, 2, 5], &[5u64], Wire::encode);
+        assert_eq!(delta.ops[1], DeltaOp::Copy { offset: 16, len: 8 });
+        let mut rng = Lcg(11);
+        for _ in 0..500 {
+            let old: Vec<u64> = (0..rng.below(10)).map(|_| rng.below(4)).collect();
+            let new: Vec<u64> = (0..rng.below(10)).map(|_| rng.below(5)).collect();
+            let delta = diff_item_lists(&old, &new, Wire::encode);
             assert_eq!(
                 delta.apply(&old.to_wire()),
                 Some(new.to_wire()),

@@ -123,8 +123,7 @@ impl<T: Ord + Clone + PartialEq + peepul_core::Wire + fmt::Debug> Mrdt for GSet<
         // Structural diff over the set's encoded elements: an element
         // inserted anywhere in sort order copies every survivor instead of
         // re-inserting the tail the way a byte splice would.
-        let items = |set: &BTreeSet<T>| set.iter().map(Wire::to_wire).collect::<Vec<_>>();
-        diff_item_lists(&items(&parent.elems), &items(&self.elems))
+        diff_item_lists(&parent.elems, &self.elems, Wire::encode)
     }
 }
 

@@ -142,8 +142,7 @@ impl<M: Ord + Clone + PartialEq + peepul_core::Wire + fmt::Debug> Mrdt for Merge
         // fresh entries from both branches anywhere in timestamp order;
         // diffing per encoded entry copies every inherited entry and
         // inserts only the genuinely new ones.
-        let items = |log: &Self| log.entries.iter().map(Wire::to_wire).collect::<Vec<_>>();
-        diff_item_lists(&items(parent), &items(self))
+        diff_item_lists(&parent.entries, &self.entries, Wire::encode)
     }
 }
 

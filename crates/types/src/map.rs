@@ -280,18 +280,10 @@ impl<V: Mrdt> Mrdt for MrdtMap<V> {
         // Structural diff over the encoded `(key, value)` entries: touching
         // one key re-encodes one entry, every untouched entry is copied
         // from the parent encoding wherever sort order moved it.
-        let items = |map: &Self| {
-            map.entries
-                .iter()
-                .map(|(k, v)| {
-                    let mut buf = Vec::new();
-                    k.encode(&mut buf);
-                    v.encode(&mut buf);
-                    buf
-                })
-                .collect::<Vec<_>>()
-        };
-        diff_item_lists(&items(parent), &items(self))
+        diff_item_lists(&parent.entries, &self.entries, |(k, v), out| {
+            k.encode(out);
+            v.encode(out);
+        })
     }
 
     fn op_delta(&self, op: &MapOp<V>, next: &Self) -> Delta {

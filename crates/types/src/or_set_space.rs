@@ -11,11 +11,13 @@
 //! which the one with the larger timestamp survives.
 
 use crate::or_set::{live_adds, OrSetAbstract, OrSetSpec};
+use peepul_core::wire::encode_len;
 use peepul_core::{
     diff_item_lists, AbstractOf, Certified, Delta, Mrdt, SimulationRelation, Timestamp, Wire,
 };
 use std::collections::BTreeMap;
 use std::fmt;
+use std::iter::Peekable;
 
 /// Space-efficient OR-set state: a duplicate-free association list of
 /// `(element, latest-add-timestamp)` pairs.
@@ -94,47 +96,68 @@ impl<T: fmt::Debug> fmt::Debug for OrSetSpace<T> {
     }
 }
 
-/// The Fig. 2 merge expressed on element→timestamp maps; shared with the
-/// tree-backed [`crate::or_set_spacetime::OrSetSpacetime`], which differs
-/// only in its lookup structure.
-pub(crate) fn merge_spaced<T: Ord + Clone>(
-    l: &BTreeMap<T, Timestamp>,
-    a: &BTreeMap<T, Timestamp>,
-    b: &BTreeMap<T, Timestamp>,
-) -> BTreeMap<T, Timestamp> {
-    let mut out = BTreeMap::new();
-    // Pairs present, untouched, in all three versions (Fig. 2, line 8).
-    for (x, t) in l {
-        if a.get(x) == Some(t) && b.get(x) == Some(t) {
-            out.insert(x.clone(), *t);
+/// The Fig. 2 merge as one forward walk over three element-sorted,
+/// duplicate-free `(element, timestamp)` sequences; shared with the
+/// tree-backed [`crate::or_set_spacetime::OrSetSpacetime`], which feeds it
+/// its trees' in-order iterators. The result is in element order.
+pub(crate) fn merge_spaced<'a, T: Ord + Clone + 'a>(
+    l: impl Iterator<Item = (&'a T, &'a Timestamp)>,
+    a: impl Iterator<Item = (&'a T, &'a Timestamp)>,
+    b: impl Iterator<Item = (&'a T, &'a Timestamp)>,
+) -> Vec<(T, Timestamp)> {
+    let (mut l, mut a, mut b) = (l.peekable(), a.peekable(), b.peekable());
+    // Every merged pair comes from `a` or `b`, so this never regrows.
+    let mut out = Vec::with_capacity(a.size_hint().0 + b.size_hint().0);
+    loop {
+        let heads = [l.peek(), a.peek(), b.peek()];
+        let Some(x) = heads.into_iter().flatten().map(|&(x, _)| x).min() else {
+            return out;
+        };
+        let (tl, ta, tb) = (time_at(&mut l, x), time_at(&mut a, x), time_at(&mut b, x));
+        if let Some(t) = merged_time(tl, ta, tb) {
+            out.push((x.clone(), t));
         }
     }
-    // Fresh pairs of one branch (lines 9–10) and the larger of two
-    // concurrent fresh adds of the same element (lines 11–14).
-    let fresh = |side: &BTreeMap<T, Timestamp>| {
-        side.iter()
-            .filter(|(x, t)| l.get(*x) != Some(*t))
-            .map(|(x, t)| (x.clone(), *t))
-            .collect::<BTreeMap<T, Timestamp>>()
+}
+
+/// Takes the head of a sorted sequence if it is `x`'s pair.
+fn time_at<'a, T: Ord + 'a>(
+    side: &mut Peekable<impl Iterator<Item = (&'a T, &'a Timestamp)>>,
+    x: &T,
+) -> Option<Timestamp> {
+    side.next_if(|&(y, _)| y == x).map(|(_, t)| *t)
+}
+
+/// Fig. 2 for one element, given its timestamp in the LCA and on each
+/// branch. A pair the LCA does not hold is fresh (lines 9–10); of two
+/// fresh pairs the larger timestamp wins (lines 11–14); with no fresh
+/// pair the LCA's survives only where both branches kept it (line 8).
+fn merged_time(
+    l: Option<Timestamp>,
+    a: Option<Timestamp>,
+    b: Option<Timestamp>,
+) -> Option<Timestamp> {
+    let fresh = |side: Option<Timestamp>| side.filter(|_| side != l);
+    match (fresh(a), fresh(b)) {
+        (Some(ta), Some(tb)) => Some(ta.max(tb)),
+        (Some(t), None) | (None, Some(t)) => Some(t),
+        (None, None) => l.filter(|_| a == l && b == l),
+    }
+}
+
+/// A state's pairs in element order: the list itself when it is already
+/// sorted (as every merge leaves it), else a sorted view of references —
+/// in practice a sorted prefix plus the pairs adds appended since, which
+/// the run-detecting stable sort merges in linear time.
+fn sorted_pairs<T: Ord>(pairs: &[(T, Timestamp)]) -> impl Iterator<Item = (&T, &Timestamp)> {
+    let (view, in_order) = if pairs.is_sorted_by(|p, q| p.0 < q.0) {
+        (Vec::new(), pairs)
+    } else {
+        let mut view: Vec<_> = pairs.iter().collect();
+        view.sort_by(|p, q| p.0.cmp(&q.0));
+        (view, &[][..])
     };
-    let fa = fresh(a);
-    let fb = fresh(b);
-    for (x, ta) in &fa {
-        match fb.get(x) {
-            None => {
-                out.insert(x.clone(), *ta);
-            }
-            Some(tb) => {
-                out.insert(x.clone(), *ta.max(tb));
-            }
-        }
-    }
-    for (x, tb) in &fb {
-        if !fa.contains_key(x) {
-            out.insert(x.clone(), *tb);
-        }
-    }
-    out
+    view.into_iter().chain(in_order).map(|(x, t)| (x, t))
 }
 
 /// The abstract state both space-efficient variants simulate: each element
@@ -186,10 +209,15 @@ impl<T: Ord + Clone + PartialEq + peepul_core::Wire + fmt::Debug> Mrdt for OrSet
     }
 
     fn merge(lca: &Self, a: &Self, b: &Self) -> Self {
-        let merged = merge_spaced(&lca.as_map(), &a.as_map(), &b.as_map());
-        OrSetSpace {
-            pairs: merged.into_iter().collect(),
-        }
+        let mut pairs = merge_spaced(
+            sorted_pairs(&lca.pairs),
+            sorted_pairs(&a.pairs),
+            sorted_pairs(&b.pairs),
+        );
+        // The merged state is kept (branch heads, the state cache): hold
+        // no spare capacity.
+        pairs.shrink_to_fit();
+        OrSetSpace { pairs }
     }
 
     fn observably_equal(&self, other: &Self) -> bool {
@@ -200,8 +228,46 @@ impl<T: Ord + Clone + PartialEq + peepul_core::Wire + fmt::Debug> Mrdt for OrSet
         // Structural diff over the encoded `(element, timestamp)` pairs: a
         // remove in the middle of the insertion-ordered vector copies every
         // surviving pair; only refreshed or new pairs are inserted.
-        let items = |s: &Self| s.pairs.iter().map(Wire::to_wire).collect::<Vec<_>>();
-        diff_item_lists(&items(parent), &items(self))
+        diff_item_lists(&parent.pairs, &self.pairs, Wire::encode)
+    }
+
+    fn op_delta(&self, op: &OrSetOp<T>, next: &Self) -> Delta {
+        // An add refreshes `x`'s pair in place or appends one; a remove
+        // drops it. Encode the parent once, noting where `x`'s pair sits,
+        // then copy around it: the script `diff` finds for the same pair.
+        let (OrSetOp::Add(x) | OrSetOp::Remove(x)) = op;
+        let mut base = Vec::new();
+        encode_len(self.pairs.len(), &mut base);
+        let mut at = None;
+        for pair in &self.pairs {
+            let start = base.len();
+            pair.encode(&mut base);
+            if at.is_none() && pair.0 == *x {
+                at = Some((start, base.len()));
+            }
+        }
+        // An absent element's add is appended after the last pair.
+        let (start, end) = at.unwrap_or((base.len(), base.len()));
+
+        let mut delta = Delta::default();
+        if next.pairs.len() == self.pairs.len() {
+            delta.push_copy(0, 8);
+        } else {
+            let mut prefix = Vec::new();
+            encode_len(next.pairs.len(), &mut prefix);
+            delta.push_insert(prefix);
+        }
+        delta.push_copy(8, (start - 8) as u64);
+        if let Some(pair) = next.pairs.iter().find(|(y, _)| y == x) {
+            let entry = pair.to_wire();
+            if base[start..end] == entry[..] {
+                delta.push_copy(start as u64, entry.len() as u64);
+            } else {
+                delta.push_insert(entry);
+            }
+        }
+        delta.push_copy(end as u64, (base.len() - end) as u64);
+        delta
     }
 }
 
@@ -247,9 +313,97 @@ impl<T: Ord + Clone + PartialEq + peepul_core::Wire + fmt::Debug> Certified for 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use peepul_core::{ReplicaId, Specification};
+
+    /// The Fig. 2 merge as it was first written, on element→timestamp maps:
+    /// the oracle the walk in [`merge_spaced`] must equal.
+    pub(crate) fn merge_spaced_oracle<T: Ord + Clone>(
+        l: &BTreeMap<T, Timestamp>,
+        a: &BTreeMap<T, Timestamp>,
+        b: &BTreeMap<T, Timestamp>,
+    ) -> Vec<(T, Timestamp)> {
+        let mut out = BTreeMap::new();
+        for (x, t) in l {
+            if a.get(x) == Some(t) && b.get(x) == Some(t) {
+                out.insert(x.clone(), *t);
+            }
+        }
+        let fresh = |side: &BTreeMap<T, Timestamp>| {
+            side.iter()
+                .filter(|(x, t)| l.get(*x) != Some(*t))
+                .map(|(x, t)| (x.clone(), *t))
+                .collect::<BTreeMap<T, Timestamp>>()
+        };
+        let fa = fresh(a);
+        let fb = fresh(b);
+        for (x, ta) in &fa {
+            match fb.get(x) {
+                None => {
+                    out.insert(x.clone(), *ta);
+                }
+                Some(tb) => {
+                    out.insert(x.clone(), *ta.max(tb));
+                }
+            }
+        }
+        for (x, tb) in &fb {
+            if !fa.contains_key(x) {
+                out.insert(x.clone(), *tb);
+            }
+        }
+        out.into_iter().collect()
+    }
+
+    /// A seeded `(lca, a, b)` triple of either space-efficient OR-set: an LCA
+    /// built by adds in insertion order (some of them refreshes), sometimes
+    /// empty and sometimes sorted by a merge; two branches of random adds and
+    /// removes on top of it; sometimes one element added concurrently on both
+    /// branches, and sometimes one side replaced by the empty set.
+    pub(crate) fn random_triple<M: Mrdt<Op = OrSetOp<u32>>>(
+        rng: &mut rand::rngs::StdRng,
+        case: usize,
+    ) -> (M, M, M) {
+        use rand::Rng;
+        let mut tick = 0;
+        let mut apply = |s: &M, op: OrSetOp<u32>, r: u32| {
+            tick += 1;
+            s.apply(&op, Timestamp::new(tick, ReplicaId::new(r))).0
+        };
+        let mut lca = M::initial();
+        if !case.is_multiple_of(4) {
+            for _ in 0..rng.gen_range(0..30) {
+                lca = apply(&lca, OrSetOp::Add(rng.gen_range(0..40)), 0);
+            }
+        }
+        if case % 3 == 1 {
+            lca = M::merge(&M::initial(), &lca, &M::initial());
+        }
+        let mut sides = [lca.clone(), lca.clone()];
+        for (r, side) in (1..).zip(sides.iter_mut()) {
+            for _ in 0..rng.gen_range(0..20) {
+                let x = rng.gen_range(0..40);
+                let op = if rng.gen_bool(0.6) {
+                    OrSetOp::Add(x)
+                } else {
+                    OrSetOp::Remove(x)
+                };
+                *side = apply(side, op, r);
+            }
+        }
+        if case.is_multiple_of(3) {
+            let x = rng.gen_range(0..40);
+            for (r, side) in (1..).zip(sides.iter_mut()) {
+                *side = apply(side, OrSetOp::Add(x), r);
+            }
+        }
+        if case.is_multiple_of(7) {
+            sides[case % 2] = M::initial();
+        }
+        let [a, b] = sides;
+        (lca, a, b)
+    }
 
     fn ts(tick: u64, r: u32) -> Timestamp {
         Timestamp::new(tick, ReplicaId::new(r))
@@ -314,6 +468,40 @@ mod tests {
         let m = OrSetSpace::merge(&lca, &a, &b);
         assert_eq!(m.elements(), vec![2, 3, 9]);
         assert_eq!(m.time_of(&9), Some(ts(1, 0)));
+    }
+
+    #[test]
+    fn merge_walk_equals_the_map_merge() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(45);
+        for case in 0..400 {
+            let (l, a, b) = random_triple::<OrSetSpace<u32>>(&mut rng, case);
+            assert_eq!(
+                OrSetSpace::merge(&l, &a, &b).pairs,
+                merge_spaced_oracle(&l.as_map(), &a.as_map(), &b.as_map()),
+                "lca={l:?} a={a:?} b={b:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn op_delta_is_the_diff_script() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(46);
+        let mut s = OrSetSpace::<u32>::initial();
+        for tick in 1..2000 {
+            let x = rng.gen_range(0..30);
+            let (op, t) = match rng.gen_range(0..5) {
+                0..=2 => (OrSetOp::Add(x), ts(tick, rng.gen_range(0..3))),
+                // Re-adding an element at its stored timestamp leaves the
+                // state as it was.
+                3 => (OrSetOp::Add(x), s.time_of(&x).unwrap_or(ts(tick, 0))),
+                _ => (OrSetOp::Remove(x), ts(tick, 0)),
+            };
+            let (next, ()) = s.apply(&op, t);
+            assert_eq!(s.op_delta(&op, &next), next.diff(&s), "{op:?} on {s:?}");
+            s = next;
+        }
     }
 
     #[test]

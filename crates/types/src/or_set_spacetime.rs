@@ -159,12 +159,11 @@ impl<T: Ord + Clone + PartialEq + peepul_core::Wire + fmt::Debug> Mrdt for OrSet
     }
 
     fn merge(lca: &Self, a: &Self, b: &Self) -> Self {
-        // Same five-case semantics as OR-set-space (Fig. 2), computed on
-        // the sorted entry sequences, then rebuilt as a perfectly balanced
-        // tree: O(n) total.
-        let merged = merge_spaced(&lca.as_map(), &a.as_map(), &b.as_map());
+        // Same five-case semantics as OR-set-space (Fig. 2), computed in
+        // one walk over the three trees' in-order iterators, then rebuilt
+        // as a perfectly balanced tree: O(n) total.
         OrSetSpacetime {
-            tree: AvlMap::from_sorted(merged.into_iter().collect()),
+            tree: AvlMap::from_sorted(merge_spaced(lca.tree.iter(), a.tree.iter(), b.tree.iter())),
         }
     }
 
@@ -290,6 +289,23 @@ mod tests {
         assert_eq!(m_list.elements(), m_tree.elements());
         for x in m_tree.elements() {
             assert_eq!(m_list.time_of(&x), m_tree.time_of(&x));
+        }
+    }
+
+    #[test]
+    fn merge_walk_equals_the_map_merge() {
+        use crate::or_set_space::tests::{merge_spaced_oracle, random_triple};
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(45);
+        for case in 0..400 {
+            let (l, a, b) = random_triple::<OrSetSpacetime<u32>>(&mut rng, case);
+            let m = OrSetSpacetime::merge(&l, &a, &b);
+            m.tree.check_invariants().unwrap();
+            assert_eq!(
+                m.tree.to_sorted_vec(),
+                merge_spaced_oracle(&l.as_map(), &a.as_map(), &b.as_map()),
+                "lca={l:?} a={a:?} b={b:?}"
+            );
         }
     }
 

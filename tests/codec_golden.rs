@@ -342,6 +342,24 @@ fn g_map_op_delta_golden() {
     );
 }
 
+#[test]
+fn or_set_space_op_delta_golden() {
+    let parent = build::<OrSetSpace<u32>>(&[OrSetOp::Add(5), OrSetOp::Add(2), OrSetOp::Add(7)]);
+    // A refresh in place, an append, a remove from the middle and a
+    // remove of an absent element.
+    golden_op_deltas(
+        "or_set_space_op_delta",
+        &parent,
+        &[
+            OrSetOp::Add(2),
+            OrSetOp::Add(9),
+            OrSetOp::Remove(2),
+            OrSetOp::Remove(4),
+        ],
+        4,
+    );
+}
+
 /// A queue with entries in both lists: `front` holds 2 and 3 after the
 /// dequeue reversed the rear, `rear` holds 4.
 fn two_list_queue() -> Queue<u32> {

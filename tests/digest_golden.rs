@@ -4,13 +4,15 @@
 //! `sha256(canonical bytes)`, so a SHA-256 implementation that differs
 //! from the reference in even one block breaks every existing segment
 //! file and every cross-version pull. `codec_golden` pins the bytes; this
-//! test pins the addresses of those bytes, of one multi-block state and of
-//! the head of a fixed branch-and-merge history. The expected values were
+//! test pins the addresses of those bytes, of one multi-block state, of
+//! the head of a fixed branch-and-merge history and of the head state of a
+//! criss-cross OR-set history, whose merges have several merge bases. The expected values were
 //! produced by the plain scalar compress, so whichever compress the host
 //! selects must reproduce them exactly.
 
 use peepul::core::{Mrdt, ReplicaId, Timestamp};
 use peepul::store::{canonical_bytes, content_id, content_id_of_bytes, BranchStore};
+use peepul::types::or_set_space::{OrSetOp, OrSetSpace};
 use peepul::types::queue::{Queue, QueueOp};
 use std::path::PathBuf;
 
@@ -34,6 +36,7 @@ const FIXTURE_IDS: &[(&str, &str)] = &[
     ("or_set", "71b0311f58a5f909a854e9ecf7728cb6950b7f81ff498b76e1f659ac144b7d06"),
     ("or_set_space", "d0fda6f7e4aa041076c9699170b3b560e1c4596fb8832d8b55f6a36afcd901c9"),
     ("or_set_space_delta", "2e92ca3024f6107657a0fed46f22e589fbe264020285bc5c7c46830f5132ebe3"),
+    ("or_set_space_op_delta", "ab37d080730d6898181a0598920d94c40fa7eb267402561845433994b57a08ec"),
     ("or_set_spacetime", "e9011fb866ba5b84caaf05660eb7f25e0c12df2077a8e1ddd41ba3f059756bd3"),
     ("pn_counter", "66c313335fc249aefd7420b063da1bbd123fa61351b9517955aa2623eba94038"),
     ("queue", "916c5a81675a638d6ab751823035979d11a8d63f8a949fa707113b6a4187a8ef"),
@@ -46,6 +49,10 @@ const RESIDENT_QUEUE_ID: &str = "3a488da27112aad7728a070e112469b802db6af71c0d820
 
 /// `head_id("main")` after [`twenty_step_history`].
 const HISTORY_HEAD_ID: &str = "cadce6142883cae7dac1098f5b46c09b13c47e50541fbf05b282700a6874bc45";
+
+/// `state_id("b0")` after [`crisscross_history`].
+const CRISSCROSS_STATE_ID: &str =
+    "41d7fddae37c42a22348cfbf6caa5dcd9defed43cb694852df5b17da2dd9cb2d";
 
 fn from_hex(s: &str) -> Vec<u8> {
     let s = s.trim();
@@ -96,6 +103,51 @@ fn twenty_step_history() -> BranchStore<Queue<u64>> {
     store
 }
 
+/// Six branches forked from a 40-element root, then six cycles: each
+/// branch applies four seeded adds or removes, then each merges from a
+/// partner that rotates with the cycle, in branch order, so a branch
+/// often merges from one that has just merged from it. Returns the store
+/// and how many of its merges had more than one merge base.
+fn crisscross_history() -> (BranchStore<OrSetSpace<u64>>, usize) {
+    let names: Vec<String> = (0..6).map(|b| format!("b{b}")).collect();
+    let mut store: BranchStore<OrSetSpace<u64>> = BranchStore::new(&names[0]);
+    let mut root = store.branch_mut(&names[0]).unwrap();
+    for e in 0..40 {
+        root.apply(&OrSetOp::Add(2 * e)).unwrap();
+    }
+    for name in &names[1..] {
+        root.fork(name).unwrap();
+    }
+    let mut x = 45u64; // a linear congruential stream
+    let mut multi_base = 0;
+    for cycle in 0..6 {
+        for name in &names {
+            let mut branch = store.branch_mut(name).unwrap();
+            for _ in 0..4 {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                let e = (x >> 33) % 80;
+                let op = if (x >> 32) & 1 == 0 {
+                    OrSetOp::Add(e)
+                } else {
+                    OrSetOp::Remove(e)
+                };
+                branch.apply(&op).unwrap();
+            }
+        }
+        for (b, name) in names.iter().enumerate() {
+            let partner = &names[(b + 1 + cycle % 5) % 6];
+            let heads = (store.head(name).unwrap(), store.head(partner).unwrap());
+            if store.graph().merge_bases(heads.0, heads.1).len() > 1 {
+                multi_base += 1;
+            }
+            store.branch_mut(name).unwrap().merge_from(partner).unwrap();
+        }
+    }
+    (store, multi_base)
+}
+
 #[test]
 fn codec_fixture_content_ids_are_pinned() {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/codec");
@@ -132,4 +184,14 @@ fn branch_history_head_id_is_pinned() {
         "root commit plus nineteen: the fork makes none"
     );
     assert_eq!(store.head_id("main").unwrap().to_string(), HISTORY_HEAD_ID);
+}
+
+#[test]
+fn crisscross_merge_state_id_is_pinned() {
+    let (store, multi_base) = crisscross_history();
+    assert!(multi_base > 0, "no merge had several merge bases");
+    assert_eq!(
+        store.state_id("b0").unwrap().to_string(),
+        CRISSCROSS_STATE_ID
+    );
 }
