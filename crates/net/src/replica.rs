@@ -292,11 +292,6 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
         self.hooks_mut().observer = Some(observer);
     }
 
-    /// Detaches the observer, if any.
-    pub fn clear_observer(&self) {
-        self.hooks_mut().observer = None;
-    }
-
     /// **Mutation-testing surface — never call in production code.**
     /// Enacts a deliberate replication fault (see
     /// [`ReplicationMutation`]) on this replica's fetch/pull/apply paths,

@@ -375,8 +375,7 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
     ///
     /// The order is **guaranteed deterministic** across backends and runs
     /// (branches live in an ordered map), so iteration-driven artefacts —
-    /// [`BranchStore::to_dot`] output, convergence sweeps, test fixtures —
-    /// are stable.
+    /// convergence sweeps, test fixtures — are stable.
     pub fn branch_names(&self) -> Vec<&str> {
         self.branches.keys().map(String::as_str).collect()
     }

@@ -1,7 +1,10 @@
 //! Typed reopen: rebuilding a live [`BranchStore`] from the objects and
 //! refs a backend already holds.
 
-use super::records::{decode_state, parse_commit_record, resolve_state_record, CommitMeta};
+use super::records::{
+    decode_state, parse_commit_record, parse_state_record, resolve_state_record, CommitMeta,
+    StateRecord,
+};
 use super::{BranchId, BranchStore};
 use crate::backend::Backend;
 use crate::dag::CommitId;
@@ -18,17 +21,36 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
     /// Because the canonical encoding is decodable, a process restart is
     /// a full recovery, not a byte-level salvage: `open` walks every ref
     /// to its commit record, follows parent addresses through the Merkle
-    /// graph, resolves and hash-checks every referenced state and decodes
-    /// it back to the typed `M`, rebuilds the
-    /// [`CommitGraph`](crate::CommitGraph), both content-address indexes
-    /// (so merges memoize and replication serves immediately), the branch
-    /// table with each head's typed state, and the Lamport clock
-    /// (`observe_tick` over every recovered commit mint and every tick
-    /// embedded in a recovered state). Only the heads' typed states stay
-    /// in memory; any other state is resolved again when something reads
-    /// it ([`BranchStore::state_at`]). Every
-    /// branch head is byte- and commit-identical to the pre-restart
-    /// store: same head commit id, same state bytes, same query answers.
+    /// graph, and rebuilds the [`CommitGraph`](crate::CommitGraph), both
+    /// content-address indexes (so merges memoize and replication serves
+    /// immediately), the branch table and the Lamport clock. Every branch
+    /// head is byte- and commit-identical to the pre-restart store: same
+    /// head commit id, same state bytes, same query answers.
+    ///
+    /// What is checked **at open**:
+    /// * every reachable commit record parses, and its parents are present;
+    /// * every **head** state is resolved through its delta chain, each
+    ///   link hash-checked against its address, and decoded to the typed
+    ///   `M` — the one typed state per branch that stays in memory;
+    /// * every other state's record envelope is parsed (the one-byte
+    ///   snapshot-or-delta tag and the delta's base), which rebuilds the
+    ///   delta-chain index garbage collection and the chain bound need,
+    ///   and refuses a missing record, a missing base or a cyclic chain.
+    ///
+    /// A non-head state's bytes are hash-checked and decoded **at first
+    /// read** ([`BranchStore::state_at`], [`BranchStore::state_bytes`]),
+    /// by the same resolver: a corrupted state off every head's chain
+    /// costs that read a [`StoreError::CorruptObject`], never a wrong
+    /// state.
+    ///
+    /// The clock is the maximum of every recovered commit's mint and every
+    /// tick embedded in a head state. By Lamport's receive rule that
+    /// covers every non-head state too: each tick a state embeds was
+    /// minted by an operation commit in that state's own ancestry, and
+    /// every such commit is recovered. The heads' term covers a head
+    /// whose state arrived without its mints: a root commit a peer
+    /// published with the `(0, 0)` mint, which
+    /// [`BranchStore::ingest_pack`] accepts.
     ///
     /// Branch **replica ids** are reassigned deterministically
     /// (`replica_base + i` in sorted branch-name order; see
@@ -42,10 +64,12 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
     ///
     /// [`StoreError::Corrupt`] when the backend has no refs (nothing was
     /// ever published — use [`BranchStore::with_backend`] to create a
-    /// store), when a ref or parent points at a missing object, or when
-    /// an object fails to parse/decode; [`StoreError::CorruptObject`] when
-    /// a state snapshot or a delta-chain link does not resolve to bytes
-    /// hashing to its address; [`StoreError::Io`] from the backend.
+    /// store), when a ref or parent points at a missing object, when an
+    /// object fails to parse or a head state to decode, or when a delta
+    /// chain names a missing base or is cyclic;
+    /// [`StoreError::CorruptObject`] when a head state's snapshot or
+    /// delta-chain link does not resolve to bytes hashing to its address;
+    /// [`StoreError::Io`] from the backend.
     pub fn open(backend: B) -> Result<Self, StoreError> {
         Self::open_with_base(backend, 0)
     }
@@ -104,60 +128,14 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
             .map(|(o, _)| *o)
             .collect();
 
-        // Phase 3: resolve and decode states (each distinct state object
-        // once) and install commits into the graph + indexes. Nothing is
-        // written: the backend already holds every byte. Only the heads'
-        // typed states are kept. A resolved buffer is kept while some
-        // commit not yet installed names it as its first parent's state —
-        // the base the commit path stored its delta against — so chains
-        // resolve one link per state and the buffers held follow the
-        // history's width, not its length.
-        let head_states: HashSet<ObjectId> = refs.iter().map(|(_, oid)| metas[oid].state).collect();
-        let mut waiting: HashMap<ObjectId, usize> = HashMap::new();
-        for meta in metas.values() {
-            if let Some(first) = meta.parents.first() {
-                *waiting.entry(metas[first].state).or_default() += 1;
-            }
-        }
+        // Phase 3: install commits parents-first, recover the clock from
+        // their mints, and index every state's delta chain from its
+        // record envelope. Nothing is written: the backend already holds
+        // every byte.
         let mut store = BranchStore::empty(backend, replica_base);
-        let mut resolved: HashMap<ObjectId, Arc<Vec<u8>>> = HashMap::new();
-        let mut decoded: HashSet<ObjectId> = HashSet::new();
-        let mut heads: HashMap<ObjectId, Arc<M>> = HashMap::new();
         let mut installed = 0usize;
         while let Some(oid) = ready.pop_first() {
             let meta = &metas[&oid];
-            if decoded.insert(meta.state) {
-                // Resolve the stored record (a snapshot, or a delta chain
-                // down to one) to full canonical bytes — hash-verified
-                // per link — then decode.
-                let (bytes, _) = resolve_state_record(
-                    &store.backend,
-                    meta.state,
-                    None,
-                    &mut resolved,
-                    &mut store.delta_deps,
-                )?
-                .ok_or_else(|| {
-                    StoreError::Corrupt(format!(
-                        "commit {} references missing state {}",
-                        oid.short(),
-                        meta.state.short()
-                    ))
-                })?;
-                let state: M = decode_state(meta.state, &bytes)?;
-                store.tick = store.tick.max(state.max_tick());
-                if head_states.contains(&meta.state) {
-                    heads.insert(meta.state, Arc::new(state));
-                }
-            }
-            if let Some(first) = meta.parents.first() {
-                let n = waiting.get_mut(&metas[first].state).expect("counted above");
-                *n -= 1;
-            }
-            // Drop every buffer no waiting commit needs: the one this
-            // commit consumed, its own if nothing builds on it, and any
-            // link a chain walk cached on the way.
-            resolved.retain(|sid, _| waiting.get(sid).is_some_and(|n| *n > 0));
             store.tick = store.tick.max(meta.tick);
             let parent_cids: Vec<CommitId> =
                 meta.parents.iter().map(|p| store.commit_index[p]).collect();
@@ -178,13 +156,92 @@ impl<M: Mrdt, B: Backend> BranchStore<M, B> {
                 "commit records form a cycle; backend index corrupt".into(),
             ));
         }
+        index_delta_chains(&store.backend, &metas, &mut store.delta_deps)?;
 
-        // Phase 4: the branch table, from the refs (sorted by name).
+        // Phase 4: the branch table, from the refs (sorted by name). Only
+        // a head's state is resolved — every link hash-checked — and
+        // decoded; every other state waits for its first read.
+        let mut heads: HashMap<ObjectId, Arc<M>> = HashMap::new();
         for (name, oid) in &refs {
-            let head = store.commit_index[oid];
-            let state = Arc::clone(&heads[&metas[oid].state]);
-            store.insert_branch(BranchId::new(name)?, head, state);
+            let sid = metas[oid].state;
+            let state = match heads.get(&sid) {
+                Some(state) => Arc::clone(state),
+                None => {
+                    let (bytes, _) = resolve_state_record(
+                        &store.backend,
+                        sid,
+                        None,
+                        &mut HashMap::new(),
+                        &mut HashMap::new(),
+                    )?
+                    .ok_or_else(|| {
+                        StoreError::Corrupt(format!("head state {} is missing", sid.short()))
+                    })?;
+                    let state = Arc::new(decode_state::<M>(sid, &bytes)?);
+                    store.tick = store.tick.max(state.max_tick());
+                    heads.insert(sid, Arc::clone(&state));
+                    state
+                }
+            };
+            store.insert_branch(BranchId::new(name)?, store.commit_index[oid], state);
         }
         Ok(store)
     }
+}
+
+/// Reads the envelope of every state a commit in `metas` carries, and of
+/// every delta base below one, recording each `delta → base` edge in
+/// `deps` — the GC retention index and `put_state`'s chain-depth oracle.
+/// Refuses a missing record, a record that is not a state record, a delta
+/// whose base is missing and a cyclic chain. Nothing is hashed or
+/// decoded: each state is read once, and full verification waits for its
+/// first read through the resolver.
+fn index_delta_chains<B: Backend>(
+    backend: &B,
+    metas: &BTreeMap<ObjectId, CommitMeta>,
+    deps: &mut HashMap<ObjectId, ObjectId>,
+) -> Result<(), StoreError> {
+    let mut closed: HashSet<ObjectId> = HashSet::new();
+    for (commit, meta) in metas {
+        let mut walking: HashSet<ObjectId> = HashSet::new();
+        let mut cursor = meta.state;
+        while !closed.contains(&cursor) {
+            if !walking.insert(cursor) {
+                return Err(StoreError::Corrupt(format!(
+                    "state {} sits on a cyclic delta chain",
+                    meta.state.short()
+                )));
+            }
+            let Some(bytes) = backend.get(cursor)? else {
+                return Err(StoreError::Corrupt(if cursor == meta.state {
+                    format!(
+                        "commit {} references missing state {}",
+                        commit.short(),
+                        cursor.short()
+                    )
+                } else {
+                    format!(
+                        "delta chain of state {} references missing base {}",
+                        meta.state.short(),
+                        cursor.short()
+                    )
+                }));
+            };
+            match parse_state_record(&bytes) {
+                Some(StateRecord::Full(_)) => break,
+                Some(StateRecord::Delta { base, .. }) => {
+                    deps.insert(cursor, base);
+                    cursor = base;
+                }
+                None => {
+                    return Err(StoreError::Corrupt(format!(
+                        "object {} is not a state record",
+                        cursor.short()
+                    )))
+                }
+            }
+        }
+        closed.extend(walking);
+    }
+    Ok(())
 }

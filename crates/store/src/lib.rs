@@ -61,7 +61,6 @@
 pub mod backend;
 pub mod branch;
 pub mod dag;
-pub mod dot;
 pub mod error;
 pub mod memo;
 pub mod metrics;

@@ -120,6 +120,16 @@ impl Certified for Counter {
     type Sim = CounterSim;
 }
 
+impl peepul_core::Wire for Counter {
+    fn encode(&self, out: &mut Vec<u8>) {
+        peepul_core::Wire::encode(&self.0, out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        Some(Counter(peepul_core::Wire::decode(input)?))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,16 +196,6 @@ mod tests {
         assert!(!CounterSim::holds(&i, &Counter(1)));
         assert!(CounterSim::explain_failure(&i, &Counter(1)).is_some());
         assert!(CounterSim::explain_failure(&i, &Counter(2)).is_none());
-    }
-}
-
-impl peepul_core::Wire for Counter {
-    fn encode(&self, out: &mut Vec<u8>) {
-        peepul_core::Wire::encode(&self.0, out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        Some(Counter(peepul_core::Wire::decode(input)?))
     }
 }
 

@@ -270,6 +270,38 @@ impl Certified for EwFlagSpace {
     type Sim = EwFlagSpaceSim;
 }
 
+impl peepul_core::Wire for EwFlag {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.tokens.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        Some(EwFlag {
+            tokens: peepul_core::Wire::decode(input)?,
+        })
+    }
+
+    fn max_tick(&self) -> u64 {
+        self.tokens.max_tick()
+    }
+}
+
+impl peepul_core::Wire for EwFlagSpace {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.token.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        Some(EwFlagSpace {
+            token: peepul_core::Wire::decode(input)?,
+        })
+    }
+
+    fn max_tick(&self) -> u64 {
+        self.token.max_tick()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,38 +430,6 @@ mod tests {
                 token: Some(tsr(1, 1))
             }
         ));
-    }
-}
-
-impl peepul_core::Wire for EwFlag {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.tokens.encode(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        Some(EwFlag {
-            tokens: peepul_core::Wire::decode(input)?,
-        })
-    }
-
-    fn max_tick(&self) -> u64 {
-        self.tokens.max_tick()
-    }
-}
-
-impl peepul_core::Wire for EwFlagSpace {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.token.encode(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        Some(EwFlagSpace {
-            token: peepul_core::Wire::decode(input)?,
-        })
-    }
-
-    fn max_tick(&self) -> u64 {
-        self.token.max_tick()
     }
 }
 

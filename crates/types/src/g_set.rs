@@ -177,6 +177,22 @@ impl<T: Ord + Clone + PartialEq + peepul_core::Wire + fmt::Debug> Certified for 
     type Sim = GSetSim;
 }
 
+impl<T: peepul_core::Wire + Ord> peepul_core::Wire for GSet<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.elems.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        Some(GSet {
+            elems: peepul_core::Wire::decode(input)?,
+        })
+    }
+
+    fn max_tick(&self) -> u64 {
+        self.elems.max_tick()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,22 +259,6 @@ mod tests {
         let (conc, _) = GSet::<u32>::initial().apply(&GSetOp::Add(5), ts(1));
         assert!(GSetSim::holds(&i, &conc));
         assert!(!GSetSim::holds(&i, &GSet::initial()));
-    }
-}
-
-impl<T: peepul_core::Wire + Ord> peepul_core::Wire for GSet<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.elems.encode(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        Some(GSet {
-            elems: peepul_core::Wire::decode(input)?,
-        })
-    }
-
-    fn max_tick(&self) -> u64 {
-        self.elems.max_tick()
     }
 }
 

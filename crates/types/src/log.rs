@@ -211,6 +211,27 @@ impl<M: Ord + Clone + PartialEq + peepul_core::Wire + fmt::Debug> Certified for 
     type Sim = LogSim;
 }
 
+impl<M: peepul_core::Wire> peepul_core::Wire for MergeableLog<M> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.entries.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        let entries: std::collections::VecDeque<(Timestamp, M)> = peepul_core::Wire::decode(input)?;
+        // Reject encodings that violate the newest-first invariant: they
+        // could never have come from a well-formed log.
+        let sorted = entries
+            .iter()
+            .zip(entries.iter().skip(1))
+            .all(|(a, b)| a.0 > b.0);
+        sorted.then_some(MergeableLog { entries })
+    }
+
+    fn max_tick(&self) -> u64 {
+        self.entries.max_tick()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,27 +321,6 @@ mod tests {
             l.apply(&LogOp::Append("y".into()), ts(2, 0))
         };
         assert!(LogSim::holds(&i, &good));
-    }
-}
-
-impl<M: peepul_core::Wire> peepul_core::Wire for MergeableLog<M> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.entries.encode(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        let entries: std::collections::VecDeque<(Timestamp, M)> = peepul_core::Wire::decode(input)?;
-        // Reject encodings that violate the newest-first invariant: they
-        // could never have come from a well-formed log.
-        let sorted = entries
-            .iter()
-            .zip(entries.iter().skip(1))
-            .all(|(a, b)| a.0 > b.0);
-        sorted.then_some(MergeableLog { entries })
-    }
-
-    fn max_tick(&self) -> u64 {
-        self.entries.max_tick()
     }
 }
 

@@ -163,6 +163,23 @@ impl<T: Clone + PartialEq + peepul_core::Wire + fmt::Debug> Certified for LwwReg
     type Sim = LwwSim;
 }
 
+impl<T: peepul_core::Wire> peepul_core::Wire for LwwRegister<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.value.encode(out);
+        self.time.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        let value = peepul_core::Wire::decode(input)?;
+        let time = peepul_core::Wire::decode(input)?;
+        Some(LwwRegister { value, time })
+    }
+
+    fn max_tick(&self) -> u64 {
+        self.time.tick()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,23 +252,6 @@ mod tests {
         assert!(LwwSim::holds(&i, &good));
         let (stale_time, _) = LwwRegister::<u32>::initial().apply(&LwwOp::Write(1), ts(9, 0));
         assert!(!LwwSim::holds(&i, &stale_time));
-    }
-}
-
-impl<T: peepul_core::Wire> peepul_core::Wire for LwwRegister<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.value.encode(out);
-        self.time.encode(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        let value = peepul_core::Wire::decode(input)?;
-        let time = peepul_core::Wire::decode(input)?;
-        Some(LwwRegister { value, time })
-    }
-
-    fn max_tick(&self) -> u64 {
-        self.time.tick()
     }
 }
 

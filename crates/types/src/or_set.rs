@@ -255,6 +255,22 @@ impl<T: Ord + Clone + PartialEq + peepul_core::Wire + fmt::Debug> Certified for 
     type Sim = OrSetSim;
 }
 
+impl<T: peepul_core::Wire> peepul_core::Wire for OrSet<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.pairs.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        Some(OrSet {
+            pairs: peepul_core::Wire::decode(input)?,
+        })
+    }
+
+    fn max_tick(&self) -> u64 {
+        self.pairs.max_tick()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,22 +381,6 @@ mod tests {
         };
         assert!(x.observably_equal(&y));
         assert_ne!(x, y);
-    }
-}
-
-impl<T: peepul_core::Wire> peepul_core::Wire for OrSet<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.pairs.encode(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        Some(OrSet {
-            pairs: peepul_core::Wire::decode(input)?,
-        })
-    }
-
-    fn max_tick(&self) -> u64 {
-        self.pairs.max_tick()
     }
 }
 

@@ -312,6 +312,22 @@ impl<T: Ord + Clone + PartialEq + peepul_core::Wire + fmt::Debug> Certified for 
     type Sim = OrSetSpaceSim;
 }
 
+impl<T: peepul_core::Wire> peepul_core::Wire for OrSetSpace<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.pairs.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        Some(OrSetSpace {
+            pairs: peepul_core::Wire::decode(input)?,
+        })
+    }
+
+    fn max_tick(&self) -> u64 {
+        self.pairs.max_tick()
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -542,22 +558,6 @@ pub(crate) mod tests {
             <OrSetSpec as Specification<OrSetSpace<u32>>>::query(&OrSetQuery::Read, &i),
             OrSetOutput::Elements(vec![2])
         );
-    }
-}
-
-impl<T: peepul_core::Wire> peepul_core::Wire for OrSetSpace<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.pairs.encode(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        Some(OrSetSpace {
-            pairs: peepul_core::Wire::decode(input)?,
-        })
-    }
-
-    fn max_tick(&self) -> u64 {
-        self.pairs.max_tick()
     }
 }
 

@@ -164,6 +164,19 @@ impl Certified for PnCounter {
     type Sim = PnCounterSim;
 }
 
+impl peepul_core::Wire for PnCounter {
+    fn encode(&self, out: &mut Vec<u8>) {
+        peepul_core::Wire::encode(&self.incs, out);
+        peepul_core::Wire::encode(&self.decs, out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        let incs = peepul_core::Wire::decode(input)?;
+        let decs = peepul_core::Wire::decode(input)?;
+        Some(PnCounter { incs, decs })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,19 +243,6 @@ mod tests {
         // Same difference, wrong components: the coarser relation would
         // wrongly accept this.
         assert!(!PnCounterSim::holds(&i, &PnCounter { incs: 2, decs: 2 }));
-    }
-}
-
-impl peepul_core::Wire for PnCounter {
-    fn encode(&self, out: &mut Vec<u8>) {
-        peepul_core::Wire::encode(&self.incs, out);
-        peepul_core::Wire::encode(&self.decs, out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        let incs = peepul_core::Wire::decode(input)?;
-        let decs = peepul_core::Wire::decode(input)?;
-        Some(PnCounter { incs, decs })
     }
 }
 

@@ -543,6 +543,28 @@ pub mod axioms {
     }
 }
 
+impl<T: peepul_core::Wire> peepul_core::Wire for Queue<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.front.encode(out);
+        self.rear.encode(out);
+    }
+
+    fn decode(input: &mut &[u8]) -> Option<Self> {
+        let front: Vec<Entry<T>> = peepul_core::Wire::decode(input)?;
+        let rear: Vec<Entry<T>> = peepul_core::Wire::decode(input)?;
+        // Enforce the representation invariants a well-formed queue always
+        // has: timestamps strictly descend along `front` (next-out at the
+        // end) and strictly ascend along `rear`.
+        let front_ok = front.windows(2).all(|w| w[0].0 > w[1].0);
+        let rear_ok = rear.windows(2).all(|w| w[0].0 < w[1].0);
+        (front_ok && rear_ok).then_some(Queue { front, rear })
+    }
+
+    fn max_tick(&self) -> u64 {
+        self.front.max_tick().max(self.rear.max_tick())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -862,28 +884,6 @@ mod tests {
             .perform(QueueOp::Enqueue(1), QueueValue::Ack, ts(1, 0))
             .perform(QueueOp::Dequeue, QueueValue::Dequeued(None), ts(2, 0));
         assert!(!axioms::empty(&i));
-    }
-}
-
-impl<T: peepul_core::Wire> peepul_core::Wire for Queue<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.front.encode(out);
-        self.rear.encode(out);
-    }
-
-    fn decode(input: &mut &[u8]) -> Option<Self> {
-        let front: Vec<Entry<T>> = peepul_core::Wire::decode(input)?;
-        let rear: Vec<Entry<T>> = peepul_core::Wire::decode(input)?;
-        // Enforce the representation invariants a well-formed queue always
-        // has: timestamps strictly descend along `front` (next-out at the
-        // end) and strictly ascend along `rear`.
-        let front_ok = front.windows(2).all(|w| w[0].0 > w[1].0);
-        let rear_ok = rear.windows(2).all(|w| w[0].0 < w[1].0);
-        (front_ok && rear_ok).then_some(Queue { front, rear })
-    }
-
-    fn max_tick(&self) -> u64 {
-        self.front.max_tick().max(self.rear.max_tick())
     }
 }
 

@@ -13,6 +13,9 @@
 //! survived — heads, commit graph, Lamport clock and query answers all
 //! equal to the last fully published state before the cut
 //! (`typed_reopen_at_every_truncation_point_serves_the_published_prefix`).
+//! The `reopen_recovers_the_clock_*` tests pin where `open`'s Lamport
+//! clock comes from: every recovered commit's mint and every head state's
+//! embedded ticks, each of which some history needs.
 
 mod common;
 
@@ -562,4 +565,122 @@ fn cached_fixture_reopens_across_ci_runs() {
         db.backend().file_names().len() > 2,
         "fixture must span segments"
     );
+}
+
+/// Two branches, two merges, six operations: `main` runs ops 0, 1, 3
+/// and 5, `dev` runs ops 2 and 4, and each merges the other once.
+fn forked_history<M: Mrdt>(ops: [M::Op; 6]) -> BranchStore<M> {
+    let mut store: BranchStore<M> = BranchStore::new("main");
+    let [a0, a1, a2, a3, a4, a5] = ops;
+    let apply = |store: &mut BranchStore<M>, branch: &str, op: &M::Op| {
+        store.branch_mut(branch).unwrap().apply(op).unwrap();
+    };
+    apply(&mut store, "main", &a0);
+    apply(&mut store, "main", &a1);
+    store.branch_mut("main").unwrap().fork("dev").unwrap();
+    apply(&mut store, "dev", &a2);
+    apply(&mut store, "main", &a3);
+    store.branch_mut("main").unwrap().merge_from("dev").unwrap();
+    apply(&mut store, "dev", &a4);
+    store.branch_mut("dev").unwrap().merge_from("main").unwrap();
+    apply(&mut store, "main", &a5);
+    store
+}
+
+/// Reopens `store`'s backend and checks the recovered Lamport clock
+/// against every commit: at or past its mint and every tick its state
+/// embeds. Then the same for a store seeded by a peer's root commit that
+/// carries `store`'s richest head state under the `(0, 0)` mint, so only
+/// the state itself knows its ticks.
+fn assert_clock_recovered<M: Mrdt>(store: &BranchStore<M>) {
+    fn check<M: Mrdt>(reopened: &BranchStore<M>, case: &str) {
+        for c in reopened.graph().ids() {
+            let embedded = reopened.state_at(c).unwrap().max_tick();
+            let minted = reopened.commit_mint(c).tick();
+            assert!(
+                reopened.tick() >= minted.max(embedded),
+                "{case}: clock {} behind commit {c:?} (mint {minted}, state {embedded})",
+                reopened.tick()
+            );
+        }
+    }
+    let reopened = BranchStore::<M>::open(store.backend().clone()).unwrap();
+    assert_eq!(reopened.tick(), store.tick(), "history: clock recovered");
+    check(&reopened, "history");
+
+    let richest = store
+        .branch_names()
+        .into_iter()
+        .map(|b| store.state(b).unwrap())
+        .max_by_key(|s| s.max_tick())
+        .unwrap();
+    assert!(richest.max_tick() > 0);
+    let bytes = peepul::store::canonical_bytes(&*richest);
+    let sid = peepul::store::content_id_of_bytes(&bytes);
+    let root = peepul::store::commit_record(&[], sid, 0, 0);
+    let root_id = peepul::store::content_id_of_bytes(&root);
+    let mut seeded: BranchStore<M> = BranchStore::new("main");
+    let state = peepul::store::PackState::Full {
+        id: sid,
+        bytes: &bytes,
+    };
+    seeded.ingest_pack(&[(root_id, &root)], &[state]).unwrap();
+    seeded.track("seed", root_id).unwrap();
+    let reopened = BranchStore::<M>::open(seeded.backend().clone()).unwrap();
+    assert_eq!(
+        reopened.tick(),
+        richest.max_tick(),
+        "seeded: clock recovered"
+    );
+    check(&reopened, "seeded");
+}
+
+#[test]
+fn reopen_recovers_the_clock_past_a_queues_dequeues() {
+    use peepul::types::queue::QueueOp::{Dequeue, Enqueue};
+    let store = forked_history::<Queue<u64>>([
+        Enqueue(1),
+        Enqueue(2),
+        Enqueue(3),
+        Dequeue,
+        Dequeue,
+        Dequeue,
+    ]);
+    // The last dequeue's mint is the largest tick, and no state holds it.
+    let embedded = ["main", "dev"].map(|b| store.state(b).unwrap().max_tick());
+    assert!(embedded.iter().all(|t| *t < store.tick()), "{embedded:?}");
+    assert_clock_recovered(&store);
+}
+
+#[test]
+fn reopen_recovers_the_clock_past_an_or_sets_removes() {
+    use peepul::types::or_set::OrSetOp::{Add, Remove};
+    let store =
+        forked_history::<OrSet<u64>>([Add(1), Add(2), Add(3), Remove(2), Remove(3), Remove(1)]);
+    let embedded = ["main", "dev"].map(|b| store.state(b).unwrap().max_tick());
+    assert!(embedded.iter().all(|t| *t < store.tick()), "{embedded:?}");
+    assert_clock_recovered(&store);
+}
+
+#[test]
+fn reopen_recovers_the_clock_of_lww_registers_and_maps() {
+    use peepul::types::lww_register::LwwOp::Write;
+    use peepul::types::map::MapOp::Set;
+    assert_clock_recovered(&forked_history::<LwwRegister<u64>>([
+        Write(1),
+        Write(2),
+        Write(3),
+        Write(4),
+        Write(5),
+        Write(6),
+    ]));
+    let set = |k: &str, v: &str| Set(k.to_owned(), Write(v.to_owned()));
+    assert_clock_recovered(&forked_history::<MrdtMap<LwwRegister<String>>>([
+        set("a", "1"),
+        set("b", "2"),
+        set("a", "3"),
+        set("c", "4"),
+        set("b", "5"),
+        set("a", "6"),
+    ]));
 }
