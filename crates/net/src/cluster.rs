@@ -432,18 +432,13 @@ mod tests {
         }
     }
 
-    /// `converge` runs the daemon's sync, so the spokes catch up by
-    /// served pushes, not only by pulls of their own.
-    #[test]
-    fn converge_serves_pushes() {
-        use crate::metrics::NetMetrics;
+    /// Attaches fresh net metrics to every replica of `cluster`.
+    fn attach_net_metrics<M: Mrdt>(cluster: &Cluster<M>) -> Vec<Arc<crate::NetMetrics>> {
         use peepul_obs::{Obs, ObsConfig};
-
-        let cluster: Cluster<Counter> = Cluster::new(3).unwrap();
-        let metrics: Vec<Arc<NetMetrics>> = (0..3)
+        (0..cluster.replicas())
             .map(|i| {
                 let m = Obs::new(ObsConfig::default())
-                    .attach(NetMetrics::register)
+                    .attach(crate::NetMetrics::register)
                     .unwrap();
                 cluster
                     .node(i)
@@ -451,7 +446,15 @@ mod tests {
                     .set_metrics(None, Some(Arc::clone(&m)));
                 m
             })
-            .collect();
+            .collect()
+    }
+
+    /// `converge` runs the daemon's sync, so the spokes catch up by
+    /// served pushes, not only by pulls of their own.
+    #[test]
+    fn converge_serves_pushes() {
+        let cluster: Cluster<Counter> = Cluster::new(3).unwrap();
+        let metrics = attach_net_metrics(&cluster);
         cluster.run(4, 0, |_, _| CounterOp::Increment).unwrap();
         let states = cluster.converge().unwrap();
         assert!(states.iter().all(|s| s.count() == 12));
@@ -461,6 +464,33 @@ mod tests {
             .sum();
         assert!(served >= 1, "no spoke was pushed to");
         assert_eq!(metrics[0].pushes_total.get(), served);
+    }
+
+    /// A push ships the pack a fetch receives: on a delta-storing type
+    /// the spokes ingest pushed states as deltas, and every byte the hub
+    /// pushes is counted once on the spoke that ingests it.
+    #[test]
+    fn pushes_ship_deltas_and_both_ends_count_the_same_bytes() {
+        let cluster: Cluster<OrSetSpace<u32>> = Cluster::new(3).unwrap();
+        let metrics = attach_net_metrics(&cluster);
+        cluster
+            .run(40, 0, |replica, round| {
+                OrSetOp::Add((replica * 100 + round) as u32)
+            })
+            .unwrap();
+        cluster.converge().unwrap();
+        let spokes = &metrics[1..];
+        let sum = |f: fn(&crate::NetMetrics) -> u64| spokes.iter().map(|m| f(m)).sum::<u64>();
+        assert!(
+            sum(|m| m.delta_states_in_total.get()) > 0,
+            "pushed states should arrive as deltas"
+        );
+        assert!(metrics[0].delta_states_out_total.get() > 0);
+        assert_eq!(
+            sum(|m| m.pack_bytes_in_total.get()),
+            metrics[0].pack_bytes_out_total.get(),
+            "the spokes ingest exactly the bytes the hub pushes"
+        );
     }
 
     #[test]

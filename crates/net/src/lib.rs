@@ -17,13 +17,13 @@
 //!   (drop / partition / seeded loss), and [`tcp`]'s length-prefixed
 //!   checksummed [`TcpTransport`] + [`TcpServer`] over std sockets;
 //! * [`message`] — the protocol: `FetchRefs`, `Want`/have negotiation
-//!   answered from the Merkle commit structure, `GetStatesDelta`,
-//!   `HaveObjects`, `Push`;
+//!   answered from the Merkle commit structure, `GetStatesDelta`, and
+//!   `Push`, which carries the same pack a fetch receives;
 //! * [`replica`] — [`Replica`] (a store that serves the protocol) and
-//!   [`Remote`] (a named link), with Git-shaped `fetch` / `pull` / `push`,
-//!   hash-verified ingest, and [`Replica::sync`] — pull every branch,
-//!   then push every branch: the one routine that brings two replicas
-//!   together;
+//!   [`Remote`] (a named link), with Git-shaped `fetch` / `pull` / `push`
+//!   over one pack builder and one hash-verified ingest, and
+//!   [`Replica::sync`] — pull every branch, then push every branch: the
+//!   one routine that brings two replicas together;
 //! * [`serve`] — the shared accept-loop machinery: [`FrameServer`] (one
 //!   serving thread per connection, connection cap with accept-time
 //!   backpressure, clean shutdown) parameterized by a [`FrameService`]

@@ -15,10 +15,10 @@
 //!    objects it lacks, as [`Wire`] encodings or as deltas against states
 //!    it already holds.
 //!
-//! A push inverts the walk client-side (it knows the server's heads from
-//! `FetchRefs`), probes which state objects the server already has with
-//! [`Request::HaveObjects`], and uploads the rest in one
-//! [`Request::Push`].
+//! A push is two requests: [`Request::FetchRefs`], then one
+//! [`Request::Push`] carrying the pack a fetch would receive — the commit
+//! records the server's heads do not reach and their states, each a
+//! [`StateTransfer`] built against the server's heads as the *haves*.
 //!
 //! All messages are [`Wire`]-encoded: deterministic, little-endian,
 //! length-prefixed — the same codec states travel in.
@@ -55,10 +55,10 @@ impl Wire for PackedObject {
     }
 }
 
-/// One state object in a delta-aware `GetStatesDelta` reply: either the
-/// full canonical bytes, or an O(delta) edit script against a base state
-/// the requester provably holds (it is reachable from the request's
-/// `haves`, or appeared earlier in the same reply). Identity is the same
+/// One state object in a pack (a `GetStatesDelta` reply or a `Push`):
+/// either the full canonical bytes, or an O(delta) edit script against a
+/// base state the receiver provably holds (it is reachable from the
+/// `haves`, or appeared earlier in the same pack). Identity is the same
 /// either way — `id = sha256(full canonical bytes)` — and the receiver
 /// resolves and re-hashes before trusting a delta, exactly as it
 /// re-hashes full bytes.
@@ -116,12 +116,6 @@ pub enum Request {
         /// states those commits carry are valid delta bases.
         haves: Vec<ObjectId>,
     },
-    /// For each id, answer whether the replica already stores that object
-    /// (push negotiation: don't upload states the receiver has).
-    HaveObjects {
-        /// Object content addresses to probe.
-        ids: Vec<ObjectId>,
-    },
     /// Upload missing objects and point `branch` at `head` — accepted only
     /// as a fast-forward (or branch creation), like `git push`.
     Push {
@@ -131,8 +125,9 @@ pub enum Request {
         head: ObjectId,
         /// Missing commit records, parents first.
         commits: Vec<PackedObject>,
-        /// Missing state objects (`Wire`-encoded states).
-        states: Vec<PackedObject>,
+        /// The states those commits carry that the receiver lacks, in
+        /// the form a `GetStatesDelta` reply carries them.
+        states: Vec<StateTransfer>,
     },
 }
 
@@ -156,11 +151,6 @@ pub enum Response {
         /// Full or delta transfers with their advertised addresses.
         states: Vec<StateTransfer>,
     },
-    /// Per-id presence bits, in request order (`HaveObjects`).
-    Haves {
-        /// `haves[i]` is whether the replica stores the `i`-th probed id.
-        haves: Vec<bool>,
-    },
     /// The push landed (`Push`).
     Pushed {
         /// Whether the branch was created (as opposed to fast-forwarded or
@@ -179,17 +169,17 @@ pub enum Response {
 wire_enum!(Request, base = 0, {
     0 => FetchRefs,
     1 => Want(wants: Vec<ObjectId>, haves: Vec<ObjectId>),
-    // 2 is retired (the pre-delta state request); tags are never reused.
-    3 => HaveObjects(ids: Vec<ObjectId>),
-    4 => Push(branch: String, head: ObjectId, commits: Vec<PackedObject>, states: Vec<PackedObject>),
+    // 2, 3 and 4 are retired (the pre-delta state request, the presence
+    // probe and the full-state push); tags are never reused.
     5 => GetStatesDelta(ids: Vec<ObjectId>, haves: Vec<ObjectId>),
+    6 => Push(branch: String, head: ObjectId, commits: Vec<PackedObject>, states: Vec<StateTransfer>),
 });
 
 wire_enum!(Response, base = 0, {
     0 => Refs(refs: Vec<(String, ObjectId)>),
     1 => Commits(commits: Vec<PackedObject>),
-    // 2 is retired (the pre-delta state reply); tags are never reused.
-    3 => Haves(haves: Vec<bool>),
+    // 2 and 3 are retired (the pre-delta state reply and the presence
+    // bits); tags are never reused.
     4 => Pushed(created: bool),
     5 => PushDenied,
     6 => Error(message: String),
@@ -229,7 +219,6 @@ mod tests {
                 wants: vec![oid(1)],
                 haves: vec![oid(2), oid(3)],
             },
-            Request::HaveObjects { ids: vec![] },
             Request::GetStatesDelta {
                 ids: vec![oid(8)],
                 haves: vec![oid(9)],
@@ -241,7 +230,11 @@ mod tests {
                     id: oid(7),
                     bytes: vec![1, 2, 3],
                 }],
-                states: vec![],
+                states: vec![StateTransfer::Delta {
+                    id: oid(5),
+                    base: oid(4),
+                    delta: vec![4, 5],
+                }],
             },
         ];
         for r in reqs {
@@ -276,9 +269,6 @@ mod tests {
                     },
                 ],
             },
-            Response::Haves {
-                haves: vec![true, false],
-            },
             Response::Pushed { created: true },
             Response::PushDenied,
             Response::Error {
@@ -312,18 +302,38 @@ mod tests {
         assert_eq!(Response::from_wire(&[99]), None);
     }
 
+    /// Every retired tag, with a well-formed body of its old shape, is
+    /// refused on decode, and a served frame carrying one gets an error.
     #[test]
-    fn retired_tag_2_is_refused_not_served() {
-        // A well-formed pre-delta state request / reply: tag 2 + an id list.
-        let mut frame = vec![2u8];
-        vec![oid(4), oid(5)].encode(&mut frame);
-        assert_eq!(Request::from_wire(&frame), None);
-        assert_eq!(Response::from_wire(&frame), None);
+    fn retired_tags_are_refused_not_served() {
+        let ids = vec![oid(4), oid(5)].to_wire();
+        let mut old_push = ("main".to_owned(), oid(6)).to_wire();
+        let no_objects = Vec::<PackedObject>::new().to_wire();
+        old_push.extend_from_slice(&no_objects);
+        old_push.extend_from_slice(&no_objects);
+        let requests = [(2, ids.clone()), (3, ids.clone()), (4, old_push)];
+        let responses = [(2, ids), (3, vec![true, false].to_wire())];
+        let frame = |tag: u8, body: &[u8]| [&[tag], body].concat();
+
         let replica: crate::Replica<peepul_types::counter::Counter, _> =
             crate::Replica::new("r", peepul_store::BranchStore::new("main"));
-        assert!(matches!(
-            Response::from_wire(&replica.handle_frame(&frame)),
-            Some(Response::Error { .. })
-        ));
+        for (tag, body) in &requests {
+            let f = frame(*tag, body);
+            assert_eq!(Request::from_wire(&f), None, "request tag {tag}");
+            assert!(
+                matches!(
+                    Response::from_wire(&replica.handle_frame(&f)),
+                    Some(Response::Error { .. })
+                ),
+                "request tag {tag} was served"
+            );
+        }
+        for (tag, body) in &responses {
+            assert_eq!(
+                Response::from_wire(&frame(*tag, body)),
+                None,
+                "response tag {tag}"
+            );
+        }
     }
 }

@@ -46,8 +46,8 @@ pub struct NetMetrics {
     /// delta form (the delta-sync hit count; fulls received through the
     /// delta path are the misses).
     pub delta_states_in_total: Counter,
-    /// `peepul_net_delta_states_out_total` — state objects served in
-    /// delta form.
+    /// `peepul_net_delta_states_out_total` — state objects sent in
+    /// delta form (served to fetches and pushed).
     pub delta_states_out_total: Counter,
     /// `peepul_net_delta_bytes_saved_total` — wire bytes *not*
     /// transferred because a delta replaced the full encoding (resolved

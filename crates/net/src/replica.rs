@@ -18,8 +18,15 @@
 //!   local branch is strictly behind, otherwise a real three-way merge
 //!   through the store's typed-handle path (LCA search, merge memo and
 //!   all);
-//! * [`Replica::push`] — upload the peer's missing objects and ask it to
-//!   fast-forward its branch; refused if the peer has diverged.
+//! * [`Replica::push`] — send the peer the pack a fetch from this replica
+//!   would hand it, built against the heads the peer advertised, and ask
+//!   it to fast-forward its branch; refused if the peer has diverged.
+//!
+//! Both directions build packs with the same two functions: one walks
+//! the commits the receiver's heads do not reach, the other picks their
+//! states and ships each as a delta against a base the receiver holds
+//! when the store has one. Both directions land packs through the same
+//! verified ingest.
 //!
 //! [`Replica::sync`] composes them into the one routine that brings two
 //! replicas together — pull every branch, then push every branch. The
@@ -45,7 +52,7 @@
 //! when an observer is attached), the unwitnessed accessors
 //! ([`Replica::state`], [`Replica::head_id`], [`Replica::with_store_read`]
 //! and friends), and the read-only protocol requests
-//! `FetchRefs`/`Want`/`GetStatesDelta`/`HaveObjects`. Mutations take the
+//! `FetchRefs`/`Want`/`GetStatesDelta`. Mutations take the
 //! exclusive write lock. A server answering many sessions over one
 //! replica therefore serializes writes but never serializes reads behind
 //! them.
@@ -469,14 +476,15 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
     /// hash (and every state with one decode, each delta resolved against
     /// its base first) and applies the Lamport receive rule itself; a
     /// corrupt object fails the whole pack before anything is written.
-    /// Then the pack must have led to `head`, and the events it newly
-    /// introduced are emitted (`learned`), in pack order.
-    fn ingest_witnessed<'a>(
+    /// Then the pack must have led to `head`, the receive-side pack
+    /// metrics are recorded, and the events the pack newly introduced are
+    /// emitted (`learned`), in pack order.
+    fn ingest_witnessed(
         &self,
         store: &mut BranchStore<M, B>,
         hooks: &Hooks<M>,
         commits: &[PackedObject],
-        states: impl Iterator<Item = PackState<'a>>,
+        states: &[StateTransfer],
         head: ObjectId,
     ) -> Result<IngestReport, NetError> {
         let mut learned = match hooks.observer {
@@ -485,12 +493,33 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
         };
         let records: Vec<(ObjectId, &[u8])> =
             commits.iter().map(|p| (p.id, p.bytes.as_slice())).collect();
-        let counts = store.ingest_pack(&records, &states.collect::<Vec<_>>())?;
+        let transfers: Vec<PackState<'_>> = states
+            .iter()
+            .map(|t| match t {
+                StateTransfer::Full { state } => PackState::Full {
+                    id: state.id,
+                    bytes: &state.bytes,
+                },
+                StateTransfer::Delta { id, base, delta } => PackState::Delta {
+                    id: *id,
+                    base: *base,
+                    delta,
+                },
+            })
+            .collect();
+        let counts = store.ingest_pack(&records, &transfers)?;
         if !store.has_commit(head) {
             return Err(NetError::Protocol(format!(
                 "head {} is neither in the pack nor in the store",
                 head.short()
             )));
+        }
+        if let Some(m) = &hooks.metrics {
+            m.pack_objects_in_total
+                .add((commits.len() + states.len()) as u64);
+            m.pack_bytes_in_total.add(pack_bytes(commits, states));
+            m.delta_states_in_total.add(counts.delta_states);
+            m.delta_bytes_saved_total.add(counts.delta_saved_bytes);
         }
         if let Some(obs) = &hooks.observer {
             if hooks.mutation == ReplicationMutation::ReorderedPackIngest {
@@ -510,13 +539,30 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
     /// [`Response::Error`] so a misbehaving client cannot poison the
     /// serving replica.
     ///
-    /// Read-only requests (`FetchRefs`, `Want`, `GetStatesDelta`,
-    /// `HaveObjects`) are served under the shared read lock and run
-    /// concurrently; only `Push` takes the write lock.
+    /// Read-only requests (`FetchRefs`, `Want`, `GetStatesDelta`) are
+    /// served under the shared read lock and run concurrently; only
+    /// `Push` takes the write lock.
     pub fn handle(&self, req: Request) -> Response {
         let served = match req {
-            Request::Push { .. } => self.serve_push(req),
-            _ => serve_read(&self.read_store(), req, self.hooks().metrics.as_ref()),
+            Request::FetchRefs => self
+                .read_store()
+                .backend()
+                .refs()
+                .map(|refs| Response::Refs { refs })
+                .map_err(NetError::from),
+            Request::Want { wants, haves } => commit_pack(&self.read_store(), &wants, &haves)
+                .map(|commits| Response::Commits { commits }),
+            Request::GetStatesDelta { ids, haves } => {
+                let metrics = self.hooks().metrics;
+                state_pack(&self.read_store(), &ids, &haves, metrics.as_deref())
+                    .map(|states| Response::StatesDelta { states })
+            }
+            Request::Push {
+                branch,
+                head,
+                commits,
+                states,
+            } => self.serve_push(&branch, head, &commits, &states),
         };
         match served {
             Ok(r) => r,
@@ -625,18 +671,7 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
         let counts = {
             let store = &mut *self.write_store();
             let pre_tick = store.tick();
-            let transfers = states.iter().map(|t| match t {
-                StateTransfer::Full { state } => PackState::Full {
-                    id: state.id,
-                    bytes: &state.bytes,
-                },
-                StateTransfer::Delta { id, base, delta } => PackState::Delta {
-                    id: *id,
-                    base: *base,
-                    delta,
-                },
-            });
-            let counts = self.ingest_witnessed(store, &hooks, &commits, transfers, head)?;
+            let counts = self.ingest_witnessed(store, &hooks, &commits, &states, head)?;
             store.force_track(&tracking_branch, head)?;
             if hooks.mutation == ReplicationMutation::BrokenReceiveRule {
                 // Pretend the ingested events never advanced our clock.
@@ -644,33 +679,19 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
             }
             counts
         };
-        let state_bytes: u64 = states
-            .iter()
-            .map(|t| match t {
-                StateTransfer::Full { state } => state.bytes.len() as u64,
-                StateTransfer::Delta { delta, .. } => delta.len() as u64,
-            })
-            .sum();
         let stats = FetchStats {
             round_trips: remote.round_trips - rt0,
             commits_received: counts.commits,
             states_received: counts.states,
             delta_states_received: counts.delta_states,
-            state_bytes_received: state_bytes,
+            state_bytes_received: pack_bytes(&[], &states),
             tracking_branch,
             up_to_date: false,
         };
         if let (Some(m), Some(start)) = (&hooks.metrics, start) {
             let micros = start.elapsed().as_micros() as u64;
-            let bytes: u64 =
-                commits.iter().map(|o| o.bytes.len() as u64).sum::<u64>() + state_bytes;
             m.fetches_total.inc();
             m.round_trips_total.add(stats.round_trips);
-            m.pack_objects_in_total
-                .add(commits.len() as u64 + states.len() as u64);
-            m.pack_bytes_in_total.add(bytes);
-            m.delta_states_in_total.add(counts.delta_states);
-            m.delta_bytes_saved_total.add(counts.delta_saved_bytes);
             m.fetch_micros.observe(micros);
             m.trace("fetch", remote.name(), micros);
         }
@@ -722,10 +743,15 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
         Ok(PullReport { fetch, outcome })
     }
 
-    /// Uploads everything the peer lacks to fast-forward its `branch` to
-    /// this replica's head of the same name. Like `git push`: refused with
-    /// [`NetError::PushRejected`] when the peer's branch has local history
-    /// the pushed head does not contain — pull, merge, push again.
+    /// Sends the peer the pack that fast-forwards its `branch` to this
+    /// replica's head of the same name — the pack a fetch from this
+    /// replica would receive, with the peer's advertised heads as the
+    /// *haves*: the commits those heads do not reach and the states the
+    /// peer lacks, each delta-stored state as its delta when the peer
+    /// holds the base. Two round trips: refs, then the push. Like
+    /// `git push`: refused with [`NetError::PushRejected`] when the peer's
+    /// branch has local history the pushed head does not contain — pull,
+    /// merge, push again.
     ///
     /// # Errors
     ///
@@ -739,58 +765,21 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
         let metrics = self.hooks().metrics;
         let start = metrics.as_ref().map(|_| std::time::Instant::now());
         let rt0 = remote.round_trips;
-        let refs = remote.refs()?;
-        let server_heads: Vec<ObjectId> = refs.iter().map(|(_, o)| *o).collect();
-
-        let (head, commits, state_ids) = self.with_store_read(|s| -> Result<_, NetError> {
-            let head = s.head_id(branch).map_err(NetError::Store)?;
-            let missing = s.commits_between(&[head], &server_heads);
-            let mut commits = Vec::with_capacity(missing.len());
-            let mut state_ids = Vec::new();
-            let mut seen = HashSet::new();
-            for c in missing {
-                let oid = s.commit_oid(c);
-                let bytes = s
-                    .commit_record_bytes(oid)?
-                    .ok_or_else(|| NetError::Protocol("own commit missing".into()))?;
-                commits.push(PackedObject { id: oid, bytes });
-                let sid = s.state_oid(c);
-                if seen.insert(sid) {
-                    state_ids.push(sid);
-                }
-            }
-            Ok((head, commits, state_ids))
-        })?;
-
-        // Don't upload states the peer already stores (converged histories
-        // share state objects even when commits differ).
-        let peer_has = if state_ids.is_empty() {
-            Vec::new()
-        } else {
-            remote.have_objects(&state_ids)?
-        };
-        let need: Vec<ObjectId> = state_ids
-            .iter()
-            .zip(peer_has.iter().chain(std::iter::repeat(&false)))
-            .filter(|(_, has)| !**has)
-            .map(|(id, _)| *id)
-            .collect();
-        let states = self.with_store_read(|s| -> Result<Vec<PackedObject>, NetError> {
-            need.iter()
-                .map(|id| {
-                    // Canonical bytes straight from the backend — the
-                    // storage format is the wire format.
-                    let bytes = s
-                        .state_bytes(*id)?
-                        .ok_or_else(|| NetError::Protocol("own state missing".into()))?;
-                    Ok(PackedObject { id: *id, bytes })
-                })
-                .collect()
+        let haves: Vec<ObjectId> = remote.refs()?.into_iter().map(|(_, o)| o).collect();
+        let (head, commits, states) = self.with_store_read(|s| -> Result<_, NetError> {
+            let head = s.head_id(branch)?;
+            let commits = commit_pack(s, &[head], &haves)?;
+            let ids: Vec<ObjectId> = commits
+                .iter()
+                .filter_map(|c| s.find_commit(c.id))
+                .map(|c| s.state_oid(c))
+                .collect();
+            let states = state_pack(s, &ids, &haves, metrics.as_deref())?;
+            Ok((head, commits, states))
         })?;
 
         let (commits_sent, states_sent) = (commits.len() as u64, states.len() as u64);
-        let bytes_out: u64 = commits.iter().map(|o| o.bytes.len() as u64).sum::<u64>()
-            + states.iter().map(|o| o.bytes.len() as u64).sum::<u64>();
+        let bytes_out = pack_bytes(&commits, &states);
         let created = remote.push_pack(branch, head, commits, states)?;
         let report = PushReport {
             round_trips: remote.round_trips - rt0,
@@ -917,12 +906,13 @@ pub struct PullReport {
 /// The result of a [`Replica::push`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PushReport {
-    /// Transport round trips this push used.
+    /// Transport round trips this push used (2: refs, then the push).
     pub round_trips: u64,
     /// Commit records uploaded.
     pub commits_sent: u64,
-    /// State objects uploaded (after the have-negotiation filtered out
-    /// what the peer already stored).
+    /// State objects uploaded, full or as deltas: the states the pushed
+    /// commits carry, less those carried by commits the peer's
+    /// advertised heads reach.
     pub states_sent: u64,
     /// Whether the peer created the branch (as opposed to fast-forwarding
     /// it).
@@ -1040,21 +1030,10 @@ impl<T: Transport> Remote<T> {
         }
     }
 
-    /// `HaveObjects`: per-id presence on the peer.
-    ///
-    /// # Errors
-    ///
-    /// As [`Remote::refs`].
-    pub fn have_objects(&mut self, ids: &[ObjectId]) -> Result<Vec<bool>, NetError> {
-        let req = Request::HaveObjects { ids: ids.to_vec() };
-        match self.call(&req)? {
-            Response::Haves { haves } => Ok(haves),
-            r => Err(unexpected("Haves", &r)),
-        }
-    }
-
-    /// `Push`: upload a pack and fast-forward the peer's branch. Returns
-    /// whether the branch was created.
+    /// `Push`: upload a pack (commit records parents first, then states
+    /// in the order a `GetStatesDelta` reply carries them) and
+    /// fast-forward the peer's branch. Returns whether the branch was
+    /// created.
     ///
     /// # Errors
     ///
@@ -1065,7 +1044,7 @@ impl<T: Transport> Remote<T> {
         branch: &str,
         head: ObjectId,
         commits: Vec<PackedObject>,
-        states: Vec<PackedObject>,
+        states: Vec<StateTransfer>,
     ) -> Result<bool, NetError> {
         let req = Request::Push {
             branch: branch.to_owned(),
@@ -1086,7 +1065,6 @@ fn unexpected(wanted: &str, got: &Response) -> NetError {
         Response::Refs { .. } => "Refs",
         Response::Commits { .. } => "Commits",
         Response::StatesDelta { .. } => "StatesDelta",
-        Response::Haves { .. } => "Haves",
         Response::Pushed { .. } => "Pushed",
         Response::PushDenied => "PushDenied",
         Response::Error { .. } => "Error",
@@ -1094,74 +1072,83 @@ fn unexpected(wanted: &str, got: &Response) -> NetError {
     NetError::Protocol(format!("expected {wanted} response, got {kind}"))
 }
 
-/// The read-only server side of [`Replica::handle`] — everything a peer
-/// can ask without changing this store, served from `&BranchStore` so any
-/// number of these run concurrently under the shared read lock.
-fn serve_read<M: Mrdt, B: Backend>(
+/// The commit half of every pack: the commit records reachable from
+/// `wants` but not from `haves`, parents first. A served `Want` answers
+/// with it, and a push sends it.
+fn commit_pack<M: Mrdt, B: Backend>(
     store: &BranchStore<M, B>,
-    req: Request,
-    metrics: Option<&Arc<NetMetrics>>,
-) -> Result<Response, NetError> {
-    match req {
-        Request::FetchRefs => Ok(Response::Refs {
-            refs: store.backend().refs()?,
-        }),
-        Request::Want { wants, haves } => {
-            let missing = store.commits_between(&wants, &haves);
-            let mut commits = Vec::with_capacity(missing.len());
-            for c in missing {
-                let id = store.commit_oid(c);
-                let bytes = store
-                    .commit_record_bytes(id)?
-                    .ok_or_else(|| NetError::Protocol("indexed commit missing".into()))?;
-                commits.push(PackedObject { id, bytes });
-            }
-            Ok(Response::Commits { commits })
+    wants: &[ObjectId],
+    haves: &[ObjectId],
+) -> Result<Vec<PackedObject>, NetError> {
+    store
+        .commits_between(wants, haves)
+        .into_iter()
+        .map(|c| {
+            let id = store.commit_oid(c);
+            let bytes = store
+                .commit_record_bytes(id)?
+                .ok_or_else(|| NetError::Protocol("indexed commit missing".into()))?;
+            Ok(PackedObject { id, bytes })
+        })
+        .collect()
+}
+
+/// The state half of every pack: the states under `ids` (parents first,
+/// like pack order) for a receiver that holds the history reachable from
+/// `haves`. A state that receiver holds, or that is already in the pack,
+/// is skipped. A state goes out as its stored delta record — O(delta)
+/// bytes, zero re-encodes — when the receiver provably holds the base: it
+/// is carried by a commit reachable from `haves`, or it went earlier in
+/// this pack. A served `GetStatesDelta` answers with it, and a push sends
+/// it.
+fn state_pack<M: Mrdt, B: Backend>(
+    store: &BranchStore<M, B>,
+    ids: &[ObjectId],
+    haves: &[ObjectId],
+    metrics: Option<&NetMetrics>,
+) -> Result<Vec<StateTransfer>, NetError> {
+    let mut available: HashSet<ObjectId> = store
+        .commits_between(haves, &[])
+        .into_iter()
+        .map(|c| store.state_oid(c))
+        .collect();
+    let mut states = Vec::with_capacity(ids.len());
+    for &id in ids {
+        if available.contains(&id) {
+            continue;
         }
-        Request::GetStatesDelta { ids, haves } => {
-            // A state may go out as its stored delta record — O(delta)
-            // bytes, zero re-encodes — when the requester provably holds
-            // the base: it is carried by a commit reachable from the
-            // request's `haves`, or it was served earlier in this very
-            // reply (request order is parents-first, like pack order).
-            let mut available: HashSet<ObjectId> = store
-                .commits_between(&haves, &[])
-                .into_iter()
-                .map(|c| store.state_oid(c))
-                .collect();
-            let mut states = Vec::with_capacity(ids.len());
-            for id in ids {
-                match store.state_stored_delta(id)? {
-                    Some((base, delta)) if available.contains(&base) => {
-                        if let Some(m) = metrics {
-                            m.delta_states_out_total.inc();
-                        }
-                        states.push(StateTransfer::Delta { id, base, delta });
-                        available.insert(id);
-                    }
-                    _ => {
-                        if let Some(bytes) = store.state_bytes(id)? {
-                            states.push(StateTransfer::Full {
-                                state: PackedObject { id, bytes },
-                            });
-                            available.insert(id);
-                        }
-                    }
+        match store.state_stored_delta(id)? {
+            Some((base, delta)) if available.contains(&base) => {
+                if let Some(m) = metrics {
+                    m.delta_states_out_total.inc();
                 }
+                states.push(StateTransfer::Delta { id, base, delta });
             }
-            Ok(Response::StatesDelta { states })
+            _ => match store.state_bytes(id)? {
+                Some(bytes) => states.push(StateTransfer::Full {
+                    state: PackedObject { id, bytes },
+                }),
+                None => continue,
+            },
         }
-        Request::HaveObjects { ids } => {
-            let haves = ids
-                .into_iter()
-                .map(|id| store.backend().contains(id))
-                .collect::<Result<Vec<bool>, StoreError>>()?;
-            Ok(Response::Haves { haves })
-        }
-        Request::Push { .. } => Err(NetError::Protocol(
-            "push dispatched to the read-only path".into(),
-        )),
+        available.insert(id);
     }
+    Ok(states)
+}
+
+/// Bytes a pack's objects occupy on the wire: each commit record, and
+/// each state's full bytes or delta script. The pack-bytes metrics and
+/// [`FetchStats::state_bytes_received`] count this.
+fn pack_bytes(commits: &[PackedObject], states: &[StateTransfer]) -> u64 {
+    let commits: usize = commits.iter().map(|c| c.bytes.len()).sum();
+    let states: usize = states
+        .iter()
+        .map(|t| match t {
+            StateTransfer::Full { state } => state.bytes.len(),
+            StateTransfer::Delta { delta, .. } => delta.len(),
+        })
+        .sum();
+    (commits + states) as u64
 }
 
 /// Whether accepting `head` on `branch` would be refused as diverged —
@@ -1223,46 +1210,34 @@ impl<M: Mrdt, B: Backend> Replica<M, B> {
     /// ingested events (`learned`) and — if the branch head actually moved
     /// — the new visible set (`head_advanced`), under the same write lock
     /// as the ingest itself.
-    fn serve_push(&self, req: Request) -> Result<Response, NetError> {
-        let Request::Push {
-            branch,
-            head,
-            commits,
-            states,
-        } = req
-        else {
-            return serve_read(&self.read_store(), req, self.hooks().metrics.as_ref());
-        };
+    fn serve_push(
+        &self,
+        branch: &str,
+        head: ObjectId,
+        commits: &[PackedObject],
+        states: &[StateTransfer],
+    ) -> Result<Response, NetError> {
         let hooks = self.hooks();
         let store = &mut *self.write_store();
         // Refuse a diverged push *before* ingesting its objects, or
         // every denied push leaks its pack into the backend.
-        if push_would_diverge(store, &branch, head, &commits)? {
+        if push_would_diverge(store, branch, head, commits)? {
             if let Some(m) = &hooks.metrics {
                 m.push_denied_total.inc();
             }
             return Ok(Response::PushDenied);
         }
-        let full = states.iter().map(|p| PackState::Full {
-            id: p.id,
-            bytes: &p.bytes,
-        });
-        self.ingest_witnessed(store, &hooks, &commits, full, head)?;
-        let outcome = store.track(&branch, head)?;
+        self.ingest_witnessed(store, &hooks, commits, states, head)?;
+        let outcome = store.track(branch, head)?;
         if matches!(outcome, TrackOutcome::Created | TrackOutcome::FastForwarded) {
-            self.witness_head(store, &hooks, &branch)?;
+            self.witness_head(store, &hooks, branch)?;
         }
         if let Some(m) = &hooks.metrics {
-            let bytes: u64 = commits.iter().map(|o| o.bytes.len() as u64).sum::<u64>()
-                + states.iter().map(|o| o.bytes.len() as u64).sum::<u64>();
             match outcome {
                 TrackOutcome::Diverged => m.push_denied_total.inc(),
                 _ => {
                     m.serve_pushes_total.inc();
-                    m.pack_objects_in_total
-                        .add(commits.len() as u64 + states.len() as u64);
-                    m.pack_bytes_in_total.add(bytes);
-                    m.trace("serve_push", &branch, commits.len() as u64);
+                    m.trace("serve_push", branch, commits.len() as u64);
                 }
             }
         }

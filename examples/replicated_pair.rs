@@ -60,6 +60,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "push: {} commits + {} states uploaded",
         push.commits_sent, push.states_sent
     );
+    assert_eq!(push.round_trips, 2, "refs, push");
     assert_eq!(cloud.head_id("main")?, laptop.head_id("main")?);
     assert_eq!(cloud.object_count(), laptop.object_count());
     let OrSetOutput::Elements(items) = cloud.read("main", &OrSetQuery::Read)? else {

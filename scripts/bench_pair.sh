@@ -4,10 +4,14 @@
 #
 #   scripts/bench_pair.sh <parent-rev> <workload> [pairs=10] [seconds=28] [seed]
 #
-# <parent-rev> is exported with `git archive` into a fresh `mktemp -d`
-# directory under the repo's target/ and built there with its own
-# CARGO_TARGET_DIR; the working tree uses CARGO_TARGET_DIR if set, else the
-# repo's target/.
+# Both sides are exported into one fresh `mktemp -d` directory under the
+# repo's target/, as siblings of the same name length: <parent-rev> with
+# `git archive` into parent/, the working tree (tracked and untracked
+# files, less what .gitignore excludes) into change/. Each side builds
+# into its own checkout's target/ and keeps its run data under its own
+# benchmark/out/, so the two sides differ only in code; the repo's own
+# target/ and benchmark/Cargo.lock are left alone. `HEAD` on a clean
+# tree gives an A/A run.
 # Pair i runs `benchmark/run.sh --workload … --seconds … [--seed …] --trace 0`
 # on both sides, parent first on even i and change first on odd i.
 #
@@ -17,9 +21,7 @@
 # is worse than the parent's by more than the metric's bound, better when
 # the change won at least 9 pairs in 10 and its median gain exceeds the
 # parent's interquartile distance. Exits 1 on any WORSE metric or failed
-# operation. The temporary directory is removed on exit, and the working
-# tree's benchmark/Cargo.lock, which building may rewrite, is put back as
-# it was.
+# operation. The temporary directory is removed on exit.
 set -euo pipefail
 
 [ $# -ge 2 ] || {
@@ -29,39 +31,32 @@ set -euo pipefail
 rev=$1 workload=$2 pairs=${3:-10} seconds=${4:-28} seed=${5:-}
 
 root="$(git rev-parse --show-toplevel)"
-# Beside the working tree's own build, not in /tmp: each side keeps its
-# run data under its checkout's benchmark/out/, and fsync must cost the
-# same on both sides (/tmp may be tmpfs, where it is free).
+# Under the repo, not in /tmp: fsync must cost what it costs beside a
+# real checkout (/tmp may be tmpfs, where it is free).
 mkdir -p "$root/target"
 tmp="$(mktemp -d "$root/target/bench_pair.XXXXXX")"
-lock="$root/benchmark/Cargo.lock"
-cp "$lock" "$tmp/benchmark-Cargo.lock"
-trap 'cp "$tmp/benchmark-Cargo.lock" "$lock"; rm -rf "$tmp"' EXIT
+trap 'rm -rf "$tmp"' EXIT
 
-parent="$tmp/parent"
-mkdir "$parent"
-git -C "$root" archive "$rev" | tar -x -C "$parent"
+mkdir "$tmp/parent" "$tmp/change"
+git -C "$root" archive "$rev" | tar -x -C "$tmp/parent"
+# Files deleted in the working tree but still tracked are left out.
+git -C "$root" ls-files -z -co --exclude-standard |
+    while IFS= read -r -d '' f; do if [ -e "$root/$f" ]; then printf '%s\0' "$f"; fi; done |
+    tar -C "$root" --null -T - -cf - | tar -x -C "$tmp/change"
 
-build() { # <checkout> <target dir>
-    CARGO_TARGET_DIR="$2" cargo build --release --offline --quiet \
-        --manifest-path "$1/benchmark/Cargo.toml"
-}
 echo "building $rev and the working tree" >&2
-build "$parent" "$tmp/target"
-build "$root" "${CARGO_TARGET_DIR:-$root/target}"
+for side in parent change; do
+    CARGO_TARGET_DIR="$tmp/$side/target" cargo build --release --offline --quiet \
+        --manifest-path "$tmp/$side/benchmark/Cargo.toml"
+done
 
 args=(--workload "$workload" --seconds "$seconds" --trace 0)
 [ -z "$seed" ] || args+=(--seed "$seed")
 
 run() { # <side> <pair>
-    local dir log=$tmp/$1-$2.log
-    if [ "$1" = parent ]; then
-        dir=$parent
-        CARGO_TARGET_DIR="$tmp/target" bash "$dir/benchmark/run.sh" "${args[@]}" >"$log" 2>&1
-    else
-        dir=$root
-        bash "$dir/benchmark/run.sh" "${args[@]}" >"$log" 2>&1
-    fi || { echo "$1 run $2 failed:" >&2; tail -20 "$log" >&2; exit 1; }
+    local log=$tmp/$1-$2.log
+    CARGO_TARGET_DIR="$tmp/$1/target" bash "$tmp/$1/benchmark/run.sh" "${args[@]}" >"$log" 2>&1 ||
+        { echo "$1 run $2 failed:" >&2; tail -20 "$log" >&2; exit 1; }
     tail -n 1 "$log" >"$tmp/$1-$2.json"
 }
 

@@ -7,7 +7,8 @@
 //!   exchange *only* the objects the receiver lacks (asserted via backend
 //!   object counts);
 //! * a delta-storing origin ships under half the state bytes a
-//!   full-snapshot origin does for the same cold chat-log fetch;
+//!   full-snapshot origin does for the same cold chat-log fetch, and a
+//!   delta-storing replica pushes under half the request bytes;
 //! * an 8-replica `ChannelTransport` fleet with injected partitions and
 //!   message loss converges after heal — on the in-memory backend, the
 //!   on-disk segment backend, and a mixed fleet of both;
@@ -15,14 +16,14 @@
 //!   schedule, post-heal anti-entropy converges all replicas to identical
 //!   heads (byte-identical canonical states), over both backends;
 //! * a corrupted transfer is rejected by content verification and leaves
-//!   the receiving store untouched.
+//!   the receiving store untouched — a fetched pack and a pushed one.
 
 mod common;
 
 use common::{for_each_backend, Scratch};
 use peepul::net::{
-    ChannelTransport, Cluster, FaultInjector, NetError, Remote, Replica, TcpServer, TcpTransport,
-    Transport,
+    ChannelTransport, Cluster, FaultInjector, NetError, Remote, Replica, Request, StateTransfer,
+    TcpServer, TcpTransport, Transport,
 };
 use peepul::prelude::*;
 use peepul::store::{SegmentBackend, SegmentOptions, DEFAULT_SNAPSHOT_INTERVAL};
@@ -117,6 +118,7 @@ fn tcp_pair_exchanges_only_missing_objects() {
     // sets.
     let push = laptop.push(&mut remote, "main").unwrap();
     assert!(push.commits_sent > 0);
+    assert_eq!(push.round_trips, 2, "refs + push");
     assert_eq!(origin.object_count(), laptop.object_count());
     assert_eq!(
         origin.head_id("main").unwrap(),
@@ -165,6 +167,61 @@ fn delta_storing_origin_ships_under_half_the_state_bytes() {
         "delta sync must at least halve the state bytes moved: {} delta vs {} full",
         delta.state_bytes_received,
         full.state_bytes_received
+    );
+}
+
+/// A transport that counts the request bytes it carries.
+struct CountingTransport<T> {
+    inner: T,
+    sent: std::rc::Rc<std::cell::Cell<u64>>,
+}
+
+impl<T: Transport> Transport for CountingTransport<T> {
+    fn request(&mut self, request: &[u8]) -> Result<Vec<u8>, NetError> {
+        self.sent.set(self.sent.get() + request.len() as u64);
+        self.inner.request(request)
+    }
+}
+
+#[test]
+fn delta_storing_replica_pushes_under_half_the_request_bytes() {
+    use peepul::types::log::{LogOp, MergeableLog};
+
+    // The push twin of the fetch test above: the same 256-append chat
+    // log pushed to an empty peer from a full-snapshot replica and from
+    // a delta-storing one. A push ships the pack a fetch receives, so the
+    // delta-stored states go out as deltas.
+    let push_bytes = |snapshot_interval: u32| {
+        let mut store = BranchStore::with_backend_and_base("main", MemoryBackend::new(), 0)
+            .expect("store construction");
+        store.set_snapshot_interval(snapshot_interval);
+        let laptop: Replica<MergeableLog<String>, _> = Replica::new("laptop", store);
+        for i in 0..256 {
+            let msg = format!("chat message number {i:08} from laptop");
+            laptop.apply("main", &LogOp::Append(msg)).unwrap();
+        }
+        let peer: Replica<MergeableLog<String>, _> =
+            Replica::open("peer", "main", MemoryBackend::new()).unwrap();
+        let sent = std::rc::Rc::default();
+        let transport = CountingTransport {
+            inner: ChannelTransport::connect(peer.clone()),
+            sent: std::rc::Rc::clone(&sent),
+        };
+        let push = laptop
+            .push(&mut Remote::new("peer", transport), "main")
+            .unwrap();
+        assert_eq!(push.round_trips, 2, "refs + push");
+        assert_eq!(
+            peer.head_id("main").unwrap(),
+            laptop.head_id("main").unwrap()
+        );
+        sent.get()
+    };
+    let full = push_bytes(0);
+    let delta = push_bytes(DEFAULT_SNAPSHOT_INTERVAL);
+    assert!(
+        delta * 2 <= full,
+        "a delta push must at most halve the request bytes: {delta} delta vs {full} full"
     );
 }
 
@@ -513,6 +570,65 @@ impl<T: Transport> Transport for CorruptingTransport<T> {
         }
         Ok(resp)
     }
+}
+
+/// A transport that flips the last byte of every `Push` request, after
+/// checking that the pack ends in a delta — the served push must resolve
+/// and verify the delta and refuse the pack.
+struct CorruptingPushTransport<T>(T);
+
+impl<T: Transport> Transport for CorruptingPushTransport<T> {
+    fn request(&mut self, request: &[u8]) -> Result<Vec<u8>, NetError> {
+        let mut request = request.to_vec();
+        if let Some(Request::Push { states, .. }) = Request::from_wire(&request) {
+            assert!(
+                matches!(states.last(), Some(StateTransfer::Delta { .. })),
+                "the pushed pack should end in a delta"
+            );
+            *request.last_mut().expect("non-empty push") ^= 0x01;
+        }
+        self.0.request(&request)
+    }
+}
+
+#[test]
+fn corrupted_push_is_refused_and_leaves_nothing_behind() {
+    let origin = replica("origin", MemoryBackend::new(), 0);
+    origin.apply("main", &OrSetOp::Add(1)).unwrap();
+    let laptop = replica("laptop", MemoryBackend::new(), 1);
+    let mut clean = Remote::new("origin", ChannelTransport::connect(origin.clone()));
+    laptop.pull(&mut clean, "main").unwrap();
+    // Eighteen adds: the first few states are stored full (a delta would
+    // not be smaller), the rest as deltas, and the chain stays under the
+    // default snapshot interval, so the pack ends in a delta.
+    for x in 10..28u32 {
+        laptop.apply("main", &OrSetOp::Add(x)).unwrap();
+    }
+
+    let objects = origin.object_count();
+    let heads = origin.with_store_read(|s| s.backend().refs()).unwrap();
+    let mut evil = Remote::new(
+        "origin",
+        CorruptingPushTransport(ChannelTransport::connect(origin.clone())),
+    );
+    let err = laptop.push(&mut evil, "main").unwrap_err();
+    assert!(matches!(err, NetError::Remote(_)), "{err}");
+    assert_eq!(origin.object_count(), objects, "nothing ingested");
+    assert_eq!(
+        origin.with_store_read(|s| s.backend().refs()).unwrap(),
+        heads
+    );
+    let swept = origin
+        .with_store_read(|s| s.sweep_stats())
+        .expect("gc sweep over the server store");
+    assert_eq!(swept.dead_objects, 0, "the refused push left garbage");
+
+    // The same push over a clean link lands.
+    laptop.push(&mut clean, "main").unwrap();
+    assert_eq!(
+        origin.head_id("main").unwrap(),
+        laptop.head_id("main").unwrap()
+    );
 }
 
 #[test]
